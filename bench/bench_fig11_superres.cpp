@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "common/rng.h"
-#include "common/stats.h"
+#include "common/streaming_stats.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "core/superres.h"
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   for (double tof_ns :
        {0.5, 0.8, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0}) {
     for (int pass = 0; pass < 1; ++pass) {
-      OnlineStats mse_hi, mse_lo;
+      StreamingMoments mse_hi, mse_lo;
       const std::vector<cplx> amps{cplx{1.0, 0.0}, std::polar(0.5, 1.1)};
       const RVec delays{0.0, tof_ns * 1e-9};
       const RVec true_p{1.0, 0.25};

@@ -13,7 +13,7 @@
 #include "array/pattern.h"
 #include "common/angles.h"
 #include "common/rng.h"
-#include "common/stats.h"
+#include "common/streaming_stats.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "core/maintenance.h"
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     Rng rng(3);
     Table t({"true rotation (deg)", "LOS est (deg)", "LOS err",
              "NLOS est (deg)", "NLOS err"});
-    OnlineStats err_los, err_nlos;
+    StreamingMoments err_los, err_nlos;
     for (double rot_deg = 2.0; rot_deg <= 8.01; rot_deg += 1.0) {
       const auto paths = rotated(base_paths, deg_to_rad(rot_deg));
       // Average a few noisy monitoring snapshots (the tracker's

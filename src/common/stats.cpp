@@ -7,41 +7,6 @@
 
 namespace mmr {
 
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::mean() const {
-  MMR_EXPECTS(n_ > 0);
-  return mean_;
-}
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-double OnlineStats::min() const {
-  MMR_EXPECTS(n_ > 0);
-  return min_;
-}
-
-double OnlineStats::max() const {
-  MMR_EXPECTS(n_ > 0);
-  return max_;
-}
-
 double percentile(std::span<const double> values, double p) {
   MMR_EXPECTS(!values.empty());
   MMR_EXPECTS(p >= 0.0 && p <= 100.0);

@@ -1,33 +1,11 @@
-// Streaming and batch statistics used by the experiment harness:
-// means/variances, percentiles, empirical CDFs.
+// Batch statistics used by the experiment harness: means, percentiles,
+// empirical CDFs. (The O(1) streaming family is common/streaming_stats.h.)
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
 namespace mmr {
-
-/// Welford online mean/variance accumulator.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const;
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const;
-  double max() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Percentile of a sample set with linear interpolation, p in [0, 100].
 /// Requires a non-empty input.

@@ -55,20 +55,4 @@ void interferer_gain_batch_into(const array::Ula& ula, const CVec& weights,
   }
 }
 
-RVec interferer_gain_batch(const array::Ula& ula, const CVec& weights,
-                           const RVec& victim_angles_rad,
-                           const RVec& distances_m, double carrier_hz,
-                           double coupling_loss_db) {
-  RVec out(victim_angles_rad.size());
-  interferer_gain_batch_into(ula, weights, victim_angles_rad, distances_m,
-                             carrier_hz, coupling_loss_db, out);
-  return out;
-}
-
-double sinr_db(double snr_db, double inr_linear) {
-  MMR_EXPECTS(inr_linear >= 0.0);
-  // to_db(1.0) == 0.0 exactly, so a zero-INR victim keeps its SNR bits.
-  return snr_db - to_db(1.0 + inr_linear);
-}
-
 }  // namespace mmr::net

@@ -6,7 +6,7 @@
 // distance. The same expression covers co-cell co-scheduled sessions
 // (src/core/multi_user.h's concern, promoted network-wide) and
 // neighbor-cell leakage; the victim folds the summed interference into
-// its SINR as SINR_dB = SNR_dB - 10 log10(1 + INR).
+// its SINR as SINR_dB = SNR_dB - 10 log10(1 + INR) (sim::sinr_db).
 //
 // The scalar entry points are allocation-free (array::array_factor is a
 // fused dsp::dot_phasor_ramp) so the per-tick network scoring loop stays
@@ -53,18 +53,5 @@ void interferer_gain_batch_into(const array::Ula& ula, const CVec& weights,
                                 std::span<const double> distances_m,
                                 double carrier_hz, double coupling_loss_db,
                                 std::span<double> out);
-
-/// Batched variant over many victims (one entry per angle/distance pair).
-/// Allocating convenience wrapper over interferer_gain_batch_into.
-RVec interferer_gain_batch(const array::Ula& ula, const CVec& weights,
-                           const RVec& victim_angles_rad,
-                           const RVec& distances_m, double carrier_hz,
-                           double coupling_loss_db = 0.0);
-
-/// Fold an interference-to-noise ratio into a serving-link SNR:
-/// SINR_dB = SNR_dB - 10 log10(1 + INR). Bitwise identity with the input
-/// SNR when inr_linear == 0 (the single-link collapse the byte-identity
-/// tests pin), and <= SNR for every INR >= 0.
-double sinr_db(double snr_db, double inr_linear);
 
 }  // namespace mmr::net

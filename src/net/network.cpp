@@ -12,8 +12,6 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "net/terragraph.h"
-#include "phy/mcs.h"
-#include "sim/faults.h"
 #include "sim/scenario.h"
 #include "sim/telemetry.h"
 #include "sim/workspace.h"
@@ -30,10 +28,10 @@ bool is_outdoor(const sim::ScenarioSpec& s) {
   return s.name.rfind("outdoor", 0) == 0;
 }
 
-/// gNB position inside its cell's local frame (what the world factories
-/// hard-code; see sim/engine.cpp's add_link_blockers call sites).
+/// gNB position inside its cell's local frame (where the world factories
+/// put it).
 channel::Vec2 scenario_tx_local(const sim::ScenarioSpec& s) {
-  return is_outdoor(s) ? channel::Vec2{0.0, 0.0} : channel::Vec2{0.5, 6.2};
+  return is_outdoor(s) ? channel::Vec2{0.0, 0.0} : sim::kIndoorGnbPosition;
 }
 
 channel::Vec2 scenario_ue_local(const sim::ScenarioSpec& s) {
@@ -47,23 +45,16 @@ channel::Vec2 rotate(channel::Vec2 v, double angle_rad) {
 
 double norm(channel::Vec2 v) { return std::hypot(v.x, v.y); }
 
-/// Crowd-blockage scenario: the sparse indoor room plus a seed-derived
-/// crowd of walkers crossing the link line at random times/speeds/depths.
-/// Authored spec.blockers are added first (engine convention), then the
-/// crowd, so a crowd scenario composes with explicit blockage scripts.
+/// Crowd-blockage scenario: the registered sparse indoor room (authored
+/// spec.blockers included) plus a seed-derived crowd of walkers crossing
+/// the link line at random times/speeds/depths, so a crowd scenario
+/// composes with explicit blockage scripts.
 sim::LinkWorld make_crowd(const sim::ScenarioSpec& spec, std::size_t min_crowd,
                           std::size_t max_crowd) {
-  sim::ScenarioConfig config = spec.config;
-  config.sparse_room = true;
-  sim::LinkWorld world =
-      sim::make_indoor_world(config, spec.ue_velocity,
-                             spec.ue_rotation_rate_rad_s, spec.ue_start);
-  for (const sim::BlockerSpec& b : spec.blockers) {
-    world.add_blocker(sim::crossing_blocker({0.5, 6.2}, spec.ue_start,
-                                            b.crossing_time_s, b.speed_mps,
-                                            b.depth_db));
-  }
-  Rng rng(Rng::derive_stream_seed(config.seed, kCrowdSeedStream));
+  sim::ScenarioSpec room = spec;
+  room.name = "indoor_sparse";
+  sim::LinkWorld world = sim::ScenarioRegistry::instance().make(room);
+  Rng rng(Rng::derive_stream_seed(spec.config.seed, kCrowdSeedStream));
   const std::size_t n =
       min_crowd + static_cast<std::size_t>(
                       rng.uniform_index(max_crowd - min_crowd + 1));
@@ -71,9 +62,9 @@ sim::LinkWorld make_crowd(const sim::ScenarioSpec& spec, std::size_t min_crowd,
     const double crossing_time_s = rng.uniform(0.1, 0.9);
     const double speed_mps = rng.uniform(0.8, 1.8);
     const double depth_db = rng.uniform(25.0, 35.0);
-    world.add_blocker(sim::crossing_blocker({0.5, 6.2}, spec.ue_start,
-                                            crossing_time_s, speed_mps,
-                                            depth_db));
+    world.add_blocker(sim::crossing_blocker(sim::kIndoorGnbPosition,
+                                            spec.ue_start, crossing_time_s,
+                                            speed_mps, depth_db));
   }
   return world;
 }
@@ -95,7 +86,7 @@ void NetworkSpec::validate() const {
   link_state.validate();
   handover.validate();
   interference.validate();
-  run.faults.validate();
+  run.validate();
 }
 
 struct Network::Session {
@@ -108,8 +99,9 @@ struct Network::Session {
   sim::ScenarioSpec scenario;
   std::unique_ptr<sim::LinkWorld> world;
   std::unique_ptr<core::BeamController> controller;
-  std::unique_ptr<sim::FaultInjector> injector;
-  core::LinkProbeInterface iface;
+  /// Borrows world and controller: declared after them so it is destroyed
+  /// (detaching the fault listener) first.
+  std::unique_ptr<sim::LinkStepper> stepper;
   core::LinkStateMachine sm;
   // Global kinematics (macro layer): position = start + velocity * t,
   // independent of which cell currently serves.
@@ -119,14 +111,12 @@ struct Network::Session {
   // Batch tables keep birth_s = 0, so local time t - 0.0 is bitwise the
   // shared time and the historical behavior is unchanged.
   bool live = true;
-  bool started = false;
   double birth_s = 0.0;
   // Handover bookkeeping.
   std::size_t ttt_candidate = kNoCell;
   double ttt_since = 0.0;
   double last_handover_s = -1.0e18;
   std::size_t handovers = 0;
-  bool needs_restart = false;
   std::vector<core::LinkSample> samples;
   std::vector<core::FaultEvent> faults;
 
@@ -152,14 +142,7 @@ Network::Network(const NetworkSpec& spec, std::uint64_t stream_seed,
   tick_samples_.resize(sessions_.size());
 }
 
-Network::~Network() {
-  // The fault listeners capture raw Session pointers; detach before the
-  // controllers (which may outlive this frame inside sessions_) could
-  // fire them during teardown.
-  for (auto& s : sessions_) {
-    if (s->controller != nullptr) s->controller->set_fault_listener(nullptr);
-  }
-}
+Network::~Network() = default;
 
 bool Network::slot_live(std::size_t slot) const {
   return slot < sessions_.size() && sessions_[slot]->live;
@@ -174,14 +157,7 @@ std::size_t Network::join(std::uint64_t session_id, double birth_s) {
   } else {
     slot = sessions_.size();
     sessions_.push_back(std::make_unique<Session>(spec_.link_state));
-    tick_samples_.resize(sessions_.size());
-    inr_accum_.resize(sessions_.size());
-    pos_x_.resize(sessions_.size());
-    pos_y_.resize(sessions_.size());
-    batch_angles_.resize(sessions_.size());
-    batch_dist_.resize(sessions_.size());
-    batch_gain_.resize(sessions_.size());
-    batch_victim_.resize(sessions_.size());
+    size_slot_scratch();
   }
   Session& s = *sessions_[slot];
   // Reset the recycled slot to a fresh Session, then seed it from the
@@ -190,7 +166,6 @@ std::size_t Network::join(std::uint64_t session_id, double birth_s) {
   build_session(s, session_id);
   s.birth_s = birth_s;
   s.live = true;
-  s.started = false;
   ++live_count_;
   return slot;
 }
@@ -198,9 +173,8 @@ std::size_t Network::join(std::uint64_t session_id, double birth_s) {
 void Network::leave(std::size_t slot) {
   MMR_EXPECTS(slot_live(slot));
   Session& s = *sessions_[slot];
-  if (s.controller != nullptr) s.controller->set_fault_listener(nullptr);
+  s.stepper.reset();
   s.controller.reset();
-  s.injector.reset();
   s.world.reset();
   s.samples.clear();
   s.samples.shrink_to_fit();
@@ -247,33 +221,31 @@ void Network::build_session(Session& s, std::uint64_t session_id) {
                              0.0};
   s.global_start = origin + scenario_ue_local(s.scenario);
 
+  // Mirror the engine's fault seeding bit-exactly on link 0: a plan with
+  // seed 0 gets derive(stream_seed, kFaultSeedStream). Other links
+  // decorrelate through their own link seed.
+  s.fault_seed = spec_.run.faults.seed;
+  if (s.fault_seed == 0) {
+    s.fault_seed = Rng::derive_stream_seed(s.link_seed, sim::kFaultSeedStream);
+  } else if (link > 0) {
+    s.fault_seed = Rng::derive_stream_seed(s.fault_seed, link);
+  }
+  rebuild_link(s, s.fault_seed);
+}
+
+void Network::rebuild_link(Session& s, std::uint64_t fault_seed) {
+  s.stepper.reset();
   s.world = std::make_unique<sim::LinkWorld>(
       sim::ScenarioRegistry::instance().make(s.scenario));
   if (workspace_ != nullptr) s.world->bind_workspace(workspace_);
   s.controller = sim::ControllerRegistry::instance().make(
       *s.world, s.scenario.config, spec_.controller);
-  s.iface = s.world->probe_interface();
-
-  if (spec_.run.faults.enabled()) {
-    sim::FaultPlan plan = spec_.run.faults;
-    // Mirror the engine's fault seeding bit-exactly on link 0: a live
-    // plan with seed 0 gets derive(stream_seed, kFaultSeedStream). Other
-    // links decorrelate through their own link seed.
-    if (plan.seed == 0) {
-      plan.seed = Rng::derive_stream_seed(s.link_seed, sim::kFaultSeedStream);
-    } else if (link > 0) {
-      plan.seed = Rng::derive_stream_seed(plan.seed, link);
-    }
-    s.fault_seed = plan.seed;
-    s.injector = std::make_unique<sim::FaultInjector>(plan, s.iface);
-    s.iface = s.injector->interface();
-    Session* sp = &s;
-    auto record = [sp](const core::FaultEvent& ev) {
-      sp->faults.push_back(ev);
-    };
-    s.injector->set_listener(record);
-    s.controller->set_fault_listener(record);
-  }
+  sim::FaultPlan plan = spec_.run.faults;
+  plan.seed = fault_seed;
+  Session* sp = &s;
+  s.stepper = std::make_unique<sim::LinkStepper>(
+      *s.world, *s.controller, plan,
+      [sp](const core::FaultEvent& ev) { sp->faults.push_back(ev); });
 }
 
 double Network::cell_rsrp_db(const Session& s, std::size_t cell,
@@ -437,26 +409,7 @@ void Network::execute_handover(Session& s, double t_s, std::size_t to_cell,
   }
   s.scenario.config.seed = Rng::derive_stream_seed(
       Rng::derive_stream_seed(s.link_seed, kHandoverSeedStream), s.handovers);
-  if (s.controller != nullptr) s.controller->set_fault_listener(nullptr);
-  s.world = std::make_unique<sim::LinkWorld>(
-      sim::ScenarioRegistry::instance().make(s.scenario));
-  if (workspace_ != nullptr) s.world->bind_workspace(workspace_);
-  s.controller = sim::ControllerRegistry::instance().make(
-      *s.world, s.scenario.config, spec_.controller);
-  s.iface = s.world->probe_interface();
-  if (spec_.run.faults.enabled()) {
-    sim::FaultPlan plan = spec_.run.faults;
-    plan.seed = Rng::derive_stream_seed(s.fault_seed, s.handovers);
-    s.injector = std::make_unique<sim::FaultInjector>(plan, s.iface);
-    s.iface = s.injector->interface();
-    Session* sp = &s;
-    auto record = [sp](const core::FaultEvent& ev) {
-      sp->faults.push_back(ev);
-    };
-    s.injector->set_listener(record);
-    s.controller->set_fault_listener(record);
-  }
-  s.needs_restart = true;
+  rebuild_link(s, Rng::derive_stream_seed(s.fault_seed, s.handovers));
 
   core::HandoverEvent ev;
   ev.t_s = t_s;
@@ -468,52 +421,36 @@ void Network::execute_handover(Session& s, double t_s, std::size_t to_cell,
   handover_events_.push_back(ev);
 }
 
+void Network::size_slot_scratch() {
+  const std::size_t n = sessions_.size();
+  tick_samples_.resize(n);
+  inr_accum_.resize(n);
+  pos_x_.resize(n);
+  pos_y_.resize(n);
+  batch_angles_.resize(n);
+  batch_dist_.resize(n);
+  batch_gain_.resize(n);
+  batch_victim_.resize(n);
+}
+
 void Network::begin() {
   const sim::RunConfig& rc = spec_.run;
-  // Same up-front validation as sim::run_experiment.
-  MMR_EXPECTS(rc.duration_s > 0.0 && std::isfinite(rc.duration_s));
-  MMR_EXPECTS(rc.tick_s > 0.0 && std::isfinite(rc.tick_s));
-  MMR_EXPECTS(std::isfinite(rc.outage_snr_db));
-  MMR_EXPECTS(rc.protocol_overhead >= 0.0 && rc.protocol_overhead < 1.0);
   handover_events_.clear();
   const auto num_ticks = static_cast<std::size_t>(rc.duration_s / rc.tick_s);
   for (auto& s : sessions_) {
-    s->started = false;
     s->samples.clear();
     if (record_samples_ && s->live) s->samples.reserve(num_ticks);
   }
-  tick_samples_.resize(sessions_.size());
-  inr_accum_.resize(sessions_.size());
-  pos_x_.resize(sessions_.size());
-  pos_y_.resize(sessions_.size());
-  batch_angles_.resize(sessions_.size());
-  batch_dist_.resize(sessions_.size());
-  batch_gain_.resize(sessions_.size());
-  batch_victim_.resize(sessions_.size());
+  size_slot_scratch();
 }
 
 void Network::advance_pass(double t_s) {
-  // Worlds, injectors, controllers -- the exact per-link sequence
-  // sim/runner.cpp executes.
   for (auto& sp : sessions_) {
-    Session& s = *sp;
-    if (!s.live) continue;
-    const double t = s.local_time(t_s);
-    s.world->set_time(t);
-    if (s.injector != nullptr) s.injector->on_tick(t);
-    if (!s.started || s.needs_restart) {
-      s.controller->start(t, s.iface);
-      s.started = true;
-      s.needs_restart = false;
-    } else {
-      s.controller->step(t, s.iface);
-    }
+    if (sp->live) sp->stepper->advance(sp->local_time(t_s));
   }
 }
 
 void Network::scoring_pass(double t_s) {
-  const sim::RunConfig& rc = spec_.run;
-  const phy::McsTable& mcs = phy::McsTable::nr();
   const bool interference_on = spec_.interference.enabled && live_count_ > 1;
   if (interference_on) accumulate_interference(t_s);
   // Every link scored against the TRUE channel with the other links'
@@ -522,24 +459,14 @@ void Network::scoring_pass(double t_s) {
     Session& s = *sessions_[slot];
     if (!s.live) continue;
     const double t = s.local_time(t_s);
-    const double bandwidth = s.world->config().spec.bandwidth_hz;
-    const double snr = s.world->true_snr_db(s.controller->tx_weights());
-    double inr = 0.0;
-    if (interference_on) {
-      inr = inr_accum_[slot] / s.world->power_for_snr(0.0);
-    }
-    const double sinr = sinr_db(snr, inr);
-    core::LinkSample sample;
-    sample.t_s = t;
-    sample.available = s.controller->link_available(t);
-    sample.snr_db = sinr;
-    sample.throughput_bps =
-        sample.available
-            ? mcs.throughput_bps(sinr, bandwidth, rc.protocol_overhead)
-            : 0.0;
+    const double inr =
+        interference_on ? inr_accum_[slot] / s.world->power_for_snr(0.0)
+                        : 0.0;
+    const core::LinkSample sample =
+        s.stepper->score(t, inr, spec_.run.protocol_overhead);
     tick_samples_[slot] = sample;
     if (record_samples_) s.samples.push_back(sample);
-    drive_state(s, t, sinr);
+    drive_state(s, t, sample.snr_db);
   }
 }
 
@@ -572,7 +499,6 @@ NetworkResult Network::finish(sim::TelemetrySink* sink) {
   for (auto& sp : sessions_) {
     Session& s = *sp;
     if (!s.live) continue;
-    if (s.controller != nullptr) s.controller->set_fault_listener(nullptr);
     // Close the availability ledger at the nominal end of the run (this
     // may legitimately fire a final deadline transition).
     s.sm.poll(rc.duration_s);

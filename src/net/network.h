@@ -3,10 +3,11 @@
 //
 // Each session owns a cell-local LinkWorld (the existing single-link
 // channel abstraction), a BeamController built from the ControllerRegistry
-// (any registered scheme works), and a Terragraph-style LinkStateMachine
-// (core/link_state.h) driven from the controller's reported state plus
-// the scored SINR -- the per-link availability ledger the network-wide
-// CDFs are computed from.
+// (any registered scheme works), the sim::LinkStepper that ticks and
+// scores them (the same per-link tick run_experiment runs), and a
+// Terragraph-style LinkStateMachine (core/link_state.h) driven from the
+// controller's reported state plus the scored SINR -- the per-link
+// availability ledger the network-wide CDFs are computed from.
 //
 // Cross-link coupling (net/interference.h): every other transmitting
 // session leaks into a victim through its array pattern evaluated at the
@@ -150,9 +151,9 @@ class Network {
   NetworkResult run(sim::TelemetrySink* sink = nullptr);
 
   // --- Resumable-step interface -------------------------------------
-  /// Validate the run config and reset per-run state (sample buffers,
-  /// handover events, controller start flags). Call once before a
-  /// step_tick sequence; run() calls it for you.
+  /// Reset per-run state (sample buffers, handover events) and size the
+  /// slot scratch. Call once before a step_tick sequence; run() calls it
+  /// for you. Each session's controller starts on its first tick.
   void begin();
   /// Advance every live session to absolute time `t_s` (advance /
   /// score+drive / handover passes -- the exact historical sequence) and
@@ -169,7 +170,7 @@ class Network {
   /// `birth_s` offsets its local timeline. Reuses a free slot when one
   /// exists. Returns the slot index.
   std::size_t join(std::uint64_t session_id, double birth_s);
-  /// Retire a live slot: releases its world/controller/injector and
+  /// Retire a live slot: releases its world/controller/stepper and
   /// recycles the slot for the next join (bounded memory under churn).
   void leave(std::size_t slot);
 
@@ -189,6 +190,11 @@ class Network {
   struct Session;
 
   void build_session(Session& s, std::uint64_t session_id);
+  /// (Re)build the session's world, controller and stepper from
+  /// s.scenario, with the run's fault plan reseeded to `fault_seed`.
+  void rebuild_link(Session& s, std::uint64_t fault_seed);
+  /// Resize the slot-indexed scoring scratch to the slot count.
+  void size_slot_scratch();
   void advance_pass(double t_s);
   void scoring_pass(double t_s);
   void handover_pass(double t_s);

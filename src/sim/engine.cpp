@@ -50,7 +50,7 @@ LinkWorld make_indoor(const ScenarioSpec& spec, bool force_sparse) {
   LinkWorld world = make_indoor_world(config, spec.ue_velocity,
                                       spec.ue_rotation_rate_rad_s,
                                       spec.ue_start);
-  add_link_blockers(world, {0.5, 6.2}, spec.ue_start, spec.blockers);
+  add_link_blockers(world, kIndoorGnbPosition, spec.ue_start, spec.blockers);
   return world;
 }
 
@@ -60,7 +60,7 @@ LinkWorld make_indoor(const ScenarioSpec& spec, bool force_sparse) {
 LinkWorld make_indoor_poor(const ScenarioSpec& spec) {
   channel::Environment env(kCarrier28GHz);
   env.add_wall({{{0.0, 0.0}, {10.0, 0.0}}, channel::Material::wood()});
-  const channel::Pose tx{{0.5, 6.2}, 0.0};
+  const channel::Pose tx{kIndoorGnbPosition, 0.0};
   auto traj = std::make_shared<channel::StaticPose>(
       channel::Pose{spec.ue_start, kPi});
   WorldConfig wc;
@@ -76,7 +76,7 @@ LinkWorld make_indoor_poor(const ScenarioSpec& spec) {
     panel.gain_db = spec.irs_gain_db;
     world.add_irs(panel);
   }
-  add_link_blockers(world, {0.5, 6.2}, spec.ue_start, spec.blockers);
+  add_link_blockers(world, kIndoorGnbPosition, spec.ue_start, spec.blockers);
   return world;
 }
 

@@ -31,6 +31,10 @@ struct ScenarioConfig {
   double tx_power_dbm = 20.0;
 };
 
+/// gNB position of every indoor room: near the x=0 wall, boresight down
+/// the room (+x). Crossing blockers and network cell geometry anchor on it.
+inline constexpr channel::Vec2 kIndoorGnbPosition{0.5, 6.2};
+
 /// Indoor conference room, gNB at one end, UE ~7 m away.
 /// `ue_velocity` / `ue_rotation_rate` build the trajectory; zeros = static.
 LinkWorld make_indoor_world(const ScenarioConfig& config,

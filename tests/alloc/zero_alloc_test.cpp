@@ -1,11 +1,13 @@
-// Allocation audit of the trial hot path (PR-6 tentpole): the engine's
-// scoring loop -- world.set_time(t) + world.true_snr_db(weights) + sample
-// append -- must perform ZERO heap allocations in steady state once a
-// TrialWorkspace is bound. These tests prove it with a counting global
-// operator new (tests/common/alloc_guard.h) on the paper's Fig. 16 and
-// Fig. 18 blockage scenarios, and pin a total-allocation budget on the
-// full trial (controller included) so an accidental per-tick allocation
-// anywhere in the stack fails loudly with the offending count.
+// Allocation audit of the trial hot path: the per-link tick --
+// sim::LinkStepper::advance + score + sample append, the code
+// run_experiment and every net::Network session run -- must perform ZERO
+// heap allocations in steady state once a TrialWorkspace is bound. These
+// tests prove it with a counting global operator new
+// (tests/common/alloc_guard.h) on the paper's Fig. 16 and Fig. 18
+// blockage scenarios, driven by a no-op controller (the controllers'
+// probe paths legitimately allocate), and pin a total-allocation budget
+// on the full trial (controller included) so an accidental per-tick
+// allocation anywhere in the stack fails loudly with the offending count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,14 +16,10 @@
 #include <memory>
 #include <vector>
 
-#include "array/geometry.h"
-
 #include "common/types.h"
 #include "core/controller_base.h"
-#include "core/link_state.h"
 #include "core/metrics.h"
-#include "net/interference.h"
-#include "phy/mcs.h"
+#include "net/network.h"
 #include "sim/engine.h"
 #include "sim/runner.h"
 #include "sim/streaming.h"
@@ -66,9 +64,40 @@ constexpr std::size_t kNumTicks = 400;  // 1 s trial at the CSI-RS cadence
 // workspace binding, or a new temporary inside the probe loop).
 constexpr std::size_t kFullTrialAllocationBudget = 100'000;
 
-/// Run the engine's scoring statements (sim/runner.cpp tick loop minus
-/// the controller step, whose probe path is out of the zero-alloc scope)
-/// over the full trial duration and return the allocation count. The
+/// Frozen-beam controller with a no-op tick: isolates the link tick, the
+/// network step and the streaming SERVICE loop from the controllers'
+/// probe paths, which legitimately allocate and are audited separately
+/// via the full-trial budget test.
+class NoopFrozenController final : public core::BeamController {
+ public:
+  explicit NoopFrozenController(std::size_t num_elements)
+      : weights_(num_elements,
+                 cplx{1.0 / std::sqrt(static_cast<double>(num_elements)),
+                      0.0}) {}
+
+  void start(double, const core::LinkProbeInterface&) override {}
+  void step(double, const core::LinkProbeInterface&) override {}
+  const CVec& tx_weights() const override { return weights_; }
+  bool link_available(double) const override { return true; }
+  const char* name() const override { return "noop_frozen"; }
+
+ private:
+  CVec weights_;
+};
+
+void register_noop_frozen() {
+  sim::ControllerRegistry::instance().add(
+      "noop_frozen",
+      [](const sim::LinkWorld& world, const sim::ScenarioConfig&,
+         const sim::ControllerSpec&) -> std::unique_ptr<core::BeamController> {
+        return std::make_unique<NoopFrozenController>(
+            world.config().tx_ula.num_elements);
+      });
+}
+
+/// Run the engine's per-tick path (LinkStepper::advance + score + sample
+/// append, exactly as run_experiment does) over the full trial duration
+/// with the no-op controller and return the allocation count. The
 /// warm-up pass covers the same time range first so every capacity --
 /// path list, arena chunks, sample vector -- has plateaued.
 std::size_t scoring_loop_allocations(const sim::ScenarioSpec& scenario,
@@ -76,33 +105,24 @@ std::size_t scoring_loop_allocations(const sim::ScenarioSpec& scenario,
   sim::LinkWorld world = sim::ScenarioRegistry::instance().make(scenario);
   sim::TrialWorkspace workspace;
   if (bind_workspace) world.bind_workspace(&workspace);
-
-  const phy::McsTable& mcs = phy::McsTable::nr();
-  const double bandwidth = world.config().spec.bandwidth_hz;
-  const CVec weights(world.config().tx_ula.num_elements,
-                     cplx{1.0 / 8.0, 0.0});
+  NoopFrozenController controller(world.config().tx_ula.num_elements);
+  sim::LinkStepper stepper(world, controller, sim::FaultPlan{}, nullptr);
   std::vector<core::LinkSample> samples;
   samples.reserve(kNumTicks);
+  auto run_ticks = [&] {
+    samples.clear();
+    for (std::size_t i = 0; i < kNumTicks; ++i) {
+      const double t = static_cast<double>(i) * kTickS;
+      stepper.advance(t);
+      samples.push_back(stepper.score(t, 0.0, 0.005));
+    }
+  };
 
   // Warm-up: full time range, so the blocked/unblocked path-count range
   // is seen before the audit.
-  for (std::size_t i = 0; i < kNumTicks; ++i) {
-    world.set_time(static_cast<double>(i) * kTickS);
-    (void)world.true_snr_db(weights);
-  }
-
-  samples.clear();
+  run_ticks();
   mmr::testing::AllocationCounter audit;
-  for (std::size_t i = 0; i < kNumTicks; ++i) {
-    const double t = static_cast<double>(i) * kTickS;
-    world.set_time(t);
-    core::LinkSample sample;
-    sample.t_s = t;
-    sample.available = true;
-    sample.snr_db = world.true_snr_db(weights);
-    sample.throughput_bps = mcs.throughput_bps(sample.snr_db, bandwidth, 0.005);
-    samples.push_back(sample);
-  }
+  run_ticks();
   return audit.delta();
 }
 
@@ -147,68 +167,31 @@ TEST_F(ZeroAllocTest, UnboundWorldStillAllocatesPerTick) {
       << "expected the no-workspace path to allocate every tick";
 }
 
-/// The network layer's per-tick SCORING pass (src/net/network.cpp run()
-/// tick loop minus the controller advance, whose probe path is out of
-/// the zero-alloc scope): true-channel SNR with a bound workspace, the
-/// scalar interferer-gain fold into SINR, the sample append into a
-/// reserved vector, and the link state machine's poll/apply ledger.
+/// A real net::Network::step_tick over two sessions in one cell:
+/// advance, the batched interference fold, SINR scoring, the sample
+/// append and the link-state drive, with the no-op controller. The
+/// network runs two trial lengths; the first is the warm-up and the
+/// second is audited (the state machine's clock only runs forward), with
+/// a second walker crossing inside the audited window so both the
+/// blocked and the unblocked regime are audited.
 std::size_t network_scoring_allocations(bool bind_workspace) {
-  sim::LinkWorld victim =
-      sim::ScenarioRegistry::instance().make(fig16_scenario());
-  sim::LinkWorld other =
-      sim::ScenarioRegistry::instance().make(fig18_scenario());
-  sim::TrialWorkspace victim_ws, other_ws;
-  if (bind_workspace) {
-    victim.bind_workspace(&victim_ws);
-    other.bind_workspace(&other_ws);
-  }
-
-  const phy::McsTable& mcs = phy::McsTable::nr();
-  const double bandwidth = victim.config().spec.bandwidth_hz;
-  const double carrier_hz = victim.config().spec.carrier_hz;
-  const double noise_ref = victim.power_for_snr(0.0);
-  const CVec weights(victim.config().tx_ula.num_elements,
-                     cplx{1.0 / 8.0, 0.0});
-  const CVec other_weights(other.config().tx_ula.num_elements,
-                           cplx{1.0 / 8.0, 0.0});
-  const array::Ula other_ula = other.config().tx_ula;
-  core::LinkStateMachine sm;
-  sm.apply(0.0, core::LinkEvent::kAcquire);
-  sm.apply(0.0, core::LinkEvent::kAcquisitionSuccess);
-  std::vector<core::LinkSample> samples;
-  samples.reserve(kNumTicks);
-
-  // Warm-up over the full time range (blocked and unblocked regimes).
+  register_noop_frozen();
+  net::NetworkSpec spec;
+  spec.ues_per_cell = 2;
+  spec.link_scenario = fig16_scenario();
+  spec.link_scenario.blockers.push_back({1.5, 1.0, 30.0});
+  spec.controller.name = "noop_frozen";
+  spec.run.duration_s = 2.0 * static_cast<double>(kNumTicks) * kTickS;
+  sim::TrialWorkspace workspace;
+  net::Network network(spec, 13, bind_workspace ? &workspace : nullptr);
+  network.begin();
   for (std::size_t i = 0; i < kNumTicks; ++i) {
-    const double t = static_cast<double>(i) * kTickS;
-    victim.set_time(t);
-    other.set_time(t);
-    (void)victim.true_snr_db(weights);
-    (void)other.true_snr_db(other_weights);
+    network.step_tick(static_cast<double>(i) * kTickS);
   }
-
-  samples.clear();
   mmr::testing::AllocationCounter audit;
-  for (std::size_t i = 0; i < kNumTicks; ++i) {
-    const double t = static_cast<double>(i) * kTickS;
-    victim.set_time(t);
-    other.set_time(t);
-    const double snr = victim.true_snr_db(weights);
-    const double gain =
-        net::interferer_gain(other_ula, other_weights,
-                             0.3 * std::sin(t), 25.0, carrier_hz);
-    const double sinr = net::sinr_db(snr, gain / noise_ref);
-    core::LinkSample sample;
-    sample.t_s = t;
-    sample.available = true;
-    sample.snr_db = sinr;
-    sample.throughput_bps = mcs.throughput_bps(sinr, bandwidth, 0.005);
-    samples.push_back(sample);
-    (void)sm.poll(t);
-    sm.apply(t, sinr < 6.0 ? core::LinkEvent::kErrorBurst
-                           : core::LinkEvent::kRecovered);
+  for (std::size_t i = kNumTicks; i < 2 * kNumTicks; ++i) {
+    network.step_tick(static_cast<double>(i) * kTickS);
   }
-  (void)sm.time_in(core::LinkState::kUp);
   return audit.delta();
 }
 
@@ -239,9 +222,9 @@ TEST_F(ZeroAllocTest, FullTrialAllocationBudgetRegression) {
       << "): a hot-path allocation has crept back in";
 }
 
-// PR-9: the network scoring loop -- SNR + interference fold + SINR +
-// sample + state-machine ledger -- is zero-allocation once workspaces
-// are bound, exactly like the single-link engine loop above.
+// The network tick -- advance + interference fold + SINR + sample +
+// state-machine ledger -- is zero-allocation once the workspace is
+// bound, exactly like the single-link engine loop above.
 TEST_F(ZeroAllocTest, NetworkScoringLoopIsAllocationFree) {
   EXPECT_EQ(network_scoring_allocations(true), 0u)
       << "the per-tick network scoring loop allocated on the hot path";
@@ -256,37 +239,6 @@ TEST_F(ZeroAllocTest, UnboundNetworkScoringLoopStillAllocatesPerTick) {
 }
 
 // --- Streaming service steady state (PR-8) ------------------------------
-
-/// Frozen-beam controller with a no-op tick: isolates the streaming
-/// SERVICE loop (network advance/scoring + O(1) accumulators) from the
-/// controllers' probe paths, which legitimately allocate and are audited
-/// separately via the budget test above.
-class NoopFrozenController final : public core::BeamController {
- public:
-  explicit NoopFrozenController(std::size_t num_elements)
-      : weights_(num_elements,
-                 cplx{1.0 / std::sqrt(static_cast<double>(num_elements)),
-                      0.0}) {}
-
-  void start(double, const core::LinkProbeInterface&) override {}
-  void step(double, const core::LinkProbeInterface&) override {}
-  const CVec& tx_weights() const override { return weights_; }
-  bool link_available(double) const override { return true; }
-  const char* name() const override { return "noop_frozen"; }
-
- private:
-  CVec weights_;
-};
-
-void register_noop_frozen() {
-  sim::ControllerRegistry::instance().add(
-      "noop_frozen",
-      [](const sim::LinkWorld& world, const sim::ScenarioConfig&,
-         const sim::ControllerSpec&) -> std::unique_ptr<core::BeamController> {
-        return std::make_unique<NoopFrozenController>(
-            world.config().tx_ula.num_elements);
-      });
-}
 
 sim::StreamingSpec streaming_audit_spec() {
   sim::StreamingSpec spec;

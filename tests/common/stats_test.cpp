@@ -8,31 +8,6 @@
 namespace mmr {
 namespace {
 
-TEST(OnlineStats, MatchesNaiveComputation) {
-  const std::vector<double> xs{1.0, 2.0, 4.0, 8.0, 16.0};
-  OnlineStats s;
-  for (double x : xs) s.add(x);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_NEAR(s.mean(), 6.2, 1e-12);
-  // Sample variance: sum (x - 6.2)^2 / 4 = 148.8 / 4.
-  EXPECT_NEAR(s.variance(), 37.2, 1e-9);
-  EXPECT_NEAR(s.min(), 1.0, 0.0);
-  EXPECT_NEAR(s.max(), 16.0, 0.0);
-}
-
-TEST(OnlineStats, SingleSampleHasZeroVariance) {
-  OnlineStats s;
-  s.add(3.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(OnlineStats, EmptyThrowsOnMean) {
-  OnlineStats s;
-  EXPECT_THROW(s.mean(), std::logic_error);
-  EXPECT_THROW(s.min(), std::logic_error);
-}
-
 TEST(Percentile, Median) {
   const std::vector<double> odd{5.0, 1.0, 3.0};
   EXPECT_NEAR(median(odd), 3.0, 1e-12);

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "net/interference.h"
+#include "sim/runner.h"
 
 namespace {
 
@@ -50,11 +51,11 @@ TEST(InterferenceProps, SinrNeverExceedsSnrAndRecoversItAtZeroInr) {
     Rng rng = base.fork(i);
     const double snr = rng.uniform(-30.0, 60.0);
     const double inr = rng.uniform(0.0, 1.0e4);
-    const double sinr = net::sinr_db(snr, inr);
+    const double sinr = sim::sinr_db(snr, inr);
     ASSERT_LE(sinr, snr) << "case " << i;
     // Bitwise: zero interference must not perturb the scored SNR (the
     // single-link byte-identity collapse depends on it).
-    const double recovered = net::sinr_db(snr, 0.0);
+    const double recovered = sim::sinr_db(snr, 0.0);
     ASSERT_EQ(recovered, snr) << "case " << i;
   }
 }
@@ -67,7 +68,7 @@ TEST(InterferenceProps, SinrIsMonotoneNonIncreasingInInr) {
     double inr1 = rng.uniform(0.0, 1.0e3);
     double inr2 = rng.uniform(0.0, 1.0e3);
     if (inr1 > inr2) std::swap(inr1, inr2);
-    ASSERT_GE(net::sinr_db(snr, inr1), net::sinr_db(snr, inr2))
+    ASSERT_GE(sim::sinr_db(snr, inr1), sim::sinr_db(snr, inr2))
         << "case " << i << " inr1 " << inr1 << " inr2 " << inr2;
   }
 }
@@ -127,7 +128,7 @@ TEST(InterferenceProps, ZeroInterferenceRecoveryAtInfiniteSeparation) {
     const double snr = rng.uniform(-10.0, 50.0);
     // And the SINR fold with the far-field INR is indistinguishable
     // from the interference-free link within double precision.
-    ASSERT_NEAR(net::sinr_db(snr, far), snr, 1e-9) << "case " << i;
+    ASSERT_NEAR(sim::sinr_db(snr, far), snr, 1e-9) << "case " << i;
   }
 }
 
@@ -145,10 +146,9 @@ TEST(InterferenceProps, BatchEvaluatorMatchesScalar) {
       angles[k] = rng.uniform(-kPi / 2.0, kPi / 2.0);
       distances[k] = rng.uniform(0.5, 300.0);
     }
-    const RVec batch =
-        net::interferer_gain_batch(ula, w, angles, distances, carrier,
-                                   coupling);
-    ASSERT_EQ(batch.size(), n);
+    RVec batch(n);
+    net::interferer_gain_batch_into(ula, w, angles, distances, carrier,
+                                    coupling, batch);
     for (std::size_t k = 0; k < n; ++k) {
       const double scalar = net::interferer_gain(ula, w, angles[k],
                                                  distances[k], carrier,
@@ -209,7 +209,7 @@ TEST(InterferenceProps, BatchIntoValidatesSpanShapes) {
 }
 
 TEST(InterferenceProps, RejectsNegativeInrAndBadGeometry) {
-  EXPECT_THROW(net::sinr_db(10.0, -1e-9), std::exception);
+  EXPECT_THROW(sim::sinr_db(10.0, -1e-9), std::exception);
   const array::Ula ula{8, 0.5};
   const CVec w = steer(ula, 0.0);
   EXPECT_THROW(net::interferer_gain(ula, w, 0.0, 0.0, 28.0e9),

@@ -1,5 +1,5 @@
 // Unit tests for the O(1) streaming accumulators (common/streaming_stats.h):
-// StreamingMoments against the batch OnlineStats, Chan's parallel merge,
+// StreamingMoments against naive batch moments, Chan's parallel merge,
 // exact P² behavior on small streams, and the integer availability /
 // outage counters with their windowed view.
 #include <gtest/gtest.h>
@@ -18,22 +18,38 @@ namespace {
 
 using namespace mmr;
 
+TEST(StreamingMoments, MatchesNaiveComputation) {
+  const std::vector<double> xs{1.0, 2.0, 4.0, 8.0, 16.0};
+  StreamingMoments s;
+  for (double x : xs) s.add(x);
+  EXPECT_EQ(s.count(), 5u);
+  EXPECT_NEAR(s.mean(), 6.2, 1e-12);
+  // Sample variance: sum (x - 6.2)^2 / 4 = 148.8 / 4.
+  EXPECT_NEAR(s.variance(), 37.2, 1e-9);
+  EXPECT_NEAR(s.min(), 1.0, 0.0);
+  EXPECT_NEAR(s.max(), 16.0, 0.0);
+}
+
+// Welford against naive two-pass moments over the stored stream.
 TEST(StreamingMoments, MatchesOnlineStatsOnTheSameStream) {
   Rng rng(0x517EA);
   StreamingMoments streaming;
-  OnlineStats batch;
+  std::vector<double> xs;
   for (int i = 0; i < 5000; ++i) {
-    const double x = rng.normal(3.0, 2.5);
-    streaming.add(x);
-    batch.add(x);
+    xs.push_back(rng.normal(3.0, 2.5));
+    streaming.add(xs.back());
   }
-  EXPECT_EQ(streaming.count(), batch.count());
-  EXPECT_EQ(streaming.min(), batch.min());
-  EXPECT_EQ(streaming.max(), batch.max());
-  EXPECT_NEAR(streaming.mean(), batch.mean(), 1e-12 * std::abs(batch.mean()));
-  EXPECT_NEAR(streaming.variance(), batch.variance(),
-              1e-10 * batch.variance());
-  EXPECT_NEAR(streaming.stddev(), batch.stddev(), 1e-10 * batch.stddev());
+  const double batch_mean = mean(xs);
+  double ss = 0.0;
+  for (double x : xs) ss += (x - batch_mean) * (x - batch_mean);
+  const double batch_variance = ss / static_cast<double>(xs.size() - 1);
+  EXPECT_EQ(streaming.count(), xs.size());
+  EXPECT_EQ(streaming.min(), *std::min_element(xs.begin(), xs.end()));
+  EXPECT_EQ(streaming.max(), *std::max_element(xs.begin(), xs.end()));
+  EXPECT_NEAR(streaming.mean(), batch_mean, 1e-12 * std::abs(batch_mean));
+  EXPECT_NEAR(streaming.variance(), batch_variance, 1e-10 * batch_variance);
+  EXPECT_NEAR(streaming.stddev(), std::sqrt(batch_variance),
+              1e-10 * std::sqrt(batch_variance));
 }
 
 TEST(StreamingMoments, EmptyAndSingletonEdgeCases) {
