@@ -1,6 +1,8 @@
 #include "core/superres.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "dsp/linalg.h"
@@ -9,37 +11,112 @@
 namespace mmr::core {
 namespace {
 
-dsp::CMatrix sinc_dictionary(std::size_t num_taps, double ts,
-                             double bandwidth_hz, const RVec& delays_s) {
-  dsp::CMatrix s(num_taps, delays_s.size());
-  for (std::size_t col = 0; col < delays_s.size(); ++col) {
-    for (std::size_t n = 0; n < num_taps; ++n) {
-      s(n, col) =
-          cplx{dsp::sampled_sinc_tap(n, ts, bandwidth_hz, delays_s[col]), 0.0};
-    }
-  }
-  return s;
-}
+// One candidate fit for K delays: the sampled-sinc dictionary S (taps x K),
+// the lower triangle of its Gram matrix S^T S, the right-hand sides
+// S^T Re h and S^T Im h, and the ridge solution with its residual.
+struct Fit {
+  Fit(std::size_t taps, std::size_t k)
+      : delays(k), dict(taps * k), gram(k * k), rhs_re(k), rhs_im(k),
+        alpha_re(k), alpha_im(k) {}
 
-double fit_residual(const CVec& cir, const dsp::CMatrix& s, const CVec& alpha) {
-  const CVec model = s * alpha;
-  double acc = 0.0;
-  for (std::size_t n = 0; n < cir.size(); ++n) acc += std::norm(cir[n] - model[n]);
-  return std::sqrt(acc);
-}
-
-struct Solve {
-  CVec alpha;
-  double residual;
+  RVec delays;
+  RVec dict;  ///< column-major: column c holds taps [c * taps, (c+1) * taps)
+  RVec gram;  ///< row-major K x K, lower triangle, ridge not yet added
+  RVec rhs_re, rhs_im;
+  RVec alpha_re, alpha_im;
+  double residual = 0.0;
 };
 
-Solve solve_for_delays(const CVec& cir, double ts, double bandwidth_hz,
-                       const RVec& delays, double lambda) {
-  const dsp::CMatrix s = sinc_dictionary(cir.size(), ts, bandwidth_hz, delays);
-  CVec alpha = dsp::ridge_least_squares(s, cir, lambda);
-  const double residual = fit_residual(cir, s, alpha);
-  return {std::move(alpha), residual};
-}
+// Ridge fits of one CIR (Eq. 23). The dictionary is real, so the complex
+// normal equations (S^H S + lambda I) alpha = S^H h split into one real
+// system with two right-hand sides. Every product of the complex solve
+// has one operand with a zero imaginary part, and it only divides by
+// real pivots, so the same real sums taken in the same order reproduce
+// its alphas and residual bit for bit. All buffers are sized once per
+// superres_per_beam call; no solve allocates.
+class DelayFitter {
+ public:
+  DelayFitter(const CVec& h, double ts, double bandwidth_hz, double lambda,
+              std::size_t k)
+      : h_(h), ts_(ts), bandwidth_hz_(bandwidth_hz), lambda_(lambda), k_(k),
+        chol_(k * k) {}
+
+  /// Builds every column from fit.delays and solves.
+  void fit_all(Fit& fit) {
+    for (std::size_t c = 0; c < k_; ++c) set_column(fit, c);
+    for (std::size_t i = 0; i < k_; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) set_gram(fit, i, j);
+    }
+    solve(fit);
+  }
+
+  /// Re-solves after only column c's delay moved: the other columns,
+  /// their Gram entries and right-hand sides are reused as they are.
+  void refit_column(Fit& fit, std::size_t c) {
+    set_column(fit, c);
+    for (std::size_t j = 0; j < k_; ++j) {
+      set_gram(fit, std::max(c, j), std::min(c, j));
+    }
+    solve(fit);
+  }
+
+ private:
+  const double* column(const Fit& fit, std::size_t c) const {
+    return fit.dict.data() + c * h_.size();
+  }
+
+  void set_column(Fit& fit, std::size_t c) const {
+    double* col = fit.dict.data() + c * h_.size();
+    double re = 0.0;
+    double im = 0.0;
+    for (std::size_t n = 0; n < h_.size(); ++n) {
+      col[n] = dsp::sampled_sinc_tap(n, ts_, bandwidth_hz_, fit.delays[c]);
+      re += col[n] * h_[n].real();
+      im += col[n] * h_[n].imag();
+    }
+    fit.rhs_re[c] = re;
+    fit.rhs_im[c] = im;
+  }
+
+  void set_gram(Fit& fit, std::size_t i, std::size_t j) const {
+    const double* ci = column(fit, i);
+    const double* cj = column(fit, j);
+    double acc = 0.0;
+    for (std::size_t n = 0; n < h_.size(); ++n) acc += ci[n] * cj[n];
+    fit.gram[i * k_ + j] = acc;
+  }
+
+  void solve(Fit& fit) {
+    std::copy(fit.gram.begin(), fit.gram.end(), chol_.begin());
+    dsp::ridge_factor(chol_, k_, lambda_);
+    fit.alpha_re = fit.rhs_re;
+    fit.alpha_im = fit.rhs_im;
+    dsp::cholesky_solve(chol_, k_, fit.alpha_re);
+    dsp::cholesky_solve(chol_, k_, fit.alpha_im);
+    // ||h - S alpha||: per tap, the model summed in column order.
+    double acc = 0.0;
+    for (std::size_t n = 0; n < h_.size(); ++n) {
+      double model_re = 0.0;
+      double model_im = 0.0;
+      for (std::size_t c = 0; c < k_; ++c) {
+        const double s = column(fit, c)[n];
+        model_re += s * fit.alpha_re[c];
+        model_im += s * fit.alpha_im[c];
+      }
+      const double dr = h_[n].real() - model_re;
+      const double di = h_[n].imag() - model_im;
+      acc += dr * dr + di * di;
+    }
+    fit.residual = std::sqrt(acc);
+  }
+
+  const CVec& h_;
+  double ts_;
+  double bandwidth_hz_;
+  double lambda_;
+  std::size_t k_;
+  RVec chol_;  ///< ridge Cholesky factor scratch
+};
 
 }  // namespace
 
@@ -81,19 +158,20 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
 
   // Stage 1: common shift, relative structure fixed. Coarse grid over the
   // full span, then a fine grid around the best coarse shift.
-  RVec delays = nominal_delays_s;
-  Solve best = solve_for_delays(h, ts, bandwidth_hz, delays, config.lambda);
+  const std::size_t k = nominal_delays_s.size();
+  DelayFitter fitter(h, ts, bandwidth_hz, config.lambda, k);
+  Fit best(h.size(), k);
+  Fit trial(h.size(), k);
+  best.delays = nominal_delays_s;
+  fitter.fit_all(best);
   double best_shift = 0.0;
   auto try_shift = [&](double shift) {
-    RVec trial(nominal_delays_s.size());
-    for (std::size_t k = 0; k < trial.size(); ++k) {
-      trial[k] = nominal_delays_s[k] + shift;
+    for (std::size_t c = 0; c < k; ++c) {
+      trial.delays[c] = nominal_delays_s[c] + shift;
     }
-    Solve attempt =
-        solve_for_delays(h, ts, bandwidth_hz, trial, config.lambda);
-    if (attempt.residual < best.residual) {
-      best = std::move(attempt);
-      delays = std::move(trial);
+    fitter.fit_all(trial);
+    if (trial.residual < best.residual) {
+      std::swap(best, trial);
       best_shift = shift;
     }
   };
@@ -117,31 +195,31 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
     }
   }
 
-  // Stage 2: small per-path refinement (relative-ToF drift).
+  // Stage 2: small per-path refinement (relative-ToF drift). Each trial
+  // moves one column of the current best fit.
   if (config.relative_steps > 1 && config.relative_span_s > 0.0) {
     for (std::size_t round = 0; round < config.refinement_rounds; ++round) {
-      for (std::size_t k = 0; k < delays.size(); ++k) {
-        const double center = delays[k];
+      for (std::size_t c = 0; c < k; ++c) {
+        const double center = best.delays[c];
         for (std::size_t si = 0; si < config.relative_steps; ++si) {
           const double off =
               grid_offset(si, config.relative_steps, config.relative_span_s);
           if (off == 0.0) continue;
-          RVec trial = delays;
-          trial[k] = center + off;
-          Solve attempt =
-              solve_for_delays(h, ts, bandwidth_hz, trial, config.lambda);
-          if (attempt.residual < best.residual) {
-            best = std::move(attempt);
-            delays = std::move(trial);
-          }
+          trial = best;
+          trial.delays[c] = center + off;
+          fitter.refit_column(trial, c);
+          if (trial.residual < best.residual) std::swap(best, trial);
         }
       }
     }
   }
 
   SuperresResult result;
-  result.alphas = std::move(best.alpha);
-  result.delays_s = std::move(delays);
+  result.alphas.resize(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    result.alphas[c] = cplx{best.alpha_re[c], best.alpha_im[c]};
+  }
+  result.delays_s = std::move(best.delays);
   result.residual = best.residual;
   // Last line of defense: a degenerate dictionary can still leak NaN out
   // of the solver; a non-finite "amplitude" is a claim of no energy, not
@@ -156,9 +234,17 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
 
 CVec reconstruct_cir(const SuperresResult& fit, std::size_t num_taps,
                      double ts, double bandwidth_hz) {
-  const dsp::CMatrix s =
-      sinc_dictionary(num_taps, ts, bandwidth_hz, fit.delays_s);
-  return s * fit.alphas;
+  MMR_EXPECTS(fit.alphas.size() == fit.delays_s.size());
+  CVec model(num_taps);
+  for (std::size_t n = 0; n < num_taps; ++n) {
+    cplx acc{};
+    for (std::size_t c = 0; c < fit.alphas.size(); ++c) {
+      acc += dsp::sampled_sinc_tap(n, ts, bandwidth_hz, fit.delays_s[c]) *
+             fit.alphas[c];
+    }
+    model[n] = acc;
+  }
+  return model;
 }
 
 double estimate_peak_delay(const CVec& cir, double ts) {

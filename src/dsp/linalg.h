@@ -1,54 +1,33 @@
-// Small dense complex linear algebra: just enough for the super-resolution
-// solver (regularized least squares, paper Eq. 23) and oracle beamforming.
-// Matrices are row-major and small (tens of rows/cols), so a straightforward
-// Cholesky on the normal equations is both adequate and robust given the
-// ridge term always present in our use.
+// Small real symmetric positive-definite solves: the ridge normal
+// equations of the super-resolution fit (paper Eq. 23) and of the
+// tracker's quadratic smoother. The systems are tiny (one row per beam,
+// or per polynomial coefficient) and always carry a ridge term, so a
+// plain Cholesky on the normal equations is both adequate and robust.
+//
+// Matrices are row-major n x n in caller-owned storage, so nothing here
+// allocates. Every loop runs in a fixed order -- factor rows i ascending,
+// columns j <= i, inner k ascending; forward then back substitution --
+// so a caller that builds its normal equations with fixed-order sums gets
+// reproducible bits.
 #pragma once
 
 #include <cstddef>
-
-#include "common/types.h"
+#include <span>
 
 namespace mmr::dsp {
 
-class CMatrix {
- public:
-  CMatrix() = default;
-  CMatrix(std::size_t rows, std::size_t cols);
+/// Factors A = L L^T in place. `a` holds A row-major (n x n); only its
+/// lower triangle is read, and L overwrites it (the strict upper triangle
+/// is left as it was). Throws std::runtime_error when a pivot is <= 0.
+void cholesky_factor(std::span<double> a, std::size_t n);
 
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
+/// Ridge step shared by the least-squares callers: adds `lambda` (> 0) to
+/// the diagonal of the Gram matrix in `gram`, then factors it in place as
+/// cholesky_factor does.
+void ridge_factor(std::span<double> gram, std::size_t n, double lambda);
 
-  cplx& operator()(std::size_t r, std::size_t c);
-  const cplx& operator()(std::size_t r, std::size_t c) const;
-
-  CMatrix hermitian() const;  ///< conjugate transpose
-
-  static CMatrix identity(std::size_t n);
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  CVec data_;
-};
-
-CMatrix operator*(const CMatrix& a, const CMatrix& b);
-CVec operator*(const CMatrix& a, const CVec& x);
-CMatrix operator+(const CMatrix& a, const CMatrix& b);
-CMatrix operator*(cplx s, const CMatrix& a);
-
-/// Hermitian positive-definite solve A x = b via Cholesky (A = L L^H).
-/// Throws std::runtime_error if A is not (numerically) positive definite.
-CVec cholesky_solve(const CMatrix& a, const CVec& b);
-
-/// Ridge-regularized least squares: argmin_x ||b - S x||^2 + lambda ||x||^2,
-/// solved through the normal equations (S^H S + lambda I) x = S^H b.
-/// lambda > 0 guarantees positive definiteness.
-CVec ridge_least_squares(const CMatrix& s, const CVec& b, double lambda);
-
-/// Euclidean norm, inner product <a, b> = sum conj(a_i) b_i, and helpers.
-double norm(const CVec& v);
-cplx inner(const CVec& a, const CVec& b);
-CVec conj(const CVec& v);
+/// Solves L L^T x = b in place (b becomes x) for L from cholesky_factor.
+void cholesky_solve(std::span<const double> l, std::size_t n,
+                    std::span<double> b);
 
 }  // namespace mmr::dsp

@@ -1,7 +1,5 @@
 #include "dsp/polyfit.h"
 
-#include <cmath>
-
 #include "common/error.h"
 #include "dsp/linalg.h"
 
@@ -10,24 +8,30 @@ namespace mmr::dsp {
 RVec polyfit(const RVec& x, const RVec& y, std::size_t degree) {
   MMR_EXPECTS(x.size() == y.size());
   MMR_EXPECTS(x.size() >= degree + 1);
-  const std::size_t m = x.size();
   const std::size_t n = degree + 1;
-  // Vandermonde design matrix; reuse the complex solver (imag parts zero).
-  CMatrix v(m, n);
-  CVec rhs(m);
-  for (std::size_t i = 0; i < m; ++i) {
+  // Normal equations of the Vandermonde design V[i][j] = x_i^j, every
+  // entry summed in sample order: gram = V^T V (lower triangle) and
+  // coeffs = V^T y, which the solve overwrites with the coefficients.
+  RVec gram(n * n, 0.0);
+  RVec powers(n);
+  RVec coeffs(n, 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) {
     double p = 1.0;
     for (std::size_t j = 0; j < n; ++j) {
-      v(i, j) = cplx{p, 0.0};
+      powers[j] = p;
       p *= x[i];
     }
-    rhs[i] = cplx{y[i], 0.0};
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t l = 0; l <= j; ++l) {
+        gram[j * n + l] += powers[j] * powers[l];
+      }
+      coeffs[j] += powers[j] * y[i];
+    }
   }
   // Tiny ridge for numerical safety; does not noticeably bias the fit.
-  const CVec c = ridge_least_squares(v, rhs, 1e-12);
-  RVec out(n);
-  for (std::size_t j = 0; j < n; ++j) out[j] = c[j].real();
-  return out;
+  ridge_factor(gram, n, 1e-12);
+  cholesky_solve(gram, n, coeffs);
+  return coeffs;
 }
 
 double polyval(const RVec& coeffs, double x) {

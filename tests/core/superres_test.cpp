@@ -106,6 +106,13 @@ TEST(Superres, ReconstructionMatchesInput) {
   }
 }
 
+TEST(Superres, ReconstructRejectsMismatchedFit) {
+  SuperresResult fit;
+  fit.alphas = {{1.0, 0.0}, {0.5, 0.0}};
+  fit.delays_s = {0.0};
+  EXPECT_THROW(reconstruct_cir(fit, 24, kTs, kBw), std::logic_error);
+}
+
 TEST(PeakDelay, IntegerTap) {
   const CVec cir = synth_cir(16, {{1.0, 0.0}}, {5.0e-9});
   EXPECT_NEAR(estimate_peak_delay(cir, kTs), 5.0e-9, 0.1e-9);

@@ -5,130 +5,79 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "common/types.h"
 
 namespace mmr::dsp {
 namespace {
 
-TEST(CMatrix, IdentityAndIndexing) {
-  const CMatrix eye = CMatrix::identity(3);
-  EXPECT_EQ(eye(0, 0), (cplx{1.0, 0.0}));
-  EXPECT_EQ(eye(0, 1), (cplx{0.0, 0.0}));
-}
-
-TEST(CMatrix, OutOfRangeThrows) {
-  CMatrix m(2, 2);
-  EXPECT_THROW(m(2, 0), std::logic_error);
-  EXPECT_THROW(m(0, 2), std::logic_error);
-}
-
-TEST(CMatrix, HermitianTranspose) {
-  CMatrix m(1, 2);
-  m(0, 0) = cplx{1.0, 2.0};
-  m(0, 1) = cplx{3.0, -4.0};
-  const CMatrix h = m.hermitian();
-  EXPECT_EQ(h.rows(), 2u);
-  EXPECT_EQ(h.cols(), 1u);
-  EXPECT_EQ(h(0, 0), (cplx{1.0, -2.0}));
-  EXPECT_EQ(h(1, 0), (cplx{3.0, 4.0}));
-}
-
-TEST(CMatrix, MatrixVectorProduct) {
-  CMatrix m(2, 2);
-  m(0, 0) = cplx{1.0, 0.0};
-  m(0, 1) = cplx{0.0, 1.0};
-  m(1, 0) = cplx{2.0, 0.0};
-  m(1, 1) = cplx{0.0, 0.0};
-  const CVec x{{1.0, 0.0}, {1.0, 0.0}};
-  const CVec y = m * x;
-  EXPECT_NEAR(std::abs(y[0] - cplx(1.0, 1.0)), 0.0, 1e-14);
-  EXPECT_NEAR(std::abs(y[1] - cplx(2.0, 0.0)), 0.0, 1e-14);
-}
-
-TEST(CMatrix, MatrixMatrixIdentity) {
-  Rng rng(3);
-  CMatrix m(3, 3);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j) m(i, j) = rng.complex_normal();
-  const CMatrix p = m * CMatrix::identity(3);
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j)
-      EXPECT_NEAR(std::abs(p(i, j) - m(i, j)), 0.0, 1e-14);
+// argmin_x ||b - S x||^2 + lambda ||x||^2 for a row-major rows x cols S,
+// through the normal equations (S^T S + lambda I) x = S^T b.
+RVec ridge_solve(const RVec& s, std::size_t rows, std::size_t cols,
+                 const RVec& b, double lambda) {
+  RVec gram(cols * cols, 0.0);
+  RVec x(cols, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = 0; i < cols; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        gram[i * cols + j] += s[r * cols + i] * s[r * cols + j];
+      }
+      x[i] += s[r * cols + i] * b[r];
+    }
+  }
+  ridge_factor(gram, cols, lambda);
+  cholesky_solve(gram, cols, x);
+  return x;
 }
 
 TEST(Cholesky, SolvesKnownSystem) {
-  // A = [[4, 2], [2, 3]] (real SPD), b = [8, 7] -> x = [1.1, 1.6].
-  CMatrix a(2, 2);
-  a(0, 0) = 4.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 3.0;
-  const CVec b{{8.0, 0.0}, {7.0, 0.0}};
-  const CVec x = cholesky_solve(a, b);
-  EXPECT_NEAR(x[0].real(), 1.25, 1e-12);
-  EXPECT_NEAR(x[1].real(), 1.5, 1e-12);
-}
-
-TEST(Cholesky, ComplexHermitianSystem) {
-  // Build A = M^H M + I (guaranteed HPD), check A x = b residual.
-  Rng rng(7);
-  CMatrix m(4, 4);
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = 0; j < 4; ++j) m(i, j) = rng.complex_normal();
-  CMatrix a = m.hermitian() * m;
-  for (std::size_t i = 0; i < 4; ++i) a(i, i) += 1.0;
-  CVec b(4);
-  for (auto& c : b) c = rng.complex_normal();
-  const CVec x = cholesky_solve(a, b);
-  const CVec ax = a * x;
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(std::abs(ax[i] - b[i]), 0.0, 1e-10);
-  }
+  // A = [[4, 2], [2, 3]] (SPD), b = [8, 7] -> x = [1.25, 1.5].
+  RVec a{4.0, 2.0, 2.0, 3.0};
+  RVec b{8.0, 7.0};
+  cholesky_factor(a, 2);
+  EXPECT_DOUBLE_EQ(a[0], 2.0);  // L = [[2, 0], [1, sqrt(2)]]
+  EXPECT_DOUBLE_EQ(a[2], 1.0);
+  cholesky_solve(a, 2, b);
+  EXPECT_NEAR(b[0], 1.25, 1e-12);
+  EXPECT_NEAR(b[1], 1.5, 1e-12);
 }
 
 TEST(Cholesky, RejectsIndefinite) {
-  CMatrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 1.0;  // eigenvalues 3, -1
-  const CVec b{{1.0, 0.0}, {1.0, 0.0}};
-  EXPECT_THROW(cholesky_solve(a, b), std::runtime_error);
+  RVec a{1.0, 2.0, 2.0, 1.0};  // eigenvalues 3, -1
+  EXPECT_THROW(cholesky_factor(a, 2), std::runtime_error);
+}
+
+TEST(Cholesky, RejectsMismatchedDimensions) {
+  RVec a{4.0, 2.0, 2.0, 3.0};
+  RVec b{1.0, 1.0, 1.0};
+  EXPECT_THROW(cholesky_factor(a, 3), std::logic_error);
+  cholesky_factor(a, 2);
+  EXPECT_THROW(cholesky_solve(a, 2, b), std::logic_error);
 }
 
 TEST(RidgeLs, RecoversExactSolutionLowLambda) {
   // Overdetermined: S (4x2) with known x, noiseless.
   Rng rng(11);
-  CMatrix s(4, 2);
-  for (std::size_t i = 0; i < 4; ++i)
-    for (std::size_t j = 0; j < 2; ++j) s(i, j) = rng.complex_normal();
-  const CVec x_true{{1.0, -0.5}, {0.3, 2.0}};
-  const CVec b = s * x_true;
-  const CVec x = ridge_least_squares(s, b, 1e-12);
-  EXPECT_NEAR(std::abs(x[0] - x_true[0]), 0.0, 1e-6);
-  EXPECT_NEAR(std::abs(x[1] - x_true[1]), 0.0, 1e-6);
+  RVec s(4 * 2);
+  for (double& v : s) v = rng.normal();
+  const RVec x_true{1.0, -0.5};
+  RVec b(4, 0.0);
+  for (std::size_t r = 0; r < 4; ++r) {
+    b[r] = s[r * 2] * x_true[0] + s[r * 2 + 1] * x_true[1];
+  }
+  const RVec x = ridge_solve(s, 4, 2, b, 1e-12);
+  EXPECT_NEAR(x[0], x_true[0], 1e-6);
+  EXPECT_NEAR(x[1], x_true[1], 1e-6);
 }
 
 TEST(RidgeLs, LargeLambdaShrinksTowardZero) {
-  CMatrix s = CMatrix::identity(2);
-  const CVec b{{1.0, 0.0}, {1.0, 0.0}};
-  const CVec x = ridge_least_squares(s, b, 100.0);
+  const RVec identity{1.0, 0.0, 0.0, 1.0};
+  const RVec x = ridge_solve(identity, 2, 2, {1.0, 1.0}, 100.0);
   EXPECT_LT(std::abs(x[0]), 0.05);
 }
 
 TEST(RidgeLs, RejectsNonPositiveLambda) {
-  CMatrix s = CMatrix::identity(2);
-  const CVec b{{1.0, 0.0}, {1.0, 0.0}};
-  EXPECT_THROW(ridge_least_squares(s, b, 0.0), std::logic_error);
-}
-
-TEST(VecOps, NormInnerConj) {
-  const CVec a{{3.0, 0.0}, {0.0, 4.0}};
-  EXPECT_NEAR(norm(a), 5.0, 1e-14);
-  const CVec b{{1.0, 0.0}, {0.0, 1.0}};
-  // <a, b> = conj(3) * 1 + conj(4i) * i = 3 + 4.
-  EXPECT_NEAR(std::abs(inner(a, b) - cplx(7.0, 0.0)), 0.0, 1e-14);
-  const CVec c = conj(a);
-  EXPECT_EQ(c[1], (cplx{0.0, -4.0}));
+  RVec gram{1.0, 0.0, 0.0, 1.0};
+  EXPECT_THROW(ridge_factor(gram, 2, 0.0), std::logic_error);
 }
 
 }  // namespace

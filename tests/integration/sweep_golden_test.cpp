@@ -9,6 +9,8 @@
 #include <array>
 
 #include "baselines/reactive_single_beam.h"
+#include "common/rng.h"
+#include "sim/engine.h"
 #include "sim/runner.h"
 #include "sim/scenario.h"
 #include "sim/sweep.h"
@@ -118,6 +120,49 @@ TEST(SweepGolden, ParallelSweepMatchesGoldenToo) {
     expect_close(trials[i].value.mean_throughput_bps,
                  kGoldenTrials[i].mean_throughput_bps, "mean_throughput_bps");
   }
+}
+
+// mmReliable on the Fig. 18b/c mobile campaign (bench_fig18_endtoend,
+// default seed 100, run 2: the UE walks and two blockers cross), built
+// through the same registries the bench uses. The reactive sweep above
+// never runs the super-resolution fit, tracking or maintenance; this
+// trial runs all three on every tick, so a change that shifts any of
+// their decisions moves this summary.
+core::LinkSummary mmreliable_mobile_trial() {
+  constexpr std::uint64_t kSeed = 100;
+  constexpr std::uint64_t kRun = 2;
+  ScenarioSpec scenario;
+  scenario.name = "indoor_sparse";
+  scenario.config.tx_power_dbm = 14.0;
+  scenario.config.seed = Rng::derive_stream_seed(kSeed, kRun);
+  // Same draw order as the bench: walking speed before crossing time.
+  Rng rng = Rng(kSeed).fork(kRun);
+  const double vy = rng.uniform(-1.5, -0.4);
+  scenario.ue_velocity = {0.0, vy};
+  const double speed1 = rng.uniform(1.0, 2.5);
+  const double cross1 = rng.uniform(0.3, 0.55);
+  scenario.blockers.push_back({cross1, speed1, 30.0});
+  if (rng.bernoulli(0.4)) {
+    const double speed2 = rng.uniform(1.5, 3.0);
+    const double cross2 = rng.uniform(0.65, 0.85);
+    scenario.blockers.push_back({cross2, speed2, 30.0});
+  }
+  LinkWorld world = ScenarioRegistry::instance().make(scenario);
+  ControllerSpec controller;
+  controller.name = "mmreliable";
+  const auto ctrl =
+      ControllerRegistry::instance().make(world, scenario.config, controller);
+  return run_experiment(world, *ctrl, RunConfig{}).summary;
+}
+
+TEST(SweepGolden, MmReliableMobileTrialPinned) {
+  const core::LinkSummary s = mmreliable_mobile_trial();
+  expect_close(s.reliability, 0.93000000000000005, "reliability");
+  expect_close(s.mean_throughput_bps, 1388631950, "mean_throughput_bps");
+  expect_close(s.mean_spectral_efficiency, 3.4715798750000002,
+               "mean_spectral_efficiency");
+  expect_close(s.throughput_reliability_product, 1291427713.5, "trp_bps");
+  EXPECT_EQ(s.num_samples, 400u);
 }
 
 }  // namespace
