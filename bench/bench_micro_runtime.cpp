@@ -351,13 +351,17 @@ void BM_KernelDelayPhasors(benchmark::State& state, dsp::Backend backend) {
   const channel::WidebandSpec spec{28e9, 400e6, n};
   RVec freqs(n);
   channel::fill_freq_grid(spec, freqs.data());
+  const dsp::PhasorGrid grid = dsp::make_phasor_grid(freqs.data(), n);
+  CVec ph(n);
   CVec dst(n, cplx{});
   const cplx alpha{3e-5, -1e-5};
+  // One path's share of a CSI synthesis: form the delay phasors, then
+  // fold them in.
   for (auto _ : state) {
     for (std::size_t r = 0; r < kKernelReps; ++r) {
-      dsp::accumulate_delay_phasors(alpha, freqs.data(),
-                                    1.5e-9 + 1e-13 * static_cast<double>(r),
-                                    dst.data(), n);
+      dsp::delay_phasors(grid, 1.5e-9 + 1e-13 * static_cast<double>(r),
+                         ph.data());
+      dsp::accumulate_phasors(alpha, grid, ph.data(), dst.data());
       benchmark::DoNotOptimize(dst.data());
     }
   }

@@ -61,30 +61,88 @@ cplx path_amplitude(const Path& path, const array::Ula& tx_ula,
          rx.response(path.aoa_rad);
 }
 
+PathResponse::PathResponse(std::pmr::memory_resource* mr)
+    : terms_(mr), steering_(mr), delays_(mr) {}
+
+void PathResponse::fill(const std::vector<Path>& paths,
+                        const array::Ula& tx_ula) {
+  const double t0 = min_delay(paths);
+  const std::size_t n = tx_ula.num_elements;
+  num_elements_ = n;
+  has_delays_ = false;
+  terms_.resize(paths.size());
+  steering_.resize(paths.size() * n);
+  for (std::size_t l = 0; l < paths.size(); ++l) {
+    const Path& p = paths[l];
+    terms_[l] = Terms{p.effective_gain(), p.aoa_rad, p.delay_s - t0};
+    dsp::phasor_ramp(array::steering_phase_step(tx_ula, p.aod_rad), n,
+                     steering_.data() + l * n);
+  }
+}
+
+void PathResponse::fill_delays(const dsp::PhasorGrid& grid) {
+  grid_ = grid;
+  delays_.resize(terms_.size() * grid.size);
+  for (std::size_t l = 0; l < terms_.size(); ++l) {
+    dsp::delay_phasors(grid, terms_[l].excess_s,
+                       delays_.data() + l * grid.size);
+  }
+  has_delays_ = true;
+}
+
+cplx PathResponse::amplitude(std::size_t l, const CVec& tx_weights,
+                             const RxFrontend& rx) const {
+  MMR_EXPECTS(tx_weights.size() == num_elements_);
+  const cplx af = dsp::dot_phasors(steering_.data() + l * num_elements_,
+                                   tx_weights.data(), num_elements_);
+  return terms_[l].gain * af * rx.response(terms_[l].aoa_rad);
+}
+
+void PathResponse::csi(const CVec& tx_weights, const RxFrontend& rx,
+                       cplx* csi) const {
+  MMR_EXPECTS(has_delays_);
+  const std::size_t k = grid_.size;
+  for (std::size_t i = 0; i < k; ++i) csi[i] = cplx{};
+  for (std::size_t l = 0; l < terms_.size(); ++l) {
+    dsp::accumulate_phasors(amplitude(l, tx_weights, rx), grid_,
+                            delays_.data() + l * k, csi);
+  }
+}
+
+double PathResponse::received_power(const CVec& tx_weights,
+                                    const RxFrontend& rx, cplx* csi) const {
+  this->csi(tx_weights, rx, csi);
+  double acc = 0.0;
+  for (std::size_t i = 0; i < grid_.size; ++i) acc += std::norm(csi[i]);
+  return acc / static_cast<double>(grid_.size);
+}
+
+void PathResponse::cir(const CVec& tx_weights, const RxFrontend& rx,
+                       const WidebandSpec& spec, std::size_t num_taps,
+                       double timing_offset_s, cplx* cir) const {
+  MMR_EXPECTS(num_taps >= 1);
+  const double ts = spec.sample_period();
+  for (std::size_t n = 0; n < num_taps; ++n) cir[n] = cplx{};
+  for (std::size_t l = 0; l < terms_.size(); ++l) {
+    const cplx alpha = amplitude(l, tx_weights, rx);
+    const double excess = terms_[l].excess_s + timing_offset_s;
+    for (std::size_t n = 0; n < num_taps; ++n) {
+      cir[n] += alpha *
+                dsp::sampled_sinc_tap(n, ts, spec.bandwidth_hz, excess);
+    }
+  }
+}
+
 CVec effective_csi(const std::vector<Path>& paths, const array::Ula& tx_ula,
                    const CVec& tx_weights, const WidebandSpec& spec,
                    const RxFrontend& rx) {
-  CVec csi(spec.num_subcarriers);
-  // Subcarrier grid computed once, shared across paths; the per-path delay
-  // rotation is the batched kernel (same op order as the scalar loop).
   const RVec freqs = freq_grid(spec);
-  effective_csi_into(paths, tx_ula, tx_weights, spec, rx, freqs.data(),
-                     csi.data());
+  PathResponse response;
+  response.fill(paths, tx_ula);
+  response.fill_delays(dsp::make_phasor_grid(freqs.data(), freqs.size()));
+  CVec csi(spec.num_subcarriers);
+  response.csi(tx_weights, rx, csi.data());
   return csi;
-}
-
-void effective_csi_into(const std::vector<Path>& paths,
-                        const array::Ula& tx_ula, const CVec& tx_weights,
-                        const WidebandSpec& spec, const RxFrontend& rx,
-                        const double* freqs, cplx* csi) {
-  MMR_EXPECTS(!paths.empty());
-  const double t0 = min_delay(paths);
-  for (std::size_t k = 0; k < spec.num_subcarriers; ++k) csi[k] = cplx{};
-  for (const Path& p : paths) {
-    const cplx alpha = path_amplitude(p, tx_ula, tx_weights, rx);
-    dsp::accumulate_delay_phasors(alpha, freqs, p.delay_s - t0, csi,
-                                  spec.num_subcarriers);
-  }
 }
 
 CVec effective_csi_freq_weights(
@@ -115,19 +173,10 @@ CVec effective_cir(const std::vector<Path>& paths, const array::Ula& tx_ula,
                    const CVec& tx_weights, const WidebandSpec& spec,
                    std::size_t num_taps, const RxFrontend& rx,
                    double timing_offset_s) {
-  MMR_EXPECTS(!paths.empty());
-  MMR_EXPECTS(num_taps >= 1);
-  const double t0 = min_delay(paths);
-  const double ts = spec.sample_period();
-  CVec cir(num_taps, cplx{});
-  for (const Path& p : paths) {
-    const cplx alpha = path_amplitude(p, tx_ula, tx_weights, rx);
-    const double excess = p.delay_s - t0 + timing_offset_s;
-    for (std::size_t n = 0; n < num_taps; ++n) {
-      cir[n] += alpha *
-                dsp::sampled_sinc_tap(n, ts, spec.bandwidth_hz, excess);
-    }
-  }
+  PathResponse response;
+  response.fill(paths, tx_ula);
+  CVec cir(num_taps);
+  response.cir(tx_weights, rx, spec, num_taps, timing_offset_s, cir.data());
   return cir;
 }
 
@@ -138,19 +187,6 @@ double received_power(const std::vector<Path>& paths,
   double acc = 0.0;
   for (const cplx& h : csi) acc += std::norm(h);
   return acc / static_cast<double>(csi.size());
-}
-
-double received_power_prepared(const std::vector<Path>& paths,
-                               const array::Ula& tx_ula,
-                               const CVec& tx_weights,
-                               const WidebandSpec& spec, const RxFrontend& rx,
-                               const double* freqs, cplx* csi) {
-  effective_csi_into(paths, tx_ula, tx_weights, spec, rx, freqs, csi);
-  double acc = 0.0;
-  for (std::size_t k = 0; k < spec.num_subcarriers; ++k) {
-    acc += std::norm(csi[k]);
-  }
-  return acc / static_cast<double>(spec.num_subcarriers);
 }
 
 CVec per_antenna_channel(const std::vector<Path>& paths,

@@ -5,10 +5,13 @@
 #pragma once
 
 #include <functional>
+#include <memory_resource>
+#include <vector>
 
 #include "array/geometry.h"
 #include "channel/path.h"
 #include "common/types.h"
+#include "dsp/kernels.h"
 
 namespace mmr::channel {
 
@@ -74,16 +77,6 @@ CVec effective_cir(const std::vector<Path>& paths, const array::Ula& tx_ula,
                    std::size_t num_taps, const RxFrontend& rx,
                    double timing_offset_s = 0.0);
 
-/// Allocation-free form of effective_csi: writes H(k) into
-/// `csi[0..spec.num_subcarriers)`. `freqs` must hold spec.freq_offset(k)
-/// for each k (see fill_freq_grid) -- callers cache the grid because it
-/// depends only on the spec. Identical floating-point operations in
-/// identical order to effective_csi; effective_csi delegates here.
-void effective_csi_into(const std::vector<Path>& paths,
-                        const array::Ula& tx_ula, const CVec& tx_weights,
-                        const WidebandSpec& spec, const RxFrontend& rx,
-                        const double* freqs, cplx* csi);
-
 /// Write spec.freq_offset(k) for k in [0, num_subcarriers) into `freqs`.
 void fill_freq_grid(const WidebandSpec& spec, double* freqs);
 
@@ -92,15 +85,58 @@ double received_power(const std::vector<Path>& paths,
                       const array::Ula& tx_ula, const CVec& tx_weights,
                       const WidebandSpec& spec, const RxFrontend& rx);
 
-/// Allocation-free form of received_power using a caller-provided cached
-/// frequency grid and CSI scratch buffer (both of length
-/// spec.num_subcarriers; `csi` is overwritten). Bit-identical result to
-/// received_power.
-double received_power_prepared(const std::vector<Path>& paths,
-                               const array::Ula& tx_ula,
-                               const CVec& tx_weights,
-                               const WidebandSpec& spec, const RxFrontend& rx,
-                               const double* freqs, cplx* csi);
+/// The beam-independent half of the channel synthesis above: per traced
+/// path its effective gain (blockage applied), AoA, excess delay over the
+/// earliest path, TX steering phasors and per-subcarrier delay phasors.
+/// Within one tick the paths stay put and only the beam weights change,
+/// so one table serves every CSI probe, CIR probe and power score of the
+/// tick. Each evaluation is bit for bit its free function above (which
+/// build a table per call): the phasors come from the dsp generation
+/// kernels and are consumed by their paired MACs (dsp/kernels.h).
+///
+/// Filled in two stages: fill() sets everything but the delay phasors,
+/// which only CSI and power evaluations read and fill_delays() adds.
+/// Storage comes from `mr` and is reused across refills.
+class PathResponse {
+ public:
+  explicit PathResponse(
+      std::pmr::memory_resource* mr = std::pmr::get_default_resource());
+
+  /// Stage 1 for `paths` (non-empty) seen through `tx_ula`. Drops any
+  /// delay phasors of a previous fill.
+  void fill(const std::vector<Path>& paths, const array::Ula& tx_ula);
+  /// Stage 2: delay phasors over `grid` (whose frequencies are read only
+  /// here). Requires fill().
+  void fill_delays(const dsp::PhasorGrid& grid);
+  bool has_delays() const { return has_delays_; }
+
+  /// effective_csi into csi[0..grid.size). Requires fill_delays().
+  void csi(const CVec& tx_weights, const RxFrontend& rx, cplx* csi) const;
+  /// received_power; `csi` is grid.size scratch. Requires fill_delays().
+  double received_power(const CVec& tx_weights, const RxFrontend& rx,
+                        cplx* csi) const;
+  /// effective_cir into cir[0..num_taps), num_taps >= 1.
+  void cir(const CVec& tx_weights, const RxFrontend& rx,
+           const WidebandSpec& spec, std::size_t num_taps,
+           double timing_offset_s, cplx* cir) const;
+
+ private:
+  /// path_amplitude of path `l`: g_l * AF_tx(phi_l) * AF_rx(theta_l).
+  cplx amplitude(std::size_t l, const CVec& tx_weights,
+                 const RxFrontend& rx) const;
+
+  struct Terms {
+    cplx gain;            ///< Path::effective_gain()
+    double aoa_rad = 0.0;
+    double excess_s = 0.0;  ///< delay over the earliest path
+  };
+  std::pmr::vector<Terms> terms_;
+  std::pmr::vector<cplx> steering_;  ///< num_paths x num_elements
+  std::pmr::vector<cplx> delays_;    ///< num_paths x grid.size
+  std::size_t num_elements_ = 0;
+  dsp::PhasorGrid grid_;  ///< size and affine check; freqs not read again
+  bool has_delays_ = false;
+};
 
 /// Narrowband per-antenna channel vector h[n] at the carrier (paper
 /// Eq. 7 / Eq. 25): what the oracle beamformer conjugates.

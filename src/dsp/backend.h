@@ -65,9 +65,18 @@ struct KernelTable {
   void (*axpy)(cplx alpha, const cplx* x, cplx* y, std::size_t n) = nullptr;
   void (*axpy_phasor_ramp)(cplx alpha, double step, cplx* y,
                            std::size_t n) = nullptr;
-  void (*accumulate_delay_phasors)(cplx alpha, const double* freqs,
-                                   double delay_s, cplx* dst,
-                                   std::size_t n) = nullptr;
+  // Phasor generation and consumption are separate entries so a phasor
+  // formed once can serve many weight vectors. Each backend's
+  // consumption kernel repeats the arithmetic its own fused form used
+  // (dsp/kernels.h), which is why these are not cdot/axpy: the NEON axpy,
+  // for one, rounds differently from the portable MAC NEON's phasor
+  // kernels pair with. `affine` is the grid's one-time affine check
+  // (dsp::make_phasor_grid); `df` its step.
+  void (*delay_phasors)(const double* freqs, bool affine, double df,
+                        double delay_s, cplx* dst, std::size_t n) = nullptr;
+  void (*accumulate_phasors)(cplx alpha, bool affine, const cplx* ph,
+                             cplx* dst, std::size_t n) = nullptr;
+  cplx (*dot_phasors)(const cplx* ph, const cplx* w, std::size_t n) = nullptr;
 };
 
 /// Relative/absolute error bound of one kernel vs the scalar reference: a
@@ -85,9 +94,9 @@ struct Tolerance {
 /// by the backend-sweeping differential tier and printed in DESIGN.md).
 struct KernelTolerances {
   Tolerance phasor_ramp;
-  Tolerance dot;              ///< cdot and dot_phasor_ramp
+  Tolerance dot;              ///< cdot, dot_phasor_ramp and dot_phasors
   Tolerance axpy;             ///< axpy and axpy_phasor_ramp
-  Tolerance delay_phasors;
+  Tolerance delay_phasors;   ///< delay_phasors + accumulate_phasors
 };
 
 /// Backends compiled into this binary, in dispatch-priority order

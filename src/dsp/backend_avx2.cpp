@@ -377,13 +377,47 @@ MMR_AVX2 void avx2_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
   }
 }
 
-MMR_AVX2 void avx2_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                            double delay_s, cplx* dst,
-                                            std::size_t n) {
-  double f0 = 0.0;
-  double df = 0.0;
-  if (n < 2 * kB || !affine_freqs(freqs, n, &f0, &df)) {
-    scalar_accumulate_delay_phasors(alpha, freqs, delay_s, dst, n);
+MMR_AVX2 cplx avx2_dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
+  // avx2_dot_phasor_ramp's accumulation over stored phasors: block b's
+  // four vectors go to acc0..acc3, the same lanes the fused kernel feeds.
+  if (n < 2 * kB) return scalar_cdot(ph, w, n);
+  const double* pp = reinterpret_cast<const double*>(ph);
+  const double* wp = reinterpret_cast<const double*>(w);
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + kB <= n; i += kB) {
+    acc0 = _mm256_add_pd(acc0, cmul2(_mm256_loadu_pd(pp + 2 * i),
+                                     _mm256_loadu_pd(wp + 2 * i)));
+    acc1 = _mm256_add_pd(acc1, cmul2(_mm256_loadu_pd(pp + 2 * i + 4),
+                                     _mm256_loadu_pd(wp + 2 * i + 4)));
+    acc2 = _mm256_add_pd(acc2, cmul2(_mm256_loadu_pd(pp + 2 * i + 8),
+                                     _mm256_loadu_pd(wp + 2 * i + 8)));
+    acc3 = _mm256_add_pd(acc3, cmul2(_mm256_loadu_pd(pp + 2 * i + 12),
+                                     _mm256_loadu_pd(wp + 2 * i + 12)));
+  }
+  const __m256d sum = _mm256_add_pd(_mm256_add_pd(acc0, acc1),
+                                    _mm256_add_pd(acc2, acc3));
+  cplx acc = hsum_cplx(sum);
+  double re = acc.real();
+  double im = acc.imag();
+  for (; i < n; ++i) {
+    const double pre = pp[2 * i];
+    const double pim = pp[2 * i + 1];
+    const double wr = wp[2 * i];
+    const double wi = wp[2 * i + 1];
+    re += pre * wr - pim * wi;
+    im += pre * wi + pim * wr;
+  }
+  return cplx(re, im);
+}
+
+MMR_AVX2 void avx2_delay_phasors(const double* freqs, bool affine, double df,
+                                 double delay_s, cplx* dst, std::size_t n) {
+  if (n < 2 * kB || !affine) {
+    scalar_delay_phasors(freqs, affine, df, delay_s, dst, n);
     return;
   }
   RampDeltas d;
@@ -398,18 +432,13 @@ MMR_AVX2 void avx2_accumulate_delay_phasors(cplx alpha, const double* freqs,
   const double rot_ang = -2.0 * kPi * (df * static_cast<double>(kB)) * delay_s;
   const double rot_re = std::cos(rot_ang);
   const double rot_im = std::sin(rot_ang);
-  const __m256d alr = _mm256_set1_pd(alpha.real());
-  const __m256d ali = _mm256_set1_pd(alpha.imag());
-  double* dp = reinterpret_cast<double*>(dst);
-  const auto add_block = [&](std::size_t base, double a_re, double a_im)
-                             MMR_AVX2 {
+  double* out = reinterpret_cast<double*>(dst);
+  const auto emit_block = [&](std::size_t base, double a_re, double a_im)
+                              MMR_AVX2 {
     const __m256d are = _mm256_set1_pd(a_re);
     const __m256d aim = _mm256_set1_pd(a_im);
     for (std::size_t k = 0; k < kB / 2; ++k) {
-      const __m256d ph = cmul_const(dv.v[k], are, aim);
-      const __m256d yv = _mm256_loadu_pd(dp + 2 * base + 4 * k);
-      _mm256_storeu_pd(dp + 2 * base + 4 * k,
-                       _mm256_add_pd(yv, cmul_const(ph, alr, ali)));
+      _mm256_storeu_pd(out + 2 * base + 4 * k, cmul_const(dv.v[k], are, aim));
     }
   };
   std::size_t i = 0;
@@ -417,20 +446,47 @@ MMR_AVX2 void avx2_accumulate_delay_phasors(cplx alpha, const double* freqs,
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
     double a_re = std::cos(ang);
     double a_im = std::sin(ang);
-    add_block(i, a_re, a_im);
+    emit_block(i, a_re, a_im);
     rotate_anchor(rot_re, rot_im, &a_re, &a_im);
-    add_block(i + kB, a_re, a_im);
+    emit_block(i + kB, a_re, a_im);
   }
   for (; i + kB <= n; i += kB) {
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    add_block(i, std::cos(ang), std::sin(ang));
+    emit_block(i, std::cos(ang), std::sin(ang));
+  }
+  for (; i < n; ++i) {
+    const double ang = -2.0 * kPi * freqs[i] * delay_s;
+    out[2 * i] = std::cos(ang);
+    out[2 * i + 1] = std::sin(ang);
+  }
+}
+
+MMR_AVX2 void avx2_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
+                                      cplx* dst, std::size_t n) {
+  // Short or non-affine grids were formed by the scalar loop, whose MAC
+  // is std::complex's; otherwise whole blocks take the vector MAC and the
+  // tail the scalar formula, as the fused kernel did.
+  if (n < 2 * kB || !affine) {
+    scalar_accumulate_phasors(alpha, affine, ph, dst, n);
+    return;
+  }
+  const __m256d alr = _mm256_set1_pd(alpha.real());
+  const __m256d ali = _mm256_set1_pd(alpha.imag());
+  const double* pp = reinterpret_cast<const double*>(ph);
+  double* dp = reinterpret_cast<double*>(dst);
+  const std::size_t blocks_end = n / kB * kB;
+  std::size_t i = 0;
+  for (; i < blocks_end; i += 2) {
+    const __m256d yv = _mm256_loadu_pd(dp + 2 * i);
+    _mm256_storeu_pd(dp + 2 * i,
+                     _mm256_add_pd(yv, cmul_const(_mm256_loadu_pd(pp + 2 * i),
+                                                  alr, ali)));
   }
   const double sar = alpha.real();
   const double sai = alpha.imag();
   for (; i < n; ++i) {
-    const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    const double pre = std::cos(ang);
-    const double pim = std::sin(ang);
+    const double pre = pp[2 * i];
+    const double pim = pp[2 * i + 1];
     dp[2 * i] += sar * pre - sai * pim;
     dp[2 * i + 1] += sar * pim + sai * pre;
   }
@@ -445,7 +501,9 @@ const KernelTable* avx2_table() {
     t.dot_phasor_ramp = &avx2_dot_phasor_ramp;
     t.axpy = &avx2_axpy;
     t.axpy_phasor_ramp = &avx2_axpy_phasor_ramp;
-    t.accumulate_delay_phasors = &avx2_accumulate_delay_phasors;
+    t.delay_phasors = &avx2_delay_phasors;
+    t.accumulate_phasors = &avx2_accumulate_phasors;
+    t.dot_phasors = &avx2_dot_phasors;
     return t;
   }();
   return &table;

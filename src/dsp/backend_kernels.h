@@ -24,8 +24,10 @@ cplx scalar_cdot(const cplx* a, const cplx* b, std::size_t n);
 cplx scalar_dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 void scalar_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
-void scalar_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                     double delay_s, cplx* dst, std::size_t n);
+void scalar_delay_phasors(const double* freqs, bool affine, double df,
+                          double delay_s, cplx* dst, std::size_t n);
+void scalar_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
+                               cplx* dst, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Portable FMA-restructured kernels (backend_portable.cpp): plain C++,
@@ -40,9 +42,11 @@ cplx portable_dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 void portable_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 void portable_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
                                std::size_t n);
-void portable_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                       double delay_s, cplx* dst,
-                                       std::size_t n);
+void portable_delay_phasors(const double* freqs, bool affine, double df,
+                            double delay_s, cplx* dst, std::size_t n);
+void portable_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
+                                 cplx* dst, std::size_t n);
+cplx portable_dot_phasors(const cplx* ph, const cplx* w, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Shared building blocks.
@@ -64,7 +68,8 @@ RampDeltas compute_ramp_deltas(double step);
 
 /// True when freqs[] is an affine grid freqs[k] ~= f0 + k*df (relative
 /// deviation <= 1e-9 of the grid span). Production subcarrier grids are;
-/// arbitrary inputs fall back to the scalar delay-phasor loop.
+/// arbitrary inputs fall back to the scalar delay-phasor loop. Run once
+/// per grid by dsp::make_phasor_grid, not per path.
 bool affine_freqs(const double* freqs, std::size_t n, double* f0, double* df);
 
 }  // namespace mmr::dsp::detail

@@ -5,6 +5,9 @@
 // backend, and the phasor/delay kernels -- whose cost is libm sincos,
 // not arithmetic -- reuse the portable anchor+delta implementations
 // directly, so the declared NEON tolerances equal the portable ones.
+// Their consumption kernels (accumulate_phasors, dot_phasors) are the
+// portable ones too: neon_axpy/neon_cdot round differently from the
+// MACs the portable phasor kernels pair with.
 #if defined(__aarch64__)
 
 #include <arm_neon.h>
@@ -87,7 +90,9 @@ const KernelTable* neon_table() {
     t.dot_phasor_ramp = &portable_dot_phasor_ramp;
     t.axpy = &neon_axpy;
     t.axpy_phasor_ramp = &portable_axpy_phasor_ramp;
-    t.accumulate_delay_phasors = &portable_accumulate_delay_phasors;
+    t.delay_phasors = &portable_delay_phasors;
+    t.accumulate_phasors = &portable_accumulate_phasors;
+    t.dot_phasors = &portable_dot_phasors;
     return t;
   }();
   return &table;

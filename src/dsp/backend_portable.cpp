@@ -188,13 +188,41 @@ void portable_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
   }
 }
 
-void portable_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                       double delay_s, cplx* dst,
-                                       std::size_t n) {
-  double f0 = 0.0;
-  double df = 0.0;
-  if (n < 2 * kB || !affine_freqs(freqs, n, &f0, &df)) {
-    scalar_accumulate_delay_phasors(alpha, freqs, delay_s, dst, n);
+cplx portable_dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
+  // portable_dot_phasor_ramp's accumulation over stored phasors.
+  if (n < 2 * kB) return scalar_cdot(ph, w, n);
+  const double* pp = reinterpret_cast<const double*>(ph);
+  const double* wp = reinterpret_cast<const double*>(w);
+  double acc_re[4] = {0.0, 0.0, 0.0, 0.0};
+  double acc_im[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + kB <= n; i += kB) {
+    for (std::size_t k = 0; k < kB; ++k) {
+      const double pre = pp[2 * (i + k)];
+      const double pim = pp[2 * (i + k) + 1];
+      const double wr = wp[2 * (i + k)];
+      const double wi = wp[2 * (i + k) + 1];
+      acc_re[k & 3] += pre * wr - pim * wi;
+      acc_im[k & 3] += pre * wi + pim * wr;
+    }
+  }
+  double re = (acc_re[0] + acc_re[1]) + (acc_re[2] + acc_re[3]);
+  double im = (acc_im[0] + acc_im[1]) + (acc_im[2] + acc_im[3]);
+  for (; i < n; ++i) {
+    const double pre = pp[2 * i];
+    const double pim = pp[2 * i + 1];
+    const double wr = wp[2 * i];
+    const double wi = wp[2 * i + 1];
+    re += pre * wr - pim * wi;
+    im += pre * wi + pim * wr;
+  }
+  return cplx(re, im);
+}
+
+void portable_delay_phasors(const double* freqs, bool affine, double df,
+                            double delay_s, cplx* dst, std::size_t n) {
+  if (n < 2 * kB || !affine) {
+    scalar_delay_phasors(freqs, affine, df, delay_s, dst, n);
     return;
   }
   // Anchors use the ACTUAL freqs[] value with the scalar association
@@ -208,8 +236,6 @@ void portable_accumulate_delay_phasors(cplx alpha, const double* freqs,
     dre[k] = std::cos(ang);
     dim[k] = std::sin(ang);
   }
-  const double ar = alpha.real();
-  const double ai = alpha.imag();
   double* dp = reinterpret_cast<double*>(dst);
   std::size_t i = 0;
   for (; i + kB <= n; i += kB) {
@@ -217,18 +243,26 @@ void portable_accumulate_delay_phasors(cplx alpha, const double* freqs,
     const double are = std::cos(ang);
     const double aim = std::sin(ang);
     for (std::size_t k = 0; k < kB; ++k) {
-      const double pre = are * dre[k] - aim * dim[k];
-      const double pim = aim * dre[k] + are * dim[k];
-      dp[2 * (i + k)] += ar * pre - ai * pim;
-      dp[2 * (i + k) + 1] += ar * pim + ai * pre;
+      dp[2 * (i + k)] = are * dre[k] - aim * dim[k];
+      dp[2 * (i + k) + 1] = aim * dre[k] + are * dim[k];
     }
   }
   for (; i < n; ++i) {
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    const double pre = std::cos(ang);
-    const double pim = std::sin(ang);
-    dp[2 * i] += ar * pre - ai * pim;
-    dp[2 * i + 1] += ar * pim + ai * pre;
+    dp[2 * i] = std::cos(ang);
+    dp[2 * i + 1] = std::sin(ang);
+  }
+}
+
+void portable_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
+                                 cplx* dst, std::size_t n) {
+  // Short or non-affine grids were formed by the scalar loop, whose MAC
+  // is std::complex's; the rotated blocks and the tail paired with the
+  // raw formula, which is portable_axpy's.
+  if (n < 2 * kB || !affine) {
+    scalar_axpy(alpha, ph, dst, n);
+  } else {
+    portable_axpy(alpha, ph, dst, n);
   }
 }
 
@@ -241,7 +275,9 @@ const KernelTable* portable_table() {
     t.dot_phasor_ramp = &portable_dot_phasor_ramp;
     t.axpy = &portable_axpy;
     t.axpy_phasor_ramp = &portable_axpy_phasor_ramp;
-    t.accumulate_delay_phasors = &portable_accumulate_delay_phasors;
+    t.delay_phasors = &portable_delay_phasors;
+    t.accumulate_phasors = &portable_accumulate_phasors;
+    t.dot_phasors = &portable_dot_phasors;
     return t;
   }();
   return &table;

@@ -71,13 +71,18 @@ void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * ref_unit_phasor(step, i);
 }
 
-void scalar_accumulate_delay_phasors(cplx alpha, const double* freqs,
-                                     double delay_s, cplx* dst,
-                                     std::size_t n) {
+void scalar_delay_phasors(const double* freqs, bool /*affine*/,
+                          double /*df*/, double delay_s, cplx* dst,
+                          std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const double ang = -2.0 * kPi * freqs[k] * delay_s;
-    dst[k] += alpha * cplx(std::cos(ang), std::sin(ang));
+    dst[k] = cplx(std::cos(ang), std::sin(ang));
   }
+}
+
+void scalar_accumulate_phasors(cplx alpha, bool /*affine*/, const cplx* ph,
+                               cplx* dst, std::size_t n) {
+  scalar_axpy(alpha, ph, dst, n);
 }
 
 RampDeltas compute_ramp_deltas(double step) {
@@ -123,7 +128,11 @@ const KernelTable* scalar_table() {
     t.dot_phasor_ramp = &scalar_dot_phasor_ramp;
     t.axpy = &scalar_axpy;
     t.axpy_phasor_ramp = &scalar_axpy_phasor_ramp;
-    t.accumulate_delay_phasors = &scalar_accumulate_delay_phasors;
+    t.delay_phasors = &scalar_delay_phasors;
+    t.accumulate_phasors = &scalar_accumulate_phasors;
+    // sum ph[i] * w[i] in element order: with ph = the scalar ramp this
+    // is scalar_dot_phasor_ramp's sum, term for term.
+    t.dot_phasors = &scalar_cdot;
     return t;
   }();
   return &table;

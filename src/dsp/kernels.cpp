@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "dsp/backend.h"
+#include "dsp/backend_kernels.h"
 
 namespace mmr::dsp {
 
@@ -50,9 +51,27 @@ void axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n) {
   active_table().axpy_phasor_ramp(alpha, step, y, n);
 }
 
-void accumulate_delay_phasors(cplx alpha, const double* freqs, double delay_s,
-                              cplx* dst, std::size_t n) {
-  active_table().accumulate_delay_phasors(alpha, freqs, delay_s, dst, n);
+PhasorGrid make_phasor_grid(const double* freqs, std::size_t n) {
+  PhasorGrid grid;
+  grid.freqs = freqs;
+  grid.size = n;
+  double f0 = 0.0;
+  grid.affine = detail::affine_freqs(freqs, n, &f0, &grid.df);
+  return grid;
+}
+
+void delay_phasors(const PhasorGrid& grid, double delay_s, cplx* dst) {
+  active_table().delay_phasors(grid.freqs, grid.affine, grid.df, delay_s, dst,
+                               grid.size);
+}
+
+void accumulate_phasors(cplx alpha, const PhasorGrid& grid, const cplx* ph,
+                        cplx* dst) {
+  active_table().accumulate_phasors(alpha, grid.affine, ph, dst, grid.size);
+}
+
+cplx dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
+  return active_table().dot_phasors(ph, w, n);
 }
 
 }  // namespace mmr::dsp

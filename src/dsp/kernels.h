@@ -24,8 +24,8 @@
 //  * n == 0 is a no-op (reductions return 0+0j); n == 1 is exact libm.
 //  * axpy allows x == y (full aliasing: y[i] += alpha*y[i] element-wise).
 //    PARTIALLY overlapping x/y ranges are undefined across all backends.
-//  * phasor_ramp/axpy_phasor_ramp/accumulate_delay_phasors destinations
-//    must not overlap their inputs (freqs vs dst).
+//  * phasor_ramp/axpy_phasor_ramp/delay_phasors/accumulate_phasors
+//    destinations must not overlap their inputs (freqs or ph vs dst).
 #pragma once
 
 #include <cstddef>
@@ -95,11 +95,45 @@ void axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
 /// "build steering vector, then scale-add" without the temporary.
 void axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
 
-/// Per-subcarrier delay rotation accumulate (paper Eq. 26 inner loop):
-/// dst[k] += alpha * exp(j * ((-2 pi) * freqs[k]) * delay_s). The phase is
-/// evaluated as ((-2 pi) * f) * delay — the exact association order of the
-/// scalar loop it replaces in channel/wideband.cpp.
-void accumulate_delay_phasors(cplx alpha, const double* freqs, double delay_s,
-                              cplx* dst, std::size_t n);
+// ---------------------------------------------------------------------------
+// Phasor generation vs consumption. Within one channel tick the traced
+// paths are fixed and only the beam weights change, so the phasors a path
+// contributes (its TX steering ramp, its per-subcarrier delay rotations)
+// are formed once and consumed by every probe. Each pair below is bit for
+// bit the fused kernel it splits, on every backend.
+// ---------------------------------------------------------------------------
+
+/// A subcarrier frequency grid as the delay-phasor kernels see it: the
+/// frequencies (borrowed, not copied) plus the result of the affine-grid
+/// check, which make_phasor_grid runs once per grid.
+struct PhasorGrid {
+  const double* freqs = nullptr;
+  std::size_t size = 0;
+  /// freqs[k] ~= freqs[0] + k * df to 1e-9 of the span: the fast
+  /// backends then form interior phasors by anchor x delta rotation.
+  bool affine = false;
+  double df = 0.0;
+};
+
+/// Wrap freqs[0..n) and run its affine check.
+PhasorGrid make_phasor_grid(const double* freqs, std::size_t n);
+
+/// Per-subcarrier delay rotations (paper Eq. 26 inner loop):
+/// dst[k] = exp(j * ((-2 pi) * freqs[k]) * delay_s) for k < grid.size.
+/// The phase is evaluated as ((-2 pi) * f) * delay, the association
+/// order of the original scalar loop.
+void delay_phasors(const PhasorGrid& grid, double delay_s, cplx* dst);
+
+/// dst[k] += alpha * ph[k] for k < grid.size, where ph came from
+/// delay_phasors over the same grid: the complex MAC the backend pairs
+/// with that generation (std::complex on the scalar path, the backend's
+/// vector MAC plus scalar tail on the rotated path).
+void accumulate_phasors(cplx alpha, const PhasorGrid& grid, const cplx* ph,
+                        cplx* dst);
+
+/// sum_i ph[i] * w[i] where ph holds phasor_ramp(step, n): bit for bit
+/// dot_phasor_ramp(step, w, n) on every backend, so a steering ramp
+/// formed once serves every weight vector.
+cplx dot_phasors(const cplx* ph, const cplx* w, std::size_t n);
 
 }  // namespace mmr::dsp

@@ -132,6 +132,13 @@ Network::Network(const NetworkSpec& spec, std::uint64_t stream_seed,
                  sim::TrialWorkspace* workspace, bool populate_sessions)
     : spec_(spec), stream_seed_(stream_seed), workspace_(workspace) {
   spec_.validate();
+  const channel::Vec2 tx_local = scenario_tx_local(spec_.link_scenario);
+  gnbs_.reserve(spec_.num_cells);
+  for (std::size_t c = 0; c < spec_.num_cells; ++c) {
+    gnbs_.push_back(
+        channel::Vec2{static_cast<double>(c) * spec_.cell_spacing_m, 0.0} +
+        tx_local);
+  }
   if (!populate_sessions) return;
   sessions_.reserve(spec_.num_links());
   for (std::size_t link = 0; link < spec_.num_links(); ++link) {
@@ -248,73 +255,35 @@ void Network::rebuild_link(Session& s, std::uint64_t fault_seed) {
       [sp](const core::FaultEvent& ev) { sp->faults.push_back(ev); });
 }
 
-double Network::cell_rsrp_db(const Session& s, std::size_t cell,
-                             double t_s) const {
-  const channel::Vec2 gnb =
-      channel::Vec2{static_cast<double>(cell) * spec_.cell_spacing_m, 0.0} +
-      scenario_tx_local(spec_.link_scenario);
-  const double d = std::max(1.0, norm(s.global_pos(t_s) - gnb));
-  const double carrier = s.world->config().spec.carrier_hz;
-  // Boresight sync beam: matched beamforming over N elements yields
-  // |a^H w|^2 = N for unit-norm weights.
-  const double n = static_cast<double>(s.world->config().tx_ula.num_elements);
-  return to_db(n) - channel::propagation_loss_db(d, carrier);
-}
-
 void Network::accumulate_interference(double t_s) {
-  // Per-interferer batched fold (interferer_gain_batch_into is
-  // bitwise-identical to the scalar interferer_gain on every backend):
-  // interferers walk the slots in order and scatter-add their leaked gain
-  // into each victim's accumulator -- the SAME addends in the SAME order
-  // as the historical per-victim scalar loop, so the folded totals keep
-  // their bits. Allocation-free: all scratch is slot-sized and resized
-  // only on join().
-  const std::size_t n = sessions_.size();
-  const channel::Vec2 tx_local = scenario_tx_local(spec_.link_scenario);
-  for (std::size_t v = 0; v < n; ++v) {
-    inr_accum_[v] = 0.0;
-    if (!sessions_[v]->live) continue;
-    const channel::Vec2 pos = sessions_[v]->global_pos(
-        sessions_[v]->local_time(t_s));
-    pos_x_[v] = pos.x;
-    pos_y_[v] = pos.y;
+  // The beam-independent geometry of each (serving cell, victim) pair is
+  // built once per tick inside the fold; each transmitting interferer
+  // then adds one phasor dot per victim. Interferers are queued in slot
+  // order, so every victim sums the same addends in the same order as
+  // the per-pair interferer_gain reference. Dead slots are skipped before
+  // their (released) world is touched. Every session is built from the
+  // network's one scenario, so the first live session's array and
+  // carrier are every interferer's (the caller folds only with more than
+  // one session live).
+  std::size_t first = 0;
+  while (!sessions_[first]->live) ++first;
+  const sim::WorldConfig& config = sessions_[first]->world->config();
+  fold_.begin_tick(gnbs_, config.tx_ula, config.spec.carrier_hz,
+                   spec_.interference.coupling_loss_db, sessions_.size());
+  for (std::size_t v = 0; v < sessions_.size(); ++v) {
+    const Session& s = *sessions_[v];
+    if (s.live) fold_.set_victim(v, s.global_pos(s.local_time(t_s)));
   }
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < sessions_.size(); ++i) {
     const Session& o = *sessions_[i];
     if (!o.live) continue;
     // Only links currently serving data transmit; a training sweep's
     // SSBs are discounted as protocol overhead, not interference.
     if (!o.controller->link_available(o.local_time(t_s))) continue;
-    const channel::Vec2 gnb =
-        channel::Vec2{static_cast<double>(o.serving_cell) *
-                          spec_.cell_spacing_m,
-                      0.0} +
-        tx_local;
-    std::size_t count = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (v == i || !sessions_[v]->live) continue;
-      const channel::Vec2 delta{pos_x_[v] - gnb.x, pos_y_[v] - gnb.y};
-      const double d = norm(delta);
-      if (d <= 0.0) continue;
-      // All cells share one array orientation (boresight +x), so the
-      // victim's angle in the interferer's frame is the global bearing.
-      batch_angles_[count] = std::atan2(delta.y, delta.x);
-      batch_dist_[count] = d;
-      batch_victim_[count] = v;
-      ++count;
-    }
-    if (count == 0) continue;
-    interferer_gain_batch_into(
-        o.world->config().tx_ula, o.controller->tx_weights(),
-        std::span<const double>(batch_angles_.data(), count),
-        std::span<const double>(batch_dist_.data(), count),
-        o.world->config().spec.carrier_hz,
-        spec_.interference.coupling_loss_db,
-        std::span<double>(batch_gain_.data(), count));
-    for (std::size_t k = 0; k < count; ++k) {
-      inr_accum_[batch_victim_[k]] += batch_gain_[k];
-    }
+    if (!fold_.reaches_victim(o.serving_cell, i)) continue;
+    fold_.add(o.serving_cell, i, o.controller->tx_weights());
   }
+  fold_.fold();
 }
 
 void Network::drive_state(Session& s, double t_s, double sinr_db_value) {
@@ -360,12 +329,24 @@ void Network::drive_state(Session& s, double t_s, double sinr_db_value) {
 
 void Network::evaluate_handover(Session& s, double t_s) {
   if (t_s - s.last_handover_s < spec_.handover.min_interval_s) return;
-  const double serving = cell_rsrp_db(s, s.serving_cell, t_s);
+  // Sync-beam RSRP of each cell at the session's position [dB rel. unit
+  // gain]. A boresight sync beam matched over N elements yields
+  // |a^H w|^2 = N for unit-norm weights; that gain, the position and the
+  // carrier are the same for every candidate cell.
+  const channel::Vec2 pos = s.global_pos(t_s);
+  const double carrier = s.world->config().spec.carrier_hz;
+  const double sync_gain_db =
+      to_db(static_cast<double>(s.world->config().tx_ula.num_elements));
+  const auto rsrp_db = [&](std::size_t cell) {
+    const double d = std::max(1.0, norm(pos - gnbs_[cell]));
+    return sync_gain_db - channel::propagation_loss_db(d, carrier);
+  };
+  const double serving = rsrp_db(s.serving_cell);
   std::size_t best_cell = kNoCell;
   double best = -std::numeric_limits<double>::infinity();
   for (std::size_t c = 0; c < spec_.num_cells; ++c) {
     if (c == s.serving_cell) continue;
-    const double rsrp = cell_rsrp_db(s, c, t_s);
+    const double rsrp = rsrp_db(c);
     if (rsrp > best) {
       best = rsrp;
       best_cell = c;
@@ -424,13 +405,6 @@ void Network::execute_handover(Session& s, double t_s, std::size_t to_cell,
 void Network::size_slot_scratch() {
   const std::size_t n = sessions_.size();
   tick_samples_.resize(n);
-  inr_accum_.resize(n);
-  pos_x_.resize(n);
-  pos_y_.resize(n);
-  batch_angles_.resize(n);
-  batch_dist_.resize(n);
-  batch_gain_.resize(n);
-  batch_victim_.resize(n);
 }
 
 void Network::begin() {
@@ -460,7 +434,7 @@ void Network::scoring_pass(double t_s) {
     if (!s.live) continue;
     const double t = s.local_time(t_s);
     const double inr =
-        interference_on ? inr_accum_[slot] / s.world->power_for_snr(0.0)
+        interference_on ? fold_.totals()[slot] / s.world->power_for_snr(0.0)
                         : 0.0;
     const core::LinkSample sample =
         s.stepper->score(t, inr, spec_.run.protocol_overhead);

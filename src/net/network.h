@@ -198,11 +198,11 @@ class Network {
   void advance_pass(double t_s);
   void scoring_pass(double t_s);
   void handover_pass(double t_s);
-  /// Batched cross-link interference fold: per interferer (slot order),
-  /// one interferer_gain_batch_into sweep over all victims, scatter-added
-  /// into inr_accum_. Bitwise-identical to the historical per-victim
-  /// scalar fold (same addends, same order). Allocation-free once the
-  /// scratch buffers are sized.
+  /// Cross-link interference fold into fold_: link_available per live
+  /// session in slot order, then tx_weights of each one that transmits
+  /// and reaches a victim. Bitwise-identical to the per-pair
+  /// interferer_gain fold (same addends, same order). Allocation-free
+  /// once the fold's scratch is sized.
   void accumulate_interference(double t_s);
   void evaluate_handover(Session& s, double t_s);
   void execute_handover(Session& s, double t_s, std::size_t to_cell,
@@ -210,9 +210,6 @@ class Network {
   /// Drive a session's state machine toward the state its controller and
   /// SINR report, using only legal transitions.
   void drive_state(Session& s, double t_s, double sinr_db);
-  /// Sync-beam RSRP of cell `cell` at the session's current global
-  /// position [dB rel. unit gain]. Allocation-free.
-  double cell_rsrp_db(const Session& s, std::size_t cell, double t_s) const;
 
   NetworkSpec spec_;
   std::uint64_t stream_seed_ = 0;
@@ -222,14 +219,11 @@ class Network {
   std::size_t live_count_ = 0;
   bool record_samples_ = true;
   std::vector<core::HandoverEvent> handover_events_;
+  /// gNB position of each cell (global frame).
+  std::vector<channel::Vec2> gnbs_;
   /// Slot-indexed scoring state (stable storage, resized on join).
   std::vector<core::LinkSample> tick_samples_;
-  std::vector<double> inr_accum_;
-  std::vector<double> pos_x_, pos_y_;
-  /// Per-interferer batch scratch: victim angles/distances/gains plus the
-  /// victim slot each batch entry scatter-adds into.
-  std::vector<double> batch_angles_, batch_dist_, batch_gain_;
-  std::vector<std::size_t> batch_victim_;
+  InterferenceFold fold_;
 };
 
 /// Register the net-layer builtins into the process-wide registries:

@@ -1,6 +1,7 @@
 #include "sim/world.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -23,6 +24,11 @@ void fill_stable_order(const std::vector<channel::Path>& paths,
     return std::norm(paths[a].gain) > std::norm(paths[b].gain);
   });
 }
+
+/// Source of the tick ids that key the workspace's path-response table:
+/// process-wide, so no two ticks of any worlds share one -- not even a
+/// world rebuilt at a recycled address. 0 is never issued.
+std::atomic<std::uint64_t> g_next_tick{1};
 
 phy::EstimatorConfig make_estimator_config(const WorldConfig& config) {
   phy::EstimatorConfig est;
@@ -66,8 +72,14 @@ void LinkWorld::add_irs(channel::IrsPanel panel) {
   set_time(t_s_);
 }
 
+struct LinkWorld::LocalResponse {
+  RVec freqs;
+  channel::PathResponse table;
+};
+
 void LinkWorld::set_time(double t_s) {
   t_s_ = t_s;
+  tick_ = g_next_tick.fetch_add(1, std::memory_order_relaxed);
   const channel::Pose ue = ue_trajectory_->at(t_s);
   env_.trace_into(paths_, tx_pose_, ue);
   for (const auto& panel : irs_panels_) {
@@ -116,8 +128,9 @@ core::LinkProbeInterface LinkWorld::probe_interface() {
       for (cplx& c : noise) c = rng_.complex_normal(var);
       return noise;
     }
-    const CVec truth = channel::effective_csi(paths_, config_.tx_ula, weights,
-                                              config_.spec, config_.rx);
+    std::optional<LocalResponse> local;
+    CVec truth(config_.spec.num_subcarriers);
+    response(local, true).csi(weights, config_.rx, truth.data());
     return estimator_.estimate(truth);
   };
   link.cir = [this](const CVec& weights, std::size_t num_taps) -> CVec {
@@ -127,9 +140,9 @@ core::LinkProbeInterface LinkWorld::probe_interface() {
     CVec cir(num_taps, cplx{});
     if (!paths_.empty()) {
       const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
-      cir = channel::effective_cir(paths_, config_.tx_ula, weights,
-                                   config_.spec, num_taps, config_.rx,
-                                   std::abs(jitter));
+      std::optional<LocalResponse> local;
+      response(local, false).cir(weights, config_.rx, config_.spec, num_taps,
+                                 std::abs(jitter), cir.data());
     }
     // CFO: a common rotation leaves |taps| intact but keeps controllers
     // honest about not relying on absolute phase.
@@ -151,8 +164,9 @@ LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
       return noise;
     }
     const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-    const CVec truth = channel::effective_csi(paths_, config_.tx_ula, tx_w,
-                                              config_.spec, rx);
+    std::optional<LocalResponse> local;
+    CVec truth(config_.spec.num_subcarriers);
+    response(local, true).csi(tx_w, rx, truth.data());
     return estimator_.estimate(truth);
   };
   jp.cir = [this](const CVec& tx_w, const CVec& rx_w,
@@ -164,8 +178,9 @@ LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
     if (!paths_.empty()) {
       const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
       const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
-      cir = channel::effective_cir(paths_, config_.tx_ula, tx_w, config_.spec,
-                                   num_taps, rx, std::abs(jitter));
+      std::optional<LocalResponse> local;
+      response(local, false).cir(tx_w, rx, config_.spec, num_taps,
+                                 std::abs(jitter), cir.data());
     }
     const cplx rot = std::polar(1.0, rng_.uniform(0.0, 2.0 * 3.14159265358979));
     for (cplx& c : cir) c = c * rot + rng_.complex_normal(var);
@@ -174,33 +189,55 @@ LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
   return jp;
 }
 
+const channel::PathResponse& LinkWorld::response(
+    std::optional<LocalResponse>& local, bool delays) const {
+  if (ws_ == nullptr) {
+    LocalResponse& l = local.emplace();
+    l.table.fill(paths_, config_.tx_ula);
+    if (delays) {
+      l.freqs.resize(config_.spec.num_subcarriers);
+      channel::fill_freq_grid(config_.spec, l.freqs.data());
+      l.table.fill_delays(
+          dsp::make_phasor_grid(l.freqs.data(), l.freqs.size()));
+    }
+    return l.table;
+  }
+  channel::PathResponse& table = ws_->response();
+  if (ws_->response_tick() != tick_) {
+    table.fill(paths_, config_.tx_ula);
+    ws_->set_response_tick(tick_);
+  }
+  if (delays && !table.has_delays()) {
+    table.fill_delays(ws_->grid(config_.spec));
+  }
+  return table;
+}
+
+double LinkWorld::received_power(const CVec& tx_weights,
+                                 const channel::RxFrontend& rx) const {
+  std::optional<LocalResponse> local;
+  const channel::PathResponse& table = response(local, true);
+  const std::size_t n = config_.spec.num_subcarriers;
+  if (ws_ != nullptr) {
+    auto& csi = ws_->csi();
+    csi.resize(n);
+    return table.received_power(tx_weights, rx, csi.data());
+  }
+  CVec csi(n);
+  return table.received_power(tx_weights, rx, csi.data());
+}
+
 double LinkWorld::true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const {
   if (paths_.empty()) return -300.0;
-  const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-  const double power = channel::received_power(paths_, config_.tx_ula, tx_w,
-                                               config_.spec, rx);
+  const double power =
+      received_power(tx_w, channel::RxFrontend::beam(config_.ue_ula, rx_w));
   if (power <= 0.0) return -300.0;
   return config_.budget.snr_db(power);
 }
 
 double LinkWorld::true_power(const CVec& tx_weights) const {
   if (paths_.empty()) return 0.0;
-  if (ws_ != nullptr) {
-    const std::size_t n = config_.spec.num_subcarriers;
-    auto& freqs = ws_->freqs();
-    auto& csi = ws_->csi();
-    if (freqs.size() != n) {
-      freqs.resize(n);
-      channel::fill_freq_grid(config_.spec, freqs.data());
-    }
-    csi.resize(n);
-    return channel::received_power_prepared(paths_, config_.tx_ula,
-                                            tx_weights, config_.spec,
-                                            config_.rx, freqs.data(),
-                                            csi.data());
-  }
-  return channel::received_power(paths_, config_.tx_ula, tx_weights,
-                                 config_.spec, config_.rx);
+  return received_power(tx_weights, config_.rx);
 }
 
 double LinkWorld::true_snr_db(const CVec& tx_weights) const {

@@ -9,7 +9,9 @@
 //     for any weights, exact per-antenna channel for the oracle).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "array/geometry.h"
@@ -54,12 +56,18 @@ class LinkWorld {
   /// adds an engineered TX->panel->RX path on every trace.
   void add_irs(channel::IrsPanel panel);
 
-  /// Bind per-trial scratch for the scoring hot path (set_time +
-  /// true_power/true_snr_db): the frequency grid is cached and the CSI /
-  /// path-order scratch live on the workspace arena, so the steady-state
-  /// scoring loop allocates nothing. Results are bit-identical with or
-  /// without a workspace. Pass nullptr to unbind. The workspace must
-  /// outlive this world (or the unbind).
+  /// Bind per-trial scratch for the hot path (set_time, probes,
+  /// true_power/true_snr_db). The frequency grid, the CSI / path-order
+  /// scratch and the per-tick path-response table (channel::PathResponse)
+  /// live on the workspace arena, so the steady-state scoring loop
+  /// allocates nothing, and every probe and score of one tick reads one
+  /// table instead of re-forming the paths' phasors. The table is valid
+  /// only for the tick id the last set_time took from a process-wide
+  /// counter; any other world sharing the workspace, or a later tick,
+  /// refills it. An unbound world fills a call-local table per
+  /// evaluation. Results are bit-identical with or without a workspace.
+  /// Pass nullptr to unbind. The workspace must outlive this world (or
+  /// the unbind).
   void bind_workspace(TrialWorkspace* ws) { ws_ = ws; }
 
   /// Advance the world: re-trace paths for the UE pose at t and apply all
@@ -101,6 +109,17 @@ class LinkWorld {
   /// descending nominal power.
   std::vector<std::size_t> stable_order() const;
 
+  /// Buffers of one unbound evaluation.
+  struct LocalResponse;
+  /// This tick's path-response table, with delay phasors when `delays`:
+  /// the bound workspace's, refilled only if another tick or world filled
+  /// it last, or else one emplaced in `local` and filled from scratch.
+  const channel::PathResponse& response(std::optional<LocalResponse>& local,
+                                        bool delays) const;
+  /// Mean received power over the subcarriers (paths non-empty).
+  double received_power(const CVec& tx_weights,
+                        const channel::RxFrontend& rx) const;
+
   channel::Environment env_;
   channel::Pose tx_pose_;
   std::shared_ptr<const channel::Trajectory> ue_trajectory_;
@@ -113,6 +132,7 @@ class LinkWorld {
   std::vector<channel::Path> paths_;
   TrialWorkspace* ws_ = nullptr;  ///< not owned; see bind_workspace
   double t_s_ = 0.0;
+  std::uint64_t tick_ = 0;  ///< id of the current set_time; keys the table
 };
 
 }  // namespace mmr::sim

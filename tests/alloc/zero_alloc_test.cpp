@@ -163,8 +163,8 @@ TEST_F(ZeroAllocTest, Fig18ScoringLoopIsAllocationFree) {
       << "the Fig. 18 trial scoring loop allocated on the hot path";
 }
 
-// The workspace is what buys the zero: without it the per-tick CSI and
-// frequency-grid temporaries come back. This pins the mechanism (and
+// The workspace is what buys the zero: without it every score builds a
+// call-local path-response table, frequency grid and CSI row. This pins the mechanism (and
 // keeps the audit honest -- the loop above is genuinely allocation-prone).
 TEST_F(ZeroAllocTest, UnboundWorldStillAllocatesPerTick) {
   EXPECT_GE(scoring_loop_allocations(fig16_scenario(), false), kNumTicks)
@@ -172,7 +172,7 @@ TEST_F(ZeroAllocTest, UnboundWorldStillAllocatesPerTick) {
 }
 
 /// A real net::Network::step_tick over two sessions in one cell:
-/// advance, the batched interference fold, SINR scoring, the sample
+/// advance, the interference fold, SINR scoring, the sample
 /// append and the link-state drive, with the no-op controller. The
 /// network runs two trial lengths; the first is the warm-up and the
 /// second is audited (the state machine's clock only runs forward), with
@@ -228,14 +228,15 @@ TEST_F(ZeroAllocTest, FullTrialAllocationBudgetRegression) {
 
 // The network tick -- advance + interference fold + SINR + sample +
 // state-machine ledger -- is zero-allocation once the workspace is
-// bound, exactly like the single-link engine loop above.
+// bound, exactly like the single-link engine loop above, although its
+// two sessions refill the workspace's one path-response table in turn.
 TEST_F(ZeroAllocTest, NetworkScoringLoopIsAllocationFree) {
   EXPECT_EQ(network_scoring_allocations(true), 0u)
       << "the per-tick network scoring loop allocated on the hot path";
 }
 
 // Same mechanism pin as UnboundWorldStillAllocatesPerTick: dropping the
-// workspace binding brings the per-tick CSI temporaries back, proving
+// workspace binding brings the per-score table temporaries back, proving
 // the audit above exercises an allocation-prone path.
 TEST_F(ZeroAllocTest, UnboundNetworkScoringLoopStillAllocatesPerTick) {
   EXPECT_GE(network_scoring_allocations(false), kNumTicks)

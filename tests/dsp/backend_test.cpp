@@ -105,8 +105,13 @@ TEST_P(KernelEdges, LengthZeroIsANoOp) {
   dsp::axpy_phasor_ramp(cplx(3.0, 1.0), 0.7, &guard, 0);
   EXPECT_EQ(guard, cplx(42.0, -7.0));
   const double freq = 1e6;
-  dsp::accumulate_delay_phasors(cplx(3.0, 1.0), &freq, 1e-9, &guard, 0);
+  const dsp::PhasorGrid grid = dsp::make_phasor_grid(&freq, 0);
+  dsp::delay_phasors(grid, 1e-9, &guard);
   EXPECT_EQ(guard, cplx(42.0, -7.0));
+  const cplx ph(0.5, 0.5);
+  dsp::accumulate_phasors(cplx(3.0, 1.0), grid, &ph, &guard);
+  EXPECT_EQ(guard, cplx(42.0, -7.0));
+  EXPECT_EQ(dsp::dot_phasors(&ph, &guard, 0), cplx(0.0, 0.0));
 }
 
 TEST_P(KernelEdges, LengthOneIsExactLibm) {
@@ -119,6 +124,7 @@ TEST_P(KernelEdges, LengthOneIsExactLibm) {
     EXPECT_EQ(one, cplx(1.0, 0.0)) << "step " << step;
     const cplx w(1.25, -0.5);
     EXPECT_EQ(dsp::dot_phasor_ramp(step, &w, 1), w) << "step " << step;
+    EXPECT_EQ(dsp::dot_phasors(&one, &w, 1), w) << "step " << step;
   }
   const cplx a(1.5, -2.0), b(-0.25, 3.0);
   const cplx expect(a.real() * b.real() - a.imag() * b.imag(),
