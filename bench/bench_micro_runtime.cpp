@@ -8,6 +8,7 @@
 // the experiment-engine path.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -369,6 +370,44 @@ void BM_KernelDelayPhasors(benchmark::State& state, dsp::Backend backend) {
                           static_cast<std::int64_t>(kKernelReps * n));
 }
 
+// The probe impairments' transcendentals over one CSI probe's worth of
+// arguments: Box-Muller u1 values for log, angles in [0, 2 pi) for
+// sincos.
+void BM_KernelLog(benchmark::State& state, dsp::Backend backend) {
+  dsp::ScopedBackend scoped(backend);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(19);
+  RVec x(n), y(n);
+  for (double& v : x) v = std::max(rng.uniform(), 0x1.0p-53);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kKernelReps; ++r) {
+      dsp::log(x.data(), y.data(), n);
+      benchmark::DoNotOptimize(y.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kKernelReps * n));
+}
+
+void BM_KernelSincos(benchmark::State& state, dsp::Backend backend) {
+  dsp::ScopedBackend scoped(backend);
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(23);
+  RVec x(n), s(n), c(n);
+  for (double& v : x) v = 2.0 * kPi * rng.uniform();
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < kKernelReps; ++r) {
+      dsp::sincos(x.data(), s.data(), c.data(), n);
+      benchmark::DoNotOptimize(s.data());
+      benchmark::DoNotOptimize(c.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kKernelReps * n));
+}
+
 /// Register BM_Kernel*/<backend> for every backend this machine can
 /// actually execute (registration-time check: ScopedBackend inside the
 /// benchmark cannot signal skip cleanly, so unsupported backends simply
@@ -384,6 +423,8 @@ void register_backend_benchmarks() {
       {"BM_KernelDotPhasorRamp", &BM_KernelDotPhasorRamp},
       {"BM_KernelAxpy", &BM_KernelAxpy},
       {"BM_KernelDelayPhasors", &BM_KernelDelayPhasors},
+      {"BM_KernelLog", &BM_KernelLog},
+      {"BM_KernelSincos", &BM_KernelSincos},
   };
   for (const auto& bench : kKernelBenches) {
     for (dsp::Backend b : dsp::compiled_backends()) {

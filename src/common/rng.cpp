@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/angles.h"
@@ -58,19 +59,21 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   return x % n;
 }
 
-double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+void libm_log(const double* x, double* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = std::log(x[i]);
+}
+
+void libm_sincos(const double* x, double* s, double* c, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    s[i] = std::sin(x[i]);
+    c[i] = std::cos(x[i]);
   }
-  // Box-Muller. uniform() can return exactly 0; nudge to avoid log(0).
-  double u1 = uniform();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  cached_normal_ = r * std::sin(2.0 * kPi * u2);
-  has_cached_normal_ = true;
-  return r * std::cos(2.0 * kPi * u2);
+}
+
+double Rng::normal() {
+  double z;
+  normals(&z, 1, kLibmNormalMath);
+  return z;
 }
 
 double Rng::normal(double mean, double stddev) {
@@ -80,6 +83,53 @@ double Rng::normal(double mean, double stddev) {
 cplx Rng::complex_normal(double variance) {
   const double s = std::sqrt(variance / 2.0);
   return {normal(0.0, s), normal(0.0, s)};
+}
+
+void Rng::normals(double* out, std::size_t n, const NormalMath& math) {
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    out[i++] = cached_normal_;
+  }
+  // Box-Muller, one chunk of pairs at a time: draw every pair's (u1, u2)
+  // in call order, run the transcendentals over the chunk, then emit
+  // r cos, r sin per pair. An odd tail caches its last r sin for the
+  // next draw. uniform() can return exactly 0; nudge to avoid log(0).
+  constexpr std::size_t kPairs = 64;
+  double u1[kPairs];
+  double angle[kPairs];
+  double log_u1[kPairs];
+  double sin_a[kPairs];
+  double cos_a[kPairs];
+  while (i < n) {
+    const std::size_t pairs = std::min(kPairs, (n - i + 1) / 2);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      u1[p] = uniform();
+      if (u1[p] <= 0.0) u1[p] = 0x1.0p-53;
+      angle[p] = 2.0 * kPi * uniform();
+    }
+    math.log(u1, log_u1, pairs);
+    math.sincos(angle, sin_a, cos_a, pairs);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const double r = std::sqrt(-2.0 * log_u1[p]);
+      out[i++] = r * cos_a[p];
+      if (i < n) {
+        out[i++] = r * sin_a[p];
+      } else {
+        cached_normal_ = r * sin_a[p];
+        has_cached_normal_ = true;
+      }
+    }
+  }
+}
+
+void Rng::complex_normals(cplx* out, std::size_t n, double variance,
+                          const NormalMath& math) {
+  // std::complex<double> is array-compatible with double[2].
+  double* parts = reinterpret_cast<double*>(out);
+  normals(parts, 2 * n, math);
+  const double s = std::sqrt(variance / 2.0);
+  for (std::size_t i = 0; i < 2 * n; ++i) parts[i] = 0.0 + s * parts[i];
 }
 
 bool Rng::bernoulli(double p) { return uniform() < p; }
@@ -92,6 +142,17 @@ double Rng::exponential(double mean) {
 }
 
 Rng Rng::fork() { return Rng(next_u64()); }
+
+Rng Rng::from_state(std::uint64_t s0, std::uint64_t s1, std::uint64_t s2,
+                    std::uint64_t s3) {
+  MMR_EXPECTS((s0 | s1 | s2 | s3) != 0);
+  Rng rng(0);
+  rng.s_[0] = s0;
+  rng.s_[1] = s1;
+  rng.s_[2] = s2;
+  rng.s_[3] = s3;
+  return rng;
+}
 
 Rng Rng::fork(std::uint64_t stream_id) const {
   return Rng(derive_stream_seed(seed_, stream_id));

@@ -2,6 +2,7 @@
 // throughput-reliability product of Section 6.2 / Fig. 18c).
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -29,6 +30,22 @@ struct LinkSummary {
   std::size_t num_samples = 0;
 };
 
+/// The running fold behind a LinkSummary: what it needs of a sample
+/// series, added one sample at a time in tick order. A network session
+/// keeps one instead of its sample history.
+struct LinkTally {
+  std::size_t count = 0;
+  /// Samples available AND at or above the outage SNR.
+  std::size_t usable = 0;
+  /// Sum of throughput over available samples, in tick order.
+  double throughput_sum_bps = 0.0;
+
+  void add(const LinkSample& sample, double outage_snr_db);
+  /// Requires count > 0 and bandwidth_hz > 0.
+  LinkSummary summary(double bandwidth_hz) const;
+};
+
+/// The LinkTally fold over `samples` (non-empty), summarized.
 LinkSummary summarize_link(std::span<const LinkSample> samples,
                            double outage_snr_db, double bandwidth_hz);
 

@@ -156,18 +156,31 @@ KernelTolerances tolerances(Backend backend) {
   // grows like ulp(|step| * n): < 1e-13 for production steering ranges
   // (total phase < ~1e3 rad), bounded by 1e-11 for total phase up to
   // ~4e4 rad, which the contracts below state.
+  //
+  // log and sincos are exact (libm) except on AVX2, whose in-house
+  // kernels are within a few ULPs of libm: log relative to its result
+  // (no absolute arm: sqrt(-2 log u) turns an absolute error near u = 1
+  // into a large one), sin/cos also within an absolute 1e-15 -- the
+  // reduction's ~2^-53 absolute error in r is many ULPs of a result near
+  // a zero of sin or cos.
+  KernelTolerances fast{
+      /*phasor_ramp=*/{64, 1e-11},
+      /*dot=*/{512, 1e-11},
+      /*axpy=*/{64, 1e-11},
+      /*delay_phasors=*/{512, 1e-9},
+      /*log=*/{0, 0.0},
+      /*sincos=*/{0, 0.0},
+  };
   switch (backend) {
     case Backend::kScalar:
       return KernelTolerances{};  // the reference: exact by definition
     case Backend::kPortable:
     case Backend::kNeon:  // reuses the portable phasor/delay kernels
+      return fast;
     case Backend::kAvx2:
-      return KernelTolerances{
-          /*phasor_ramp=*/{64, 1e-11},
-          /*dot=*/{512, 1e-11},
-          /*axpy=*/{64, 1e-11},
-          /*delay_phasors=*/{512, 1e-9},
-      };
+      fast.log = {4, 0.0};
+      fast.sincos = {4, 1e-15};
+      return fast;
   }
   return KernelTolerances{};
 }

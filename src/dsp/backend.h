@@ -4,12 +4,17 @@
 // table selected at startup:
 //
 //   * kScalar   -- the bit-exact reference loops (the PR-2 kernels,
-//                  unchanged). This is the GOLDEN path: figure goldens,
-//                  journal byte-identity and every %.17g pin run on it.
+//                  unchanged, and libm for log/sincos). This is the
+//                  GOLDEN path: the figure goldens and %.17g pins hold on
+//                  it, and ctest re-runs the sweep and engine suites
+//                  with it forced (sweep_forced_scalar,
+//                  engine_forced_scalar) because a plain run takes the
+//                  CPU-selected backend.
 //   * kPortable -- FMA-friendly restructuring in plain C++ (independent
 //                  accumulators, anchor+delta phasor evaluation). Compiles
 //                  and runs on every target.
-//   * kAvx2     -- AVX2+FMA intrinsics (x86-64). Always COMPILED on x86
+//   * kAvx2     -- AVX2+FMA intrinsics (x86-64), including in-house
+//                  vector log and sincos. Always COMPILED on x86
 //                  via function-level target attributes -- no -mavx2
 //                  build flag needed -- and only EXECUTED when CPUID
 //                  reports avx2+fma, so -DMMR_NATIVE=OFF binaries run
@@ -77,6 +82,13 @@ struct KernelTable {
   void (*accumulate_phasors)(cplx alpha, bool affine, const cplx* ph,
                              cplx* dst, std::size_t n) = nullptr;
   cplx (*dot_phasors)(const cplx* ph, const cplx* w, std::size_t n) = nullptr;
+  // Element-wise transcendentals of the probe impairments (Box-Muller
+  // AWGN, CFO/SFO rotation): y[i] = log(x[i]); s[i] = sin(x[i]) and
+  // c[i] = cos(x[i]). Outputs must not overlap x. The signatures are
+  // mmr::NormalMath's (common/rng.h), so Rng::normals can run on them.
+  void (*log)(const double* x, double* y, std::size_t n) = nullptr;
+  void (*sincos)(const double* x, double* s, double* c,
+                 std::size_t n) = nullptr;
 };
 
 /// Relative/absolute error bound of one kernel vs the scalar reference: a
@@ -97,6 +109,8 @@ struct KernelTolerances {
   Tolerance dot;              ///< cdot, dot_phasor_ramp and dot_phasors
   Tolerance axpy;             ///< axpy and axpy_phasor_ramp
   Tolerance delay_phasors;   ///< delay_phasors + accumulate_phasors
+  Tolerance log;             ///< per element, ULPs only (no absolute arm)
+  Tolerance sincos;          ///< sin and cos per element (scale 1)
 };
 
 /// Backends compiled into this binary, in dispatch-priority order

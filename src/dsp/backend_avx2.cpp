@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "common/angles.h"
 #include "common/types.h"
@@ -492,6 +493,189 @@ MMR_AVX2 void avx2_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Vector log and sincos. Four lanes per step, each lane independent of
+// its neighbours; a lane outside the kernel's domain is recomputed with
+// libm after the vector store, and the n % 4 tail is libm too (so n == 1
+// is exact libm). Coefficients are fdlibm's (e_log.c, k_sin.c, k_cos.c).
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr double kMinNormal = std::numeric_limits<double>::min();
+constexpr double kMaxFinite = std::numeric_limits<double>::max();
+
+// log(x) = e ln2 + log(m), x = 2^e m with m in [sqrt(2)/2, sqrt(2)];
+// log(m) = log((1 + s) / (1 - s)) with s = f / (2 + f), f = m - 1.
+constexpr double kLn2Hi = 6.93147180369123816490e-01;  // 0x3fe62e42fee00000
+constexpr double kLn2Lo = 1.90821492927058770002e-10;  // 0x3dea39ef35793c76
+constexpr double kLg1 = 6.666666666666735130e-01;
+constexpr double kLg2 = 3.999999999940941908e-01;
+constexpr double kLg3 = 2.857142874366239149e-01;
+constexpr double kLg4 = 2.222219843214978396e-01;
+constexpr double kLg5 = 1.818357216161805012e-01;
+constexpr double kLg6 = 1.531383769920937332e-01;
+constexpr double kLg7 = 1.479819860511658591e-01;
+
+// Cody-Waite reduction x = j pi/2 + r, |r| <~ pi/4, with pi/2 split in
+// three: the first two parts carry 33 bits each, so j * part is exact
+// for |j| < 2^20 and x - j * kPio2_1 is exact. Beyond kSincosMaxArg the
+// lane takes libm.
+constexpr double kSincosMaxArg = 0x1p20;
+constexpr double kTwoOverPi = 6.36619772367581382433e-01;
+constexpr double kPio2_1 = 1.57079632673412561417e+00;   // 0x3ff921fb54400000
+constexpr double kPio2_2 = 6.07710050630396597660e-11;   // 0x3dd0b4611a600000
+constexpr double kPio2_2t = 2.02226624879595063154e-21;  // 0x3ba3198a2e037073
+constexpr double kS1 = -1.66666666666666324348e-01;
+constexpr double kS2 = 8.33333333332248946124e-03;
+constexpr double kS3 = -1.98412698298579493134e-04;
+constexpr double kS4 = 2.75573137070700676789e-06;
+constexpr double kS5 = -2.50507602534068634195e-08;
+constexpr double kS6 = 1.58969099521155010221e-10;
+constexpr double kC1 = 4.16666666666666019037e-02;
+constexpr double kC2 = -1.38888888888741095749e-03;
+constexpr double kC3 = 2.48015872894767294178e-05;
+constexpr double kC4 = -2.75573143513906633035e-07;
+constexpr double kC5 = 2.08757232129817482790e-09;
+constexpr double kC6 = -1.13596475577881948265e-11;
+
+MMR_AVX2 inline __m256d splat(double v) { return _mm256_set1_pd(v); }
+
+// Horner step a * x + b.
+MMR_AVX2 inline __m256d mad(__m256d a, __m256d x, __m256d b) {
+  return _mm256_fmadd_pd(a, x, b);
+}
+
+// Bit mask (one bit per lane) of the lanes with lo <= |v| <= hi; NaN
+// lanes compare false.
+MMR_AVX2 inline int lanes_within(__m256d v, double lo, double hi) {
+  const __m256d a = _mm256_andnot_pd(splat(-0.0), v);
+  const __m256d ok = _mm256_and_pd(_mm256_cmp_pd(a, splat(lo), _CMP_GE_OQ),
+                                   _mm256_cmp_pd(a, splat(hi), _CMP_LE_OQ));
+  return _mm256_movemask_pd(ok);
+}
+
+MMR_AVX2 inline __m256d log4(__m256d x) {
+  const __m256d one = splat(1.0);
+  const __m256i bits = _mm256_castpd_si256(x);
+  // m in [1, 2) from the mantissa; e from the biased exponent, converted
+  // exactly through the 2^52 trick.
+  __m256d m = _mm256_castsi256_pd(
+      _mm256_or_si256(_mm256_and_si256(bits, _mm256_set1_epi64x(0x000FFFFFFFFFFFFFll)),
+                      _mm256_set1_epi64x(0x3FF0000000000000ll)));
+  __m256d e = _mm256_sub_pd(
+      _mm256_castsi256_pd(_mm256_or_si256(
+          _mm256_srli_epi64(bits, 52), _mm256_set1_epi64x(0x4330000000000000ll))),
+      splat(0x1p52 + 1023.0));
+  const __m256d big = _mm256_cmp_pd(m, splat(1.41421356237309504880), _CMP_GT_OQ);
+  m = _mm256_blendv_pd(m, _mm256_mul_pd(m, splat(0.5)), big);
+  e = _mm256_add_pd(e, _mm256_and_pd(big, one));
+  const __m256d f = _mm256_sub_pd(m, one);  // exact
+  const __m256d hfsq = _mm256_mul_pd(_mm256_mul_pd(splat(0.5), f), f);
+  const __m256d s = _mm256_div_pd(f, _mm256_add_pd(splat(2.0), f));
+  const __m256d z = _mm256_mul_pd(s, s);
+  const __m256d w = _mm256_mul_pd(z, z);
+  const __m256d t1 = _mm256_mul_pd(
+      w, mad(w, mad(w, splat(kLg6), splat(kLg4)), splat(kLg2)));
+  const __m256d t2 = _mm256_mul_pd(
+      z, mad(w, mad(w, mad(w, splat(kLg7), splat(kLg5)), splat(kLg3)),
+             splat(kLg1)));
+  const __m256d r = _mm256_add_pd(t2, t1);
+  // s (hfsq + R) + e ln2_lo - hfsq + f + e ln2_hi, left to right.
+  __m256d acc = mad(s, _mm256_add_pd(hfsq, r), _mm256_mul_pd(e, splat(kLn2Lo)));
+  acc = _mm256_sub_pd(acc, hfsq);
+  acc = _mm256_add_pd(acc, f);
+  return mad(e, splat(kLn2Hi), acc);
+}
+
+MMR_AVX2 inline void sincos4(__m256d x, __m256d* sin_out, __m256d* cos_out) {
+  const __m256d j = _mm256_round_pd(_mm256_mul_pd(x, splat(kTwoOverPi)),
+                                    _MM_FROUND_TO_NEAREST_INT |
+                                        _MM_FROUND_NO_EXC);
+  __m256d r = _mm256_fnmadd_pd(j, splat(kPio2_1), x);
+  r = _mm256_fnmadd_pd(j, splat(kPio2_2), r);
+  r = _mm256_fnmadd_pd(j, splat(kPio2_2t), r);
+  const __m256d z = _mm256_mul_pd(r, r);
+  // sin r = r + r^3 (S1 + z (S2 + ... + z S6))
+  const __m256d sp = mad(
+      z, mad(z, mad(z, mad(z, splat(kS6), splat(kS5)), splat(kS4)), splat(kS3)),
+      splat(kS2));
+  const __m256d sin_r = mad(_mm256_mul_pd(z, r), mad(z, sp, splat(kS1)), r);
+  // cos r = w + (((1 - w) - z/2) + z R), w = 1 - z/2
+  const __m256d w2 = _mm256_mul_pd(z, z);
+  const __m256d cr = _mm256_add_pd(
+      _mm256_mul_pd(z, mad(z, mad(z, splat(kC3), splat(kC2)), splat(kC1))),
+      _mm256_mul_pd(_mm256_mul_pd(w2, w2),
+                    mad(z, mad(z, splat(kC6), splat(kC5)), splat(kC4))));
+  const __m256d hz = _mm256_mul_pd(splat(0.5), z);
+  const __m256d w = _mm256_sub_pd(splat(1.0), hz);
+  const __m256d cos_r = _mm256_add_pd(
+      w, mad(z, cr, _mm256_sub_pd(_mm256_sub_pd(splat(1.0), w), hz)));
+  // Quadrant q = j mod 4 from the low mantissa bits of j + 1.5 * 2^52:
+  // odd q swaps sin and cos; sin is negated for q in {2, 3}, cos for
+  // q in {1, 2}.
+  const __m256i q = _mm256_castpd_si256(_mm256_add_pd(j, splat(0x1.8p52)));
+  const __m256d swap = _mm256_castsi256_pd(_mm256_slli_epi64(q, 63));
+  const __m256d sign = splat(-0.0);
+  const __m256d sin_sign =
+      _mm256_and_pd(_mm256_castsi256_pd(_mm256_slli_epi64(q, 62)), sign);
+  const __m256d cos_sign = _mm256_and_pd(
+      _mm256_castsi256_pd(_mm256_slli_epi64(
+          _mm256_add_epi64(q, _mm256_set1_epi64x(1)), 62)),
+      sign);
+  *sin_out = _mm256_xor_pd(_mm256_blendv_pd(sin_r, cos_r, swap), sin_sign);
+  *cos_out = _mm256_xor_pd(_mm256_blendv_pd(cos_r, sin_r, swap), cos_sign);
+}
+
+}  // namespace
+
+MMR_AVX2 void avx2_log(const double* x, double* y, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_loadu_pd(x + i);
+    _mm256_storeu_pd(y + i, log4(v));
+    // Positive normal finite lanes only: zero, negatives, subnormals,
+    // Inf and NaN take libm.
+    const int ok = lanes_within(v, kMinNormal, kMaxFinite) &
+                   ~_mm256_movemask_pd(v);
+    if (ok != 0xF) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        if (!(ok & (1 << l))) y[i + l] = std::log(x[i + l]);
+      }
+    }
+  }
+  for (; i < n; ++i) y[i] = std::log(x[i]);
+}
+
+MMR_AVX2 void avx2_sincos(const double* x, double* s, double* c,
+                          std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_loadu_pd(x + i);
+    __m256d sv;
+    __m256d cv;
+    sincos4(v, &sv, &cv);
+    _mm256_storeu_pd(s + i, sv);
+    _mm256_storeu_pd(c + i, cv);
+    // Normal finite lanes within the reduction's range only: zeros
+    // (whose sign sin must keep), subnormals, |x| > 2^20, Inf and NaN
+    // take libm.
+    const int ok = lanes_within(v, kMinNormal, kSincosMaxArg);
+    if (ok != 0xF) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        if (!(ok & (1 << l))) {
+          s[i + l] = std::sin(x[i + l]);
+          c[i + l] = std::cos(x[i + l]);
+        }
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    s[i] = std::sin(x[i]);
+    c[i] = std::cos(x[i]);
+  }
+}
+
 const KernelTable* avx2_table() {
   static const KernelTable table = [] {
     KernelTable t;
@@ -504,6 +688,8 @@ const KernelTable* avx2_table() {
     t.delay_phasors = &avx2_delay_phasors;
     t.accumulate_phasors = &avx2_accumulate_phasors;
     t.dot_phasors = &avx2_dot_phasors;
+    t.log = &avx2_log;
+    t.sincos = &avx2_sincos;
     return t;
   }();
   return &table;

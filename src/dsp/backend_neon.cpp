@@ -14,6 +14,7 @@
 
 #include <cstddef>
 
+#include "common/rng.h"
 #include "common/types.h"
 #include "dsp/backend.h"
 #include "dsp/backend_kernels.h"
@@ -93,6 +94,9 @@ const KernelTable* neon_table() {
     t.delay_phasors = &portable_delay_phasors;
     t.accumulate_phasors = &portable_accumulate_phasors;
     t.dot_phasors = &portable_dot_phasors;
+    // No NEON log/sincos kernels yet: the scalar reference (libm).
+    t.log = &libm_log;
+    t.sincos = &libm_sincos;
     return t;
   }();
   return &table;

@@ -19,6 +19,7 @@
 #include <cstddef>
 
 #include "common/angles.h"
+#include "common/rng.h"
 #include "common/types.h"
 #include "dsp/backend.h"
 #include "dsp/backend_kernels.h"
@@ -278,6 +279,9 @@ const KernelTable* portable_table() {
     t.delay_phasors = &portable_delay_phasors;
     t.accumulate_phasors = &portable_accumulate_phasors;
     t.dot_phasors = &portable_dot_phasors;
+    // No portable log/sincos kernels: the scalar reference (libm).
+    t.log = &libm_log;
+    t.sincos = &libm_sincos;
     return t;
   }();
   return &table;

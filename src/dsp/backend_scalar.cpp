@@ -7,6 +7,7 @@
 #include <cstddef>
 
 #include "common/angles.h"
+#include "common/rng.h"
 #include "common/types.h"
 #include "dsp/backend.h"
 #include "dsp/backend_kernels.h"
@@ -133,6 +134,8 @@ const KernelTable* scalar_table() {
     // sum ph[i] * w[i] in element order: with ph = the scalar ramp this
     // is scalar_dot_phasor_ramp's sum, term for term.
     t.dot_phasors = &scalar_cdot;
+    t.log = &libm_log;
+    t.sincos = &libm_sincos;
     return t;
   }();
   return &table;

@@ -74,4 +74,17 @@ cplx dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
   return active_table().dot_phasors(ph, w, n);
 }
 
+void log(const double* x, double* y, std::size_t n) {
+  active_table().log(x, y, n);
+}
+
+void sincos(const double* x, double* s, double* c, std::size_t n) {
+  active_table().sincos(x, s, c, n);
+}
+
+NormalMath normal_math() {
+  const KernelTable& t = active_table();
+  return NormalMath{t.log, t.sincos};
+}
+
 }  // namespace mmr::dsp

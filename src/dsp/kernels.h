@@ -16,20 +16,24 @@
 // backend table (dsp/backend.h): the scalar reference keeps the contract
 // above verbatim, while the portable/AVX2/NEON backends may reassociate
 // sums and evaluate phasors by anchor+rotation within a declared,
-// test-enforced tolerance (dsp::tolerances()). Goldens and journal
-// byte-identity always run against the scalar reference.
+// test-enforced tolerance (dsp::tolerances()). The goldens' exact pins
+// hold on the scalar reference; ctest runs the sweep and engine suites
+// under it (sweep_forced_scalar, engine_forced_scalar) as well as on the
+// CPU-selected backend, where their tolerances absorb the difference.
 //
 // Edge/aliasing contract (all backends, enforced by
 // tests/dsp/backend_test.cpp):
 //  * n == 0 is a no-op (reductions return 0+0j); n == 1 is exact libm.
 //  * axpy allows x == y (full aliasing: y[i] += alpha*y[i] element-wise).
 //    PARTIALLY overlapping x/y ranges are undefined across all backends.
-//  * phasor_ramp/axpy_phasor_ramp/delay_phasors/accumulate_phasors
-//    destinations must not overlap their inputs (freqs or ph vs dst).
+//  * phasor_ramp/axpy_phasor_ramp/delay_phasors/accumulate_phasors/
+//    log/sincos destinations must not overlap their inputs (freqs, ph or
+//    x vs dst).
 #pragma once
 
 #include <cstddef>
 
+#include "common/rng.h"
 #include "common/types.h"
 
 namespace mmr::dsp {
@@ -135,5 +139,24 @@ void accumulate_phasors(cplx alpha, const PhasorGrid& grid, const cplx* ph,
 /// dot_phasor_ramp(step, w, n) on every backend, so a steering ramp
 /// formed once serves every weight vector.
 cplx dot_phasors(const cplx* ph, const cplx* w, std::size_t n);
+
+// ---------------------------------------------------------------------------
+// Element-wise transcendentals of the probe impairments. The scalar
+// reference is libm; the AVX2 backend evaluates whole vectors in house
+// (Cody-Waite reduction plus polynomials) and hands lanes outside its
+// domain -- non-finite, zero, subnormal, or beyond the reduction's range
+// -- back to libm.
+// ---------------------------------------------------------------------------
+
+/// y[i] = log(x[i]) for i in [0, n).
+void log(const double* x, double* y, std::size_t n);
+
+/// s[i] = sin(x[i]), c[i] = cos(x[i]) for i in [0, n).
+void sincos(const double* x, double* s, double* c, std::size_t n);
+
+/// The active backend's log and sincos as the transform of a batched
+/// Box-Muller draw (Rng::normals). On the scalar backend the batch is
+/// bit for bit the sequence of Rng::normal() calls it replaces.
+NormalMath normal_math();
 
 }  // namespace mmr::dsp

@@ -117,7 +117,7 @@ struct Network::Session {
   double ttt_since = 0.0;
   double last_handover_s = -1.0e18;
   std::size_t handovers = 0;
-  std::vector<core::LinkSample> samples;
+  core::LinkTally tally;
   std::vector<core::FaultEvent> faults;
 
   explicit Session(const core::LinkStateConfig& sm_config) : sm(sm_config) {}
@@ -183,8 +183,7 @@ void Network::leave(std::size_t slot) {
   s.stepper.reset();
   s.controller.reset();
   s.world.reset();
-  s.samples.clear();
-  s.samples.shrink_to_fit();
+  s.tally = {};
   s.faults.clear();
   s.faults.shrink_to_fit();
   s.live = false;
@@ -408,13 +407,8 @@ void Network::size_slot_scratch() {
 }
 
 void Network::begin() {
-  const sim::RunConfig& rc = spec_.run;
   handover_events_.clear();
-  const auto num_ticks = static_cast<std::size_t>(rc.duration_s / rc.tick_s);
-  for (auto& s : sessions_) {
-    s->samples.clear();
-    if (record_samples_ && s->live) s->samples.reserve(num_ticks);
-  }
+  for (auto& s : sessions_) s->tally = {};
   size_slot_scratch();
 }
 
@@ -439,7 +433,7 @@ void Network::scoring_pass(double t_s) {
     const core::LinkSample sample =
         s.stepper->score(t, inr, spec_.run.protocol_overhead);
     tick_samples_[slot] = sample;
-    if (record_samples_) s.samples.push_back(sample);
+    s.tally.add(sample, spec_.run.outage_snr_db);
     drive_state(s, t, sample.snr_db);
   }
 }
@@ -480,8 +474,7 @@ NetworkResult Network::finish(sim::TelemetrySink* sink) {
     LinkReport report;
     report.link = s.link;
     report.serving_cell = s.serving_cell;
-    report.summary =
-        core::summarize_link(s.samples, rc.outage_snr_db, bandwidth);
+    report.summary = s.tally.summary(bandwidth);
     report.handovers = s.handovers;
     report.time_down_s = s.sm.time_in(core::LinkState::kDown);
     report.time_acquisition_s = s.sm.time_in(core::LinkState::kAcquisition);

@@ -151,7 +151,7 @@ class Network {
   NetworkResult run(sim::TelemetrySink* sink = nullptr);
 
   // --- Resumable-step interface -------------------------------------
-  /// Reset per-run state (sample buffers, handover events) and size the
+  /// Reset per-run state (link tallies, handover events) and size the
   /// slot scratch. Call once before a step_tick sequence; run() calls it
   /// for you. Each session's controller starts on its first tick.
   void begin();
@@ -182,9 +182,6 @@ class Network {
   std::span<const core::LinkSample> tick_samples() const {
     return tick_samples_;
   }
-  /// Retain per-tick sample history for finish()'s summaries (default
-  /// true; the streaming service turns it off -- bounded memory).
-  void set_record_samples(bool record) { record_samples_ = record; }
 
  private:
   struct Session;
@@ -217,7 +214,6 @@ class Network {
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<std::size_t> free_slots_;
   std::size_t live_count_ = 0;
-  bool record_samples_ = true;
   std::vector<core::HandoverEvent> handover_events_;
   /// gNB position of each cell (global frame).
   std::vector<channel::Vec2> gnbs_;

@@ -1,9 +1,11 @@
 #include "phy/estimator.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/angles.h"
 #include "common/error.h"
+#include "dsp/kernels.h"
 
 namespace mmr::phy {
 
@@ -17,7 +19,7 @@ ChannelEstimator::ChannelEstimator(EstimatorConfig config, Rng rng)
   MMR_EXPECTS(config_.pilot_averaging_gain >= 1.0);
 }
 
-CVec ChannelEstimator::estimate(const CVec& true_csi) {
+CVec ChannelEstimator::estimate(CVec true_csi) {
   MMR_EXPECTS(!true_csi.empty());
   // CFO: per-probe carrier phase.
   if (config_.random_cfo_phase) {
@@ -32,13 +34,28 @@ CVec ChannelEstimator::estimate(const CVec& true_csi) {
   const double noise_var =
       config_.noise_gain_0db / config_.pilot_averaging_gain;
 
-  CVec est(true_csi.size());
-  for (std::size_t k = 0; k < true_csi.size(); ++k) {
-    const double phase = cfo_phase_ + slope * static_cast<double>(k);
-    const cplx rot(std::cos(phase), std::sin(phase));
-    est[k] = (true_csi[k] + rng_.complex_normal(noise_var)) * rot;
+  // Per subcarrier k: (H(k) + complex_normal(noise_var)) * exp(j phase_k),
+  // a chunk of subcarriers at a time. The noise draws keep their order
+  // (complex_normals), and the composition stays plain C++.
+  const NormalMath math = dsp::normal_math();
+  constexpr std::size_t kChunk = 64;
+  cplx noise[kChunk];
+  double phase[kChunk];
+  double sin_p[kChunk];
+  double cos_p[kChunk];
+  for (std::size_t k0 = 0; k0 < true_csi.size(); k0 += kChunk) {
+    const std::size_t m = std::min(kChunk, true_csi.size() - k0);
+    for (std::size_t i = 0; i < m; ++i) {
+      phase[i] = cfo_phase_ + slope * static_cast<double>(k0 + i);
+    }
+    math.sincos(phase, sin_p, cos_p, m);
+    rng_.complex_normals(noise, m, noise_var, math);
+    for (std::size_t i = 0; i < m; ++i) {
+      cplx& h = true_csi[k0 + i];
+      h = (h + noise[i]) * cplx(cos_p[i], sin_p[i]);
+    }
   }
-  return est;
+  return true_csi;
 }
 
 double ChannelEstimator::estimate_power(const CVec& true_csi) {

@@ -37,8 +37,11 @@ class ChannelEstimator {
   ChannelEstimator(EstimatorConfig config, Rng rng);
 
   /// One probe: corrupt the true per-subcarrier CSI with AWGN and
-  /// CFO/SFO phase impairments.
-  CVec estimate(const CVec& true_csi);
+  /// CFO/SFO phase impairments, in place over `true_csi`'s storage (pass
+  /// an rvalue to reuse it). The AWGN and the per-subcarrier rotations
+  /// run through the active dsp backend's log/sincos; on the scalar
+  /// backend every bit equals the per-subcarrier libm loop.
+  CVec estimate(CVec true_csi);
 
   /// Magnitude-only power estimate: mean |H(k)|^2 across subcarriers of a
   /// fresh probe. Robust to CFO/SFO by construction.

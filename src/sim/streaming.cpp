@@ -202,7 +202,6 @@ void StreamingService::begin() {
     sh->network = std::make_unique<net::Network>(
         spec_.network, shard_seed, sh->workspace.get(),
         /*populate_sessions=*/false);
-    sh->network->set_record_samples(false);
     sh->network->begin();
     sh->churn_rng = Rng(Rng::derive_stream_seed(shard_seed, kChurnSeedStream));
     shards_.push_back(std::move(sh));

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/error.h"
+#include "dsp/kernels.h"
 #include "sim/workspace.h"
 
 namespace mmr::sim {
@@ -120,23 +121,13 @@ void LinkWorld::set_time(double t_s) {
 core::LinkProbeInterface LinkWorld::probe_interface() {
   core::LinkProbeInterface link;
   link.csi = [this](const CVec& weights) -> CVec {
-    if (paths_.empty()) {
-      // Fully occluded: the estimate is pure noise.
-      CVec noise(config_.spec.num_subcarriers);
-      const double var = phy::noise_reference(config_.budget) /
-                         config_.pilot_averaging_gain;
-      for (cplx& c : noise) c = rng_.complex_normal(var);
-      return noise;
-    }
+    if (paths_.empty()) return noise_csi();
     std::optional<LocalResponse> local;
-    CVec truth(config_.spec.num_subcarriers);
-    response(local, true).csi(weights, config_.rx, truth.data());
-    return estimator_.estimate(truth);
+    CVec csi(config_.spec.num_subcarriers);
+    response(local, true).csi(weights, config_.rx, csi.data());
+    return estimator_.estimate(std::move(csi));
   };
   link.cir = [this](const CVec& weights, std::size_t num_taps) -> CVec {
-    const double var = phy::noise_reference(config_.budget) /
-                       config_.pilot_averaging_gain /
-                       static_cast<double>(config_.spec.num_subcarriers);
     CVec cir(num_taps, cplx{});
     if (!paths_.empty()) {
       const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
@@ -144,10 +135,7 @@ core::LinkProbeInterface LinkWorld::probe_interface() {
       response(local, false).cir(weights, config_.rx, config_.spec, num_taps,
                                  std::abs(jitter), cir.data());
     }
-    // CFO: a common rotation leaves |taps| intact but keeps controllers
-    // honest about not relying on absolute phase.
-    const cplx rot = std::polar(1.0, rng_.uniform(0.0, 2.0 * 3.14159265358979));
-    for (cplx& c : cir) c = c * rot + rng_.complex_normal(var);
+    impair_cir(cir);
     return cir;
   };
   return link;
@@ -156,24 +144,15 @@ core::LinkProbeInterface LinkWorld::probe_interface() {
 LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
   JointProbe jp;
   jp.csi = [this](const CVec& tx_w, const CVec& rx_w) -> CVec {
-    if (paths_.empty()) {
-      CVec noise(config_.spec.num_subcarriers);
-      const double var = phy::noise_reference(config_.budget) /
-                         config_.pilot_averaging_gain;
-      for (cplx& c : noise) c = rng_.complex_normal(var);
-      return noise;
-    }
+    if (paths_.empty()) return noise_csi();
     const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
     std::optional<LocalResponse> local;
-    CVec truth(config_.spec.num_subcarriers);
-    response(local, true).csi(tx_w, rx, truth.data());
-    return estimator_.estimate(truth);
+    CVec csi(config_.spec.num_subcarriers);
+    response(local, true).csi(tx_w, rx, csi.data());
+    return estimator_.estimate(std::move(csi));
   };
   jp.cir = [this](const CVec& tx_w, const CVec& rx_w,
                   std::size_t num_taps) -> CVec {
-    const double var = phy::noise_reference(config_.budget) /
-                       config_.pilot_averaging_gain /
-                       static_cast<double>(config_.spec.num_subcarriers);
     CVec cir(num_taps, cplx{});
     if (!paths_.empty()) {
       const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
@@ -182,11 +161,40 @@ LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
       response(local, false).cir(tx_w, rx, config_.spec, num_taps,
                                  std::abs(jitter), cir.data());
     }
-    const cplx rot = std::polar(1.0, rng_.uniform(0.0, 2.0 * 3.14159265358979));
-    for (cplx& c : cir) c = c * rot + rng_.complex_normal(var);
+    impair_cir(cir);
     return cir;
   };
   return jp;
+}
+
+CVec LinkWorld::noise_csi() {
+  // Fully occluded: the estimate is pure noise.
+  CVec noise(config_.spec.num_subcarriers);
+  const double var =
+      phy::noise_reference(config_.budget) / config_.pilot_averaging_gain;
+  rng_.complex_normals(noise.data(), noise.size(), var, dsp::normal_math());
+  return noise;
+}
+
+void LinkWorld::impair_cir(CVec& cir) {
+  const double var = phy::noise_reference(config_.budget) /
+                     config_.pilot_averaging_gain /
+                     static_cast<double>(config_.spec.num_subcarriers);
+  // CFO: a common rotation leaves |taps| intact but keeps controllers
+  // honest about not relying on absolute phase.
+  const cplx rot = std::polar(1.0, rng_.uniform(0.0, 2.0 * 3.14159265358979));
+  // AWGN per tap, drawn a chunk at a time in per-tap order.
+  const NormalMath math = dsp::normal_math();
+  constexpr std::size_t kChunk = 64;
+  cplx noise[kChunk];
+  for (std::size_t k0 = 0; k0 < cir.size(); k0 += kChunk) {
+    const std::size_t m = std::min(kChunk, cir.size() - k0);
+    rng_.complex_normals(noise, m, var, math);
+    for (std::size_t i = 0; i < m; ++i) {
+      cplx& c = cir[k0 + i];
+      c = c * rot + noise[i];
+    }
+  }
 }
 
 const channel::PathResponse& LinkWorld::response(

@@ -119,6 +119,12 @@ class LinkWorld {
   /// Mean received power over the subcarriers (paths non-empty).
   double received_power(const CVec& tx_weights,
                         const channel::RxFrontend& rx) const;
+  /// CSI probe of a link with no traced path: estimation noise only.
+  CVec noise_csi();
+  /// CIR probe impairments, in place: one CFO rotation, then AWGN per
+  /// tap. Both noise draws run through the active dsp backend's
+  /// log/sincos (Rng::complex_normals).
+  void impair_cir(CVec& cir);
 
   channel::Environment env_;
   channel::Pose tx_pose_;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace mmr {
 namespace {
@@ -119,6 +122,88 @@ TEST(Rng, UniformRange) {
     EXPECT_GE(u, -2.0);
     EXPECT_LT(u, 5.0);
   }
+}
+
+// --- Batched draws (Rng::normals / complex_normals) ------------------
+// With libm's transcendentals the batch must be bit for bit the sequence
+// of normal() calls it replaces, and leave the generator in the same
+// state: same uniforms consumed, same cached second sample.
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void expect_batch_matches_sequential(Rng batched, Rng sequential,
+                                     std::size_t n, const std::string& where) {
+  std::vector<double> got(n + 1, 42.0);  // got[n] guards against overrun
+  batched.normals(got.data(), n, kLibmNormalMath);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double want = sequential.normal();
+    ASSERT_TRUE(same_bits(got[i], want))
+        << where << " draw " << i << ": " << got[i] << " vs " << want;
+  }
+  EXPECT_EQ(got[n], 42.0) << where << ": wrote past n";
+  // Same exit state: the cached sample (if any), then fresh pairs.
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(same_bits(batched.normal(), sequential.normal()))
+        << where << ": normal() #" << k << " after the batch";
+  }
+  EXPECT_EQ(batched.next_u64(), sequential.next_u64()) << where;
+}
+
+TEST(RngBatch, NormalsEqualSequentialCallsBitwise) {
+  for (std::size_t n = 0; n <= 129; ++n) {
+    for (const bool primed : {false, true}) {
+      Rng rng(1000 + n);
+      // One normal() leaves the second sample of its pair cached, so the
+      // batch enters with the cache full.
+      if (primed) (void)rng.normal();
+      expect_batch_matches_sequential(
+          rng, rng, n,
+          "n=" + std::to_string(n) + (primed ? " cached" : " empty"));
+    }
+  }
+}
+
+TEST(RngBatch, ZeroFirstUniformTakesTheSameNudge) {
+  // With s0 == s3 == 0 the next xoshiro256++ output is rotl(0, 23) + 0,
+  // so the first pair's u1 is exactly 0 and must become 2^-53.
+  const Rng zero_first =
+      Rng::from_state(0, 0x0123456789ABCDEFull, 0xFEDCBA9876543210ull, 0);
+  Rng check = zero_first;
+  ASSERT_EQ(check.uniform(), 0.0);
+  for (const std::size_t n : {1u, 2u, 3u, 64u, 129u}) {
+    expect_batch_matches_sequential(zero_first, zero_first, n,
+                                    "zero u1, n=" + std::to_string(n));
+  }
+  Rng rng = zero_first;
+  double first = 0.0;
+  rng.normals(&first, 1, kLibmNormalMath);
+  EXPECT_TRUE(std::isfinite(first));
+  EXPECT_LE(std::abs(first), std::sqrt(-2.0 * std::log(0x1.0p-53)));
+}
+
+TEST(RngBatch, ComplexNormalsEqualSequentialCallsBitwise) {
+  for (const std::size_t n : {0u, 1u, 2u, 5u, 63u, 64u, 65u}) {
+    for (const bool primed : {false, true}) {
+      Rng a(77 + n);
+      if (primed) (void)a.normal();
+      Rng b = a;
+      std::vector<cplx> got(n);
+      a.complex_normals(got.data(), n, 0.37, kLibmNormalMath);
+      for (std::size_t i = 0; i < n; ++i) {
+        const cplx want = b.complex_normal(0.37);
+        ASSERT_TRUE(same_bits(got[i].real(), want.real()) &&
+                    same_bits(got[i].imag(), want.imag()))
+            << "n=" << n << " draw " << i;
+      }
+      EXPECT_TRUE(same_bits(a.normal(), b.normal())) << "n=" << n;
+    }
+  }
+}
+
+TEST(RngBatch, FromStateRejectsTheAllZeroState) {
+  EXPECT_THROW(Rng::from_state(0, 0, 0, 0), std::logic_error);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 //   * selection: parse_backend round-trips, auto maps to best_backend,
 //     set_backend refuses unsupported backends, ScopedBackend restores,
 //   * edges: n == 0 is a no-op / zero reduction, n == 1 is exact libm,
+//     log/sincos lanes outside the vector domain (+-0, subnormals,
+//     negatives, NaN/Inf, |x| beyond 2^20) are exact libm,
 //   * aliasing: axpy with x == y (full overlap) is well-defined,
 //   * CplxBatch: length-0 and length-1 batches, bounds-checked row().
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -112,6 +116,13 @@ TEST_P(KernelEdges, LengthZeroIsANoOp) {
   dsp::accumulate_phasors(cplx(3.0, 1.0), grid, &ph, &guard);
   EXPECT_EQ(guard, cplx(42.0, -7.0));
   EXPECT_EQ(dsp::dot_phasors(&ph, &guard, 0), cplx(0.0, 0.0));
+  const double x = 0.5;
+  double y = 9.0, s = 8.0, c = 7.0;
+  dsp::log(&x, &y, 0);
+  dsp::sincos(&x, &s, &c, 0);
+  EXPECT_EQ(y, 9.0);
+  EXPECT_EQ(s, 8.0);
+  EXPECT_EQ(c, 7.0);
 }
 
 TEST_P(KernelEdges, LengthOneIsExactLibm) {
@@ -132,6 +143,95 @@ TEST_P(KernelEdges, LengthOneIsExactLibm) {
   const cplx got = dsp::cdot(&a, &b, 1);
   EXPECT_EQ(got.real(), expect.real());
   EXPECT_EQ(got.imag(), expect.imag());
+  // A lone element (and any n % 4 tail) is libm on every backend.
+  for (double x : {0x1.0p-53, 0.37, 1.0 - 0x1.0p-53, 2.0, 6.283185307179586,
+                   -3.9, 1e5}) {
+    double y = 0.0, s = 0.0, c = 0.0;
+    dsp::log(&x, &y, 1);
+    dsp::sincos(&x, &s, &c, 1);
+    if (x > 0.0) EXPECT_EQ(y, std::log(x)) << "x " << x;
+    EXPECT_EQ(s, std::sin(x)) << "x " << x;
+    EXPECT_EQ(c, std::cos(x)) << "x " << x;
+  }
+}
+
+bool same_bits_or_both_nan(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// The vector domains of dsp/kernels.h: positive normal finite x for log,
+// normal |x| <= 2^20 for sincos. Outside them a lane is libm's.
+bool log_lane_is_libm(double x) {
+  return !(x >= std::numeric_limits<double>::min() &&
+           x <= std::numeric_limits<double>::max());
+}
+
+bool sincos_lane_is_libm(double x) {
+  const double a = std::abs(x);
+  return !(a >= std::numeric_limits<double>::min() && a <= 0x1p20);
+}
+
+TEST_P(KernelEdges, LogAndSincosLanesOutsideTheDomainAreLibm) {
+  // Each special value visits every lane of a 12-element block (three
+  // vectors on AVX2) among ordinary values. A lane outside the vector
+  // domain must be exactly libm; every other lane -- the domain's own
+  // bounds and the neighbours included -- stays within the declared
+  // tolerance.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kBound = 0x1p20;  // the AVX2 reduction's range
+  const double specials[] = {0.0,
+                             -0.0,
+                             kInf,
+                             -kInf,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -1.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::nextafter(kBound, kInf),
+                             -std::nextafter(kBound, kInf),
+                             1e300,
+                             -1e300,
+                             // The last arguments the vector paths take.
+                             std::numeric_limits<double>::min(),
+                             std::numeric_limits<double>::max(),
+                             kBound,
+                             -kBound,
+                             0x1.0p-53,
+                             1.0 - 0x1.0p-53};
+  const dsp::KernelTolerances tol = dsp::tolerances(GetParam());
+  mmr::testing::UlpAudit audit(std::string("log/sincos lanes on ") +
+                               std::string(dsp::backend_name(GetParam())));
+  constexpr std::size_t kN = 12;
+  for (const double special : specials) {
+    for (std::size_t lane = 0; lane < kN; ++lane) {
+      double x[kN], y[kN], s[kN], c[kN];
+      for (std::size_t i = 0; i < kN; ++i) {
+        x[i] = 0.25 + 0.5 * static_cast<double>(i);
+      }
+      x[lane] = special;
+      dsp::log(x, y, kN);
+      dsp::sincos(x, s, c, kN);
+      for (std::size_t i = 0; i < kN; ++i) {
+        if (log_lane_is_libm(x[i])) {
+          EXPECT_TRUE(same_bits_or_both_nan(y[i], std::log(x[i])))
+              << "log(" << x[i] << ") lane " << lane;
+        } else {
+          audit.compare_tol(y[i], std::log(x[i]), tol.log, 1.0);
+        }
+        if (sincos_lane_is_libm(x[i])) {
+          EXPECT_TRUE(same_bits_or_both_nan(s[i], std::sin(x[i])))
+              << "sin(" << x[i] << ") lane " << lane;
+          EXPECT_TRUE(same_bits_or_both_nan(c[i], std::cos(x[i])))
+              << "cos(" << x[i] << ") lane " << lane;
+        } else {
+          audit.compare_tol(s[i], std::sin(x[i]), tol.sincos, 1.0);
+          audit.compare_tol(c[i], std::cos(x[i]), tol.sincos, 1.0);
+        }
+      }
+    }
+  }
+  audit.finish(std::size(specials) * kN * (kN - 1) * 3);
 }
 
 TEST_P(KernelEdges, AxpyAllowsFullyAliasedInputOutput) {

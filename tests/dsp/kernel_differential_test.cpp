@@ -143,6 +143,56 @@ CVec random_cvec(Rng& rng, std::size_t n) {
   return v;
 }
 
+/// Arguments of the probe-impairment log/sincos calls, one domain per
+/// case: (0) Box-Muller u1 in [2^-53, 1) with its angle 2 pi u2; (1)
+/// u1 -> 1 and 2 pi u2 -> 2 pi, a few ulps below 1; (2) u1 near 2^-53;
+/// (3) CFO/SFO rotation phases cfo + slope * k, random-CFO and
+/// random-walk (wrapped) forms; (4) arguments near the AVX2 reduction's
+/// 2^20 bound, both signs, and log over the whole positive normal range.
+void probe_math_inputs(Rng& rng, std::size_t domain, RVec& log_in,
+                       RVec& angles) {
+  const std::size_t n = log_in.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (domain) {
+      case 0: {
+        double u1 = rng.uniform();
+        if (u1 <= 0.0) u1 = 0x1.0p-53;
+        log_in[i] = u1;
+        angles[i] = 2.0 * kPi * rng.uniform();
+        break;
+      }
+      case 1: {
+        const double below = std::ldexp(
+            static_cast<double>(1 + rng.uniform_index(1u << 12)), -53);
+        log_in[i] = 1.0 - below;
+        angles[i] = 2.0 * kPi * (1.0 - below);
+        break;
+      }
+      case 2:
+        log_in[i] = std::ldexp(
+            static_cast<double>(1 + rng.uniform_index(1u << 20)), -53);
+        angles[i] = 2.0 * kPi * rng.uniform();
+        break;
+      case 3: {
+        const double cfo = rng.bernoulli(0.5)
+                               ? rng.uniform(0.0, 2.0 * kPi)
+                               : wrap_2pi(rng.normal(0.0, 40.0));
+        const double slope = rng.normal(0.0, 0.02);
+        angles[i] = cfo + slope * static_cast<double>(rng.uniform_index(512));
+        log_in[i] = rng.uniform(1e-3, 1e3);
+        break;
+      }
+      default: {
+        const double mag = 0x1p20 * (1.0 + rng.uniform(-1e-6, 1e-6));
+        angles[i] = rng.bernoulli(0.5) ? mag : -mag;
+        log_in[i] = std::ldexp(rng.uniform(0.5, 1.0),
+                               static_cast<int>(rng.uniform_index(2040)) - 1020);
+        break;
+      }
+    }
+  }
+}
+
 std::vector<channel::Path> random_paths(Rng& rng, std::size_t count) {
   std::vector<channel::Path> paths(count);
   for (channel::Path& p : paths) {
@@ -284,6 +334,27 @@ TEST_F(KernelDiff, DelayPhasorAccumulateMatchesScalarLoop) {
 // ---------------------------------------------------------------------------
 // Rewired production functions vs pre-PR scalar references
 // ---------------------------------------------------------------------------
+
+TEST_F(KernelDiff, LogAndSincosAreLibm) {
+  // The scalar entries are libm element for element: Rng::normals and the
+  // estimator reproduce the per-draw libm calls only if this holds.
+  Rng base(0x106C05ull);
+  UlpAudit audit("log/sincos");
+  for (std::uint64_t c = 0; c < 2000; ++c) {
+    Rng rng = base.fork(c);
+    const std::size_t n = 1 + rng.uniform_index(40);
+    RVec x(n), ang(n), y(n), s(n), co(n);
+    probe_math_inputs(rng, c % 5, x, ang);
+    dsp::log(x.data(), y.data(), n);
+    dsp::sincos(ang.data(), s.data(), co.data(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      audit.compare(y[i], std::log(x[i]), 0);
+      audit.compare(s[i], std::sin(ang[i]), 0);
+      audit.compare(co[i], std::cos(ang[i]), 0);
+    }
+  }
+  audit.finish(10000);
+}
 
 TEST_F(KernelDiff, SteeringVectorAndBatchMatchScalarReference) {
   Rng base(0x57EE41ull);
@@ -807,6 +878,39 @@ TEST_P(KernelBackendSweep, DelayPhasorsWithinDeclaredTolerance) {
     });
   }
   audit.finish(10000);
+}
+
+TEST_P(KernelBackendSweep, LogAndSincosWithinDeclaredTolerance) {
+  Rng base(0xB4C4106ull);
+  UlpAudit log_audit(std::string("log/") +
+                     std::string(dsp::backend_name(GetParam())));
+  UlpAudit sincos_audit(std::string("sincos/") +
+                        std::string(dsp::backend_name(GetParam())));
+  for (std::uint64_t c = 0; c < 10000; ++c) {
+    Rng rng = base.fork(c);
+    const std::size_t n = 1 + rng.uniform_index(24);
+    RVec x(n), ang(n);
+    probe_math_inputs(rng, c % 5, x, ang);
+    RVec ref_log(n), ref_s(n), ref_c(n);
+    {
+      dsp::ScopedBackend scalar(dsp::Backend::kScalar);
+      ASSERT_TRUE(scalar.ok());
+      dsp::log(x.data(), ref_log.data(), n);
+      dsp::sincos(ang.data(), ref_s.data(), ref_c.data(), n);
+    }
+    with_backend([&] {
+      RVec got_log(n), got_s(n), got_c(n);
+      dsp::log(x.data(), got_log.data(), n);
+      dsp::sincos(ang.data(), got_s.data(), got_c.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        log_audit.compare_tol(got_log[i], ref_log[i], tol_.log, 1.0);
+        sincos_audit.compare_tol(got_s[i], ref_s[i], tol_.sincos, 1.0);
+        sincos_audit.compare_tol(got_c[i], ref_c[i], tol_.sincos, 1.0);
+      }
+    });
+  }
+  log_audit.finish(10000);
+  sincos_audit.finish(20000);
 }
 
 TEST_P(KernelBackendSweep, BatchedSteeringEvaluatorsWithinTolerance) {

@@ -5,6 +5,8 @@
 //     (sign symmetry of IEEE rounding makes both bit-exact even for the
 //     FMA backends),
 //   * axpy is linear in alpha within the declared backend tolerance,
+//   * batched normals (Rng::normals through each backend's log/sincos)
+//     have the standard normal's mean, variance and fourth moment,
 //   * Arena reset/reuse is address-stable, and a trial rerun on a reset
 //     workspace -- or with no workspace at all -- is bit-identical.
 #include <gtest/gtest.h>
@@ -151,6 +153,45 @@ TEST(KernelProps, AxpyIsLinearInAlphaWithinBackendTolerance) {
       }
     }
     audit.finish(1000);
+  });
+}
+
+TEST(KernelProps, BatchedNormalMomentsOnEveryBackend) {
+  // 2^20 draws in probe-sized batches (128 = one CSI probe's 64
+  // subcarriers, plus odd sizes that move the cached-sample hand-off).
+  // Bounds are five standard errors of each sample moment of N(0, 1):
+  // sqrt(1/N), sqrt(2/N) and sqrt(96/N).
+  constexpr std::size_t kDraws = std::size_t{1} << 20;
+  const double n = static_cast<double>(kDraws);
+  testing::for_each_supported_backend([&](dsp::Backend b) {
+    dsp::ScopedBackend scoped(b);
+    ASSERT_TRUE(scoped.ok());
+    Rng rng(kBaseSeed + 17);
+    const NormalMath math = dsp::normal_math();
+    std::vector<double> batch(129);
+    double m1 = 0.0, m2 = 0.0, m4 = 0.0;
+    std::size_t drawn = 0;
+    for (std::size_t k = 0; drawn < kDraws; ++k) {
+      const std::size_t len =
+          std::min<std::size_t>(k % 3 == 0 ? 128 : 1 + k % 129,
+                                kDraws - drawn);
+      rng.normals(batch.data(), len, math);
+      for (std::size_t i = 0; i < len; ++i) {
+        const double x = batch[i];
+        ASSERT_TRUE(std::isfinite(x)) << dsp::backend_name(b);
+        m1 += x;
+        m2 += x * x;
+        m4 += x * x * x * x;
+      }
+      drawn += len;
+    }
+    m1 /= n;
+    m2 /= n;
+    m4 /= n;
+    EXPECT_NEAR(m1, 0.0, 5.0 * std::sqrt(1.0 / n)) << dsp::backend_name(b);
+    EXPECT_NEAR(m2 - m1 * m1, 1.0, 5.0 * std::sqrt(2.0 / n))
+        << dsp::backend_name(b);
+    EXPECT_NEAR(m4, 3.0, 5.0 * std::sqrt(96.0 / n)) << dsp::backend_name(b);
   });
 }
 
