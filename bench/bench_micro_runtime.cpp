@@ -133,8 +133,8 @@ BENCHMARK(BM_CodebookConstruction);
 // ---------------------------------------------------------------------------
 // Kernel before/after benchmarks. The *_Scalar variants inline the
 // pre-kernel implementation shapes (per-angle steering-vector temporary +
-// materialized dot); the *_Batched / *_Fused / *_Cached variants are the
-// production paths. Every variant reports items_per_second via
+// materialized dot); the *_Fused / *_Cached variants are the production
+// paths. Every variant reports items_per_second via
 // SetItemsProcessed (one item = one evaluated angle), so the before/after
 // throughput ratio is read directly off --benchmark_format=json.
 // ---------------------------------------------------------------------------
@@ -158,32 +158,6 @@ RVec bench_angle_grid(std::size_t points) {
   }
   return phis;
 }
-
-void BM_SteeringVectorGrid_Scalar(benchmark::State& state) {
-  const array::Ula ula{64, 0.5};
-  const RVec phis = bench_angle_grid(181);
-  for (auto _ : state) {
-    for (double phi : phis) {
-      CVec a = scalar_steering(ula, phi);
-      benchmark::DoNotOptimize(a.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(phis.size()));
-}
-BENCHMARK(BM_SteeringVectorGrid_Scalar);
-
-void BM_SteeringVectorGrid_Batched(benchmark::State& state) {
-  const array::Ula ula{64, 0.5};
-  const RVec phis = bench_angle_grid(181);
-  for (auto _ : state) {
-    dsp::CplxBatch batch = array::steering_vector_batch(ula, phis);
-    benchmark::DoNotOptimize(batch.row_re(0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(phis.size()));
-}
-BENCHMARK(BM_SteeringVectorGrid_Batched);
 
 void BM_SingleBeamWeights_Scalar(benchmark::State& state) {
   const array::Ula ula{64, 0.5};
@@ -251,21 +225,6 @@ void BM_PatternCut_Fused(benchmark::State& state) {
 }
 BENCHMARK(BM_PatternCut_Fused);
 
-void BM_PatternCut_Cached(benchmark::State& state) {
-  const array::Ula ula{64, 0.5};
-  const CVec w = array::single_beam_weights(ula, 0.0);
-  constexpr std::size_t kPoints = 181;
-  array::PatternCache& cache = array::PatternCache::instance();
-  for (auto _ : state) {
-    auto cut = cache.cut(ula, w, deg_to_rad(-60.0), deg_to_rad(60.0),
-                         kPoints);
-    benchmark::DoNotOptimize(cut->gain_db.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kPoints));
-}
-BENCHMARK(BM_PatternCut_Cached);
-
 // ---------------------------------------------------------------------------
 // Per-backend kernel benchmarks (PR-6 dispatch layer). One registration
 // per compiled-and-executable backend, named BM_Kernel<Name>/<backend>,
@@ -274,7 +233,7 @@ BENCHMARK(BM_PatternCut_Cached);
 // "before": it is the bit-exact PR-2 reference the goldens run on).
 // Each kernel runs at two sizes: 64 (the production CSI row / ULA weight
 // length, where per-call dispatch overhead is part of the honest cost)
-// and 512 (wideband grids and batch rows, where the loop dominates).
+// and 512 (wideband grids, where the loop dominates).
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kKernelReps = 64;  // amortize the dispatch load
@@ -288,23 +247,6 @@ void BM_KernelPhasorRamp(benchmark::State& state, dsp::Backend backend) {
       dsp::phasor_ramp(0.0123 + 1e-6 * static_cast<double>(r), n,
                        dst.data());
       benchmark::DoNotOptimize(dst.data());
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kKernelReps * n));
-}
-
-void BM_KernelCdot(benchmark::State& state, dsp::Backend backend) {
-  dsp::ScopedBackend scoped(backend);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(11);
-  CVec a(n), b(n);
-  for (auto& c : a) c = rng.complex_normal();
-  for (auto& c : b) c = rng.complex_normal();
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < kKernelReps; ++r) {
-      cplx d = dsp::cdot(a.data(), b.data(), n);
-      benchmark::DoNotOptimize(d);
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -419,7 +361,6 @@ void register_backend_benchmarks() {
     BenchFn fn;
   } kKernelBenches[] = {
       {"BM_KernelPhasorRamp", &BM_KernelPhasorRamp},
-      {"BM_KernelCdot", &BM_KernelCdot},
       {"BM_KernelDotPhasorRamp", &BM_KernelDotPhasorRamp},
       {"BM_KernelAxpy", &BM_KernelAxpy},
       {"BM_KernelDelayPhasors", &BM_KernelDelayPhasors},

@@ -22,9 +22,9 @@
 // --json-out receives the standard sweep records (write_sweep_json), so a
 // 1-cell/1-UE run is byte-comparable to the engine path. --controller
 // narrows the sweep to one scheme; --scenario swaps the crowd template
-// (default indoor_crowd).
+// (default indoor_crowd). The campaign keeps no journal: --resume,
+// --trial-retries, --trial-timeout-s and the distributed roles exit 2.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -78,13 +78,11 @@ int main(int argc, char** argv) {
   net::register_net_builtins();
   NetworkCliOptions net_opts;
   auto extra = [&net_opts](int& i, int argc_in, char** argv_in) -> bool {
-    auto value_of = [&](const char* flag) -> const char* {
-      const std::size_t len = std::strlen(flag);
-      if (std::strncmp(argv_in[i], flag, len) == 0) {
-        if (argv_in[i][len] == '=') return argv_in[i] + len + 1;
-        if (argv_in[i][len] == '\0' && i + 1 < argc_in) return argv_in[++i];
-      }
-      return nullptr;
+    bench::refuse_campaign_flags(
+        argv_in[i], argv_in[0], {"--shards"},
+        "the network campaign keeps no journal to resume, retry or shard");
+    auto value_of = [&](const char* flag) {
+      return bench::detail::flag_value(i, argc_in, argv_in, flag);
     };
     if (const char* v = value_of("--cells")) {
       net_opts.cells = bench::detail::require_size("--cells", v, argv_in[0]);
@@ -110,14 +108,6 @@ int main(int argc, char** argv) {
       argc, argv, extra,
       "          [--cells N] [--ues-per-cell N] [--cell-spacing-m X]\n"
       "          [--network-json-out FILE]");
-  if (bench::distributed_mode(opts) || !opts.shard_queue.empty()) {
-    std::fprintf(stderr,
-                 "%s: --shard/--shard-queue/--merge apply only to "
-                 "trial-campaign benches; the network campaign has no "
-                 "journal to shard\n",
-                 argv[0]);
-    return 2;
-  }
   const std::size_t trials = opts.trials > 0 ? opts.trials : 10;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 21;
   const std::vector<std::string> schemes =

@@ -29,13 +29,14 @@
 //                        flushed once at the end; campaigns keep 1)
 //
 // --seed/--jobs/--controller/--scenario/--freeze-timing/--json-out come
-// from the shared CLI. With --freeze-timing the ENTIRE JSON stream is
+// from the shared CLI; its trial-campaign flags (--trials, --faults,
+// --resume, --trial-retries, --trial-timeout-s and the distributed roles)
+// exit 2. With --freeze-timing the ENTIRE JSON stream is
 // byte-identical across --jobs values (the determinism contract pinned
 // by tests/streaming): the {"rss": ...} lines are suppressed and the
 // summary's rss fields zeroed, because RSS is machine state like wall
 // clock (thread stacks alone shift VmRSS across jobs counts).
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -123,13 +124,13 @@ int main(int argc, char** argv) {
   net::register_net_builtins();
   StreamingCliOptions st;
   auto extra = [&st](int& i, int argc_in, char** argv_in) -> bool {
-    auto value_of = [&](const char* flag) -> const char* {
-      const std::size_t len = std::strlen(flag);
-      if (std::strncmp(argv_in[i], flag, len) == 0) {
-        if (argv_in[i][len] == '=') return argv_in[i] + len + 1;
-        if (argv_in[i][len] == '\0' && i + 1 < argc_in) return argv_in[++i];
-      }
-      return nullptr;
+    // --shards is this bench's own flag (session-table shards), below.
+    bench::refuse_campaign_flags(
+        argv_in[i], argv_in[0], {"--trials", "--faults"},
+        "the streaming service runs live sessions, not journaled trials, "
+        "and takes no fault plan");
+    auto value_of = [&](const char* flag) {
+      return bench::detail::flag_value(i, argc_in, argv_in, flag);
     };
     if (const char* v = value_of("--sessions")) {
       st.sessions = bench::detail::require_size("--sessions", v, argv_in[0]);
@@ -194,16 +195,6 @@ int main(int argc, char** argv) {
       "          [--max-sessions N] [--tick-s X] [--cells N]\n"
       "          [--ues-per-cell N] [--interference 0|1] "
       "[--flush-every-n N]");
-  if (bench::distributed_mode(opts) || !opts.shard_queue.empty()) {
-    std::fprintf(stderr,
-                 "%s: --shard/--shard-queue/--merge apply only to "
-                 "trial-campaign benches; the streaming service has no "
-                 "journal to shard (--shards here sizes the session "
-                 "table)\n",
-                 argv[0]);
-    return 2;
-  }
-
   sim::StreamingSpec spec;
   spec.name = "streaming";
   spec.sessions = st.sessions;

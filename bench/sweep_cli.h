@@ -118,6 +118,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -172,6 +173,19 @@ inline bool distributed_mode(const SweepCliOptions& opts) {
 }
 
 namespace detail {
+
+/// The value of `flag` when argv[i] spells it `--flag VALUE` (advancing
+/// `i` past the value) or `--flag=VALUE`; nullptr for any other argument,
+/// including a bare `--flag` with no value after it.
+inline const char* flag_value(int& i, int argc, char** argv,
+                              const char* flag) {
+  const std::size_t len = std::strlen(flag);
+  if (std::strncmp(argv[i], flag, len) == 0) {
+    if (argv[i][len] == '=') return argv[i] + len + 1;
+    if (argv[i][len] == '\0' && i + 1 < argc) return argv[++i];
+  }
+  return nullptr;
+}
 
 inline std::size_t require_size(const char* flag, const char* value,
                                 const char* prog) {
@@ -410,17 +424,37 @@ inline std::vector<std::string> watch_shard_journals(
 /// (optional) is appended to the usage text.
 using ExtraFlagHandler = std::function<bool(int& i, int argc, char** argv)>;
 
+/// Exit 2 when `arg` names one of the shared grammar's trial-campaign
+/// flags (the journal flags --resume, --trial-retries, --trial-timeout-s
+/// and the distributed roles) or one of `also`, bare or `--flag=VALUE`:
+/// a bench with no journaled trial campaign would otherwise accept and
+/// ignore them. Call it first in that bench's ExtraFlagHandler, which
+/// sees each argument before the shared grammar does, so a refused
+/// --shard-queue exits before it claims a queue ticket.
+inline void refuse_campaign_flags(const char* arg, const char* prog,
+                                  std::initializer_list<const char*> also,
+                                  const char* why) {
+  static constexpr const char* kCampaignFlags[] = {
+      "--resume", "--trial-retries", "--trial-timeout-s", "--shard",
+      "--shard-queue", "--lease-ttl-s", "--merge", "--watch"};
+  const auto refuse = [&](const char* flag) {
+    const std::size_t len = std::strlen(flag);
+    if (std::strncmp(arg, flag, len) == 0 &&
+        (arg[len] == '\0' || arg[len] == '=')) {
+      std::fprintf(stderr, "%s: %s is not supported: %s\n", prog, flag, why);
+      std::exit(2);
+    }
+  };
+  for (const char* flag : kCampaignFlags) refuse(flag);
+  for (const char* flag : also) refuse(flag);
+}
+
 inline SweepCliOptions parse_sweep_cli(int argc, char** argv,
                                        const ExtraFlagHandler& extra,
                                        const char* extra_usage) {
   SweepCliOptions opts;
-  auto value_of = [&](int& i, const char* flag) -> const char* {
-    const std::size_t flag_len = std::strlen(flag);
-    if (std::strncmp(argv[i], flag, flag_len) == 0) {
-      if (argv[i][flag_len] == '=') return argv[i] + flag_len + 1;
-      if (argv[i][flag_len] == '\0' && i + 1 < argc) return argv[++i];
-    }
-    return nullptr;
+  auto value_of = [&](int& i, const char* flag) {
+    return detail::flag_value(i, argc, argv, flag);
   };
   for (int i = 1; i < argc; ++i) {
     // Bench-specific flags win over sweep-wide ones so a bench that

@@ -29,8 +29,9 @@ struct Ula {
 
 /// Electrical phase step between adjacent elements toward phi:
 /// 2 pi (d/lambda) sin(phi). Element n's steering phase is -step * n.
-/// Inline so the scalar and batched paths evaluate the identical
-/// expression (bit-compatibility of the dsp::kernels layer rests on it).
+/// Inline so every caller (steering vectors, array factors, the
+/// per-tick path table) evaluates the identical expression
+/// (bit-compatibility of the dsp::kernels layer rests on it).
 inline double steering_phase_step(const Ula& ula, double phi_rad) {
   return 2.0 * kPi * ula.spacing_wavelengths * std::sin(phi_rad);
 }

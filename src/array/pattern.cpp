@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "array/pattern_cache.h"
 #include "common/angles.h"
 #include "common/error.h"
 #include "common/units.h"
@@ -37,11 +36,12 @@ PatternCut pattern_cut(const Ula& ula, const CVec& weights, double lo_rad,
   MMR_EXPECTS(weights.size() == ula.num_elements);
   PatternCut cut;
   cut.angle_rad.resize(points);
+  cut.gain_db.resize(points);
   for (std::size_t i = 0; i < points; ++i) {
     cut.angle_rad[i] = lo_rad + (hi_rad - lo_rad) * static_cast<double>(i) /
                                     static_cast<double>(points - 1);
+    cut.gain_db[i] = power_gain_db(ula, weights, cut.angle_rad[i]);
   }
-  cut.gain_db = power_gain_db_batch(ula, weights, cut.angle_rad);
   return cut;
 }
 

@@ -1,10 +1,6 @@
 #include "array/pattern_cache.h"
 
 #include <bit>
-#include <cmath>
-
-#include "common/error.h"
-#include "common/units.h"
 
 namespace mmr::array {
 namespace {
@@ -22,106 +18,25 @@ std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 }  // namespace
 
-dsp::CplxBatch steering_vector_batch(const Ula& ula, const RVec& phis_rad) {
-  MMR_EXPECTS(ula.num_elements >= 1);
-  MMR_EXPECTS(ula.spacing_wavelengths > 0.0);
-  dsp::CplxBatch batch(phis_rad.size(), ula.num_elements);
-  for (std::size_t r = 0; r < phis_rad.size(); ++r) {
-    dsp::phasor_ramp(steering_phase_step(ula, phis_rad[r]), ula.num_elements,
-                     batch.row_re(r), batch.row_im(r));
-  }
-  return batch;
-}
-
-dsp::CplxBatch steering_vector_wideband_batch(const Ula& ula, double phi_rad,
-                                              double carrier_hz,
-                                              const RVec& freq_offsets_hz) {
-  MMR_EXPECTS(carrier_hz > 0.0);
-  dsp::CplxBatch batch(freq_offsets_hz.size(), ula.num_elements);
-  for (std::size_t r = 0; r < freq_offsets_hz.size(); ++r) {
-    // Same electrical-length scaling as steering_vector_wideband.
-    const double scale = (carrier_hz + freq_offsets_hz[r]) / carrier_hz;
-    Ula scaled = ula;
-    scaled.spacing_wavelengths = ula.spacing_wavelengths * scale;
-    MMR_EXPECTS(scaled.spacing_wavelengths > 0.0);
-    dsp::phasor_ramp(steering_phase_step(scaled, phi_rad), ula.num_elements,
-                     batch.row_re(r), batch.row_im(r));
-  }
-  return batch;
-}
-
-CVec array_factor_batch(const Ula& ula, const CVec& weights,
-                        const RVec& phis_rad) {
-  MMR_EXPECTS(weights.size() == ula.num_elements);
-  CVec out(phis_rad.size());
-  // One grid-lifetime scratch row: the phasor ramp and the dot run as
-  // separate call-free loops (libm sin/cos interleaved with complex
-  // multiply-adds serializes badly), while the FP op order — and hence
-  // every bit of the result — matches dot_phasor_ramp exactly.
-  CVec scratch(weights.size());
-  for (std::size_t r = 0; r < phis_rad.size(); ++r) {
-    dsp::phasor_ramp(steering_phase_step(ula, phis_rad[r]), scratch.size(),
-                     scratch.data());
-    out[r] = dsp::cdot(scratch.data(), weights.data(), weights.size());
-  }
-  return out;
-}
-
-RVec power_gain_db_batch(const Ula& ula, const CVec& weights,
-                         const RVec& phis_rad) {
-  MMR_EXPECTS(weights.size() == ula.num_elements);
-  RVec out(phis_rad.size());
-  CVec scratch(weights.size());
-  for (std::size_t r = 0; r < phis_rad.size(); ++r) {
-    dsp::phasor_ramp(steering_phase_step(ula, phis_rad[r]), scratch.size(),
-                     scratch.data());
-    const cplx af = dsp::cdot(scratch.data(), weights.data(), weights.size());
-    out[r] = to_db(std::norm(af));
-  }
-  return out;
-}
-
-std::vector<CVec> single_beam_weights_batch(const Ula& ula,
-                                            const RVec& phis_rad) {
-  MMR_EXPECTS(ula.num_elements >= 1);
-  MMR_EXPECTS(ula.spacing_wavelengths > 0.0);
-  const double inv_sqrt_n =
-      1.0 / std::sqrt(static_cast<double>(ula.num_elements));
-  std::vector<CVec> out;
-  out.reserve(phis_rad.size());
-  for (double phi : phis_rad) {
-    const double step = steering_phase_step(ula, phi);
-    CVec w(ula.num_elements);
-    // Fused conj(a(phi)) / sqrt(N): same per-element ops as
-    // single_beam_weights, minus the steering-vector temporary.
-    for (std::size_t n = 0; n < w.size(); ++n) {
-      w[n] = std::conj(dsp::unit_phasor(step, n)) * inv_sqrt_n;
-    }
-    out.push_back(std::move(w));
-  }
-  return out;
-}
-
 PatternCache& PatternCache::instance() {
   static PatternCache cache;
   return cache;
 }
 
 std::size_t PatternCache::KeyHash::operator()(const Key& k) const {
-  std::uint64_t h = mix64(k.kind ^ mix64(k.num_elements));
+  std::uint64_t h = mix64(mix64(k.num_elements));
   h = mix64(h ^ k.spacing_bits);
-  for (std::uint64_t v : k.payload) h = mix64(h ^ v);
-  return static_cast<std::size_t>(h);
+  return static_cast<std::size_t>(mix64(h ^ k.angle_bits));
 }
 
-PatternCache::Shard& PatternCache::shard_for(const Key& key) {
-  return shards_[KeyHash{}(key) % kNumShards];
-}
-
-template <typename Make>
-PatternCache::Entry PatternCache::lookup_or_insert(const Key& key,
-                                                   const Make& make) {
-  Shard& shard = shard_for(key);
+std::shared_ptr<const CVec> PatternCache::beam_weights(const Ula& ula,
+                                                       double phi_rad) {
+  if (!enabled_.load(std::memory_order_relaxed)) {
+    return std::make_shared<const CVec>(single_beam_weights(ula, phi_rad));
+  }
+  const Key key{ula.num_elements, bits_of(ula.spacing_wavelengths),
+                bits_of(phi_rad)};
+  Shard& shard = shards_[KeyHash{}(key) % kNumShards];
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
@@ -132,61 +47,13 @@ PatternCache::Entry PatternCache::lookup_or_insert(const Key& key,
   }
   // Compute outside the lock: a duplicate race computes the same pure
   // function, and first-insert-wins keeps every caller on one object.
-  Entry fresh = make();
+  auto fresh =
+      std::make_shared<const CVec>(single_beam_weights(ula, phi_rad));
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.map.size() >= kMaxEntriesPerShard) shard.map.clear();
-  auto [it, inserted] = shard.map.emplace(key, fresh);
+  auto [it, inserted] = shard.map.emplace(key, std::move(fresh));
   misses_.fetch_add(1, std::memory_order_relaxed);
   return it->second;
-}
-
-std::shared_ptr<const CVec> PatternCache::beam_weights(const Ula& ula,
-                                                       double phi_rad) {
-  if (!enabled_.load(std::memory_order_relaxed)) {
-    return std::make_shared<const CVec>(single_beam_weights(ula, phi_rad));
-  }
-  Key key;
-  key.kind = 0;
-  key.num_elements = ula.num_elements;
-  key.spacing_bits = bits_of(ula.spacing_wavelengths);
-  key.payload = {bits_of(phi_rad)};
-  return lookup_or_insert(key, [&] {
-           Entry e;
-           e.vec = std::make_shared<const CVec>(
-               single_beam_weights(ula, phi_rad));
-           return e;
-         })
-      .vec;
-}
-
-std::shared_ptr<const PatternCut> PatternCache::cut(const Ula& ula,
-                                                    const CVec& weights,
-                                                    double lo_rad,
-                                                    double hi_rad,
-                                                    std::size_t points) {
-  if (!enabled_.load(std::memory_order_relaxed)) {
-    return std::make_shared<const PatternCut>(
-        pattern_cut(ula, weights, lo_rad, hi_rad, points));
-  }
-  Key key;
-  key.kind = 1;
-  key.num_elements = ula.num_elements;
-  key.spacing_bits = bits_of(ula.spacing_wavelengths);
-  key.payload.reserve(3 + 2 * weights.size());
-  key.payload.push_back(bits_of(lo_rad));
-  key.payload.push_back(bits_of(hi_rad));
-  key.payload.push_back(points);
-  for (const cplx& w : weights) {
-    key.payload.push_back(bits_of(w.real()));
-    key.payload.push_back(bits_of(w.imag()));
-  }
-  return lookup_or_insert(key, [&] {
-           Entry e;
-           e.pattern = std::make_shared<const PatternCut>(
-               pattern_cut(ula, weights, lo_rad, hi_rad, points));
-           return e;
-         })
-      .pattern;
 }
 
 void PatternCache::clear() {

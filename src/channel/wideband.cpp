@@ -133,6 +133,15 @@ void PathResponse::cir(const CVec& tx_weights, const RxFrontend& rx,
   }
 }
 
+void PathResponse::per_antenna(const RxFrontend& rx, cplx* h) const {
+  for (std::size_t i = 0; i < num_elements_; ++i) h[i] = cplx{};
+  for (std::size_t l = 0; l < terms_.size(); ++l) {
+    dsp::accumulate_ramp(terms_[l].gain * rx.response(terms_[l].aoa_rad),
+                         steering_.data() + l * num_elements_, h,
+                         num_elements_);
+  }
+}
+
 CVec effective_csi(const std::vector<Path>& paths, const array::Ula& tx_ula,
                    const CVec& tx_weights, const WidebandSpec& spec,
                    const RxFrontend& rx) {
@@ -192,13 +201,10 @@ double received_power(const std::vector<Path>& paths,
 CVec per_antenna_channel(const std::vector<Path>& paths,
                          const array::Ula& tx_ula, const RxFrontend& rx) {
   CVec h(tx_ula.num_elements, cplx{});
-  for (const Path& p : paths) {
-    const cplx g = p.effective_gain() * rx.response(p.aoa_rad);
-    // Fused steering accumulate: h[n] += g * a(aod)[n] without the
-    // steering-vector temporary.
-    dsp::axpy_phasor_ramp(g, array::steering_phase_step(tx_ula, p.aod_rad),
-                          h.data(), h.size());
-  }
+  if (paths.empty()) return h;
+  PathResponse response;
+  response.fill(paths, tx_ula);
+  response.per_antenna(rx, h.data());
   return h;
 }
 

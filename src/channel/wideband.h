@@ -89,10 +89,11 @@ double received_power(const std::vector<Path>& paths,
 /// path its effective gain (blockage applied), AoA, excess delay over the
 /// earliest path, TX steering phasors and per-subcarrier delay phasors.
 /// Within one tick the paths stay put and only the beam weights change,
-/// so one table serves every CSI probe, CIR probe and power score of the
-/// tick. Each evaluation is bit for bit its free function above (which
-/// build a table per call): the phasors come from the dsp generation
-/// kernels and are consumed by their paired MACs (dsp/kernels.h).
+/// so one table serves every CSI probe, CIR probe, power score and
+/// oracle channel of the tick. Each evaluation is bit for bit its free
+/// function (which builds a table per call): the phasors come from the
+/// dsp generation kernels and are consumed by their paired MACs
+/// (dsp/kernels.h).
 ///
 /// Filled in two stages: fill() sets everything but the delay phasors,
 /// which only CSI and power evaluations read and fill_delays() adds.
@@ -119,6 +120,9 @@ class PathResponse {
   void cir(const CVec& tx_weights, const RxFrontend& rx,
            const WidebandSpec& spec, std::size_t num_taps,
            double timing_offset_s, cplx* cir) const;
+  /// per_antenna_channel into h[0..num_elements): each path's steering
+  /// ramp, scaled by its gain through `rx`, accumulated in path order.
+  void per_antenna(const RxFrontend& rx, cplx* h) const;
 
  private:
   /// path_amplitude of path `l`: g_l * AF_tx(phi_l) * AF_rx(theta_l).

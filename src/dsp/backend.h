@@ -60,23 +60,18 @@ enum class Backend {
 /// Dispatch table: one entry per hot kernel. Entries a backend does not
 /// accelerate point at the scalar reference implementation.
 struct KernelTable {
-  void (*phasor_ramp_soa)(double step, std::size_t n, double* dst_re,
-                          double* dst_im) = nullptr;
-  void (*phasor_ramp_interleaved)(double step, std::size_t n,
-                                  cplx* dst) = nullptr;
-  cplx (*cdot)(const cplx* a, const cplx* b, std::size_t n) = nullptr;
+  void (*phasor_ramp)(double step, std::size_t n, cplx* dst) = nullptr;
   cplx (*dot_phasor_ramp)(double step, const cplx* w,
                           std::size_t n) = nullptr;
   void (*axpy)(cplx alpha, const cplx* x, cplx* y, std::size_t n) = nullptr;
-  void (*axpy_phasor_ramp)(cplx alpha, double step, cplx* y,
-                           std::size_t n) = nullptr;
   // Phasor generation and consumption are separate entries so a phasor
   // formed once can serve many weight vectors. Each backend's
   // consumption kernel repeats the arithmetic its own fused form used
-  // (dsp/kernels.h), which is why these are not cdot/axpy: the NEON axpy,
-  // for one, rounds differently from the portable MAC NEON's phasor
-  // kernels pair with. `affine` is the grid's one-time affine check
-  // (dsp::make_phasor_grid); `df` its step.
+  // (dsp/kernels.h), which is why these are not a plain dot/axpy: the
+  // NEON axpy, for one, rounds differently from the portable MAC NEON's
+  // phasor kernels pair with. `affine` is the grid's one-time affine
+  // check (dsp::make_phasor_grid), `df` its step; a steering ramp
+  // (phasor_ramp) is consumed as an affine grid.
   void (*delay_phasors)(const double* freqs, bool affine, double df,
                         double delay_s, cplx* dst, std::size_t n) = nullptr;
   void (*accumulate_phasors)(cplx alpha, bool affine, const cplx* ph,
@@ -106,8 +101,8 @@ struct Tolerance {
 /// by the backend-sweeping differential tier and printed in DESIGN.md).
 struct KernelTolerances {
   Tolerance phasor_ramp;
-  Tolerance dot;              ///< cdot, dot_phasor_ramp and dot_phasors
-  Tolerance axpy;             ///< axpy and axpy_phasor_ramp
+  Tolerance dot;             ///< dot_phasor_ramp and dot_phasors
+  Tolerance axpy;            ///< axpy, and a steering ramp accumulated
   Tolerance delay_phasors;   ///< delay_phasors + accumulate_phasors
   Tolerance log;             ///< per element, ULPs only (no absolute arm)
   Tolerance sincos;          ///< sin and cos per element (scale 1)

@@ -75,65 +75,21 @@ inline void rotate_anchor(double rot_re, double rot_im, double* a_re,
   *a_im = im;
 }
 
-}  // namespace
+// Deltas as two interleaved vectors [re0 im0 re1 im1] per pair.
+struct InterleavedDeltas {
+  __m256d v[kB / 2];
+};
 
-MMR_AVX2 cplx avx2_cdot(const cplx* a, const cplx* b, std::size_t n) {
-  const double* ap = reinterpret_cast<const double*>(a);
-  const double* bp = reinterpret_cast<const double*>(b);
-  // Two-FMA accumulation: acc_p collects [ar*br, ai*bi, ...] and acc_q
-  // collects [ar*bi, ai*br, ...]; the horizontal finish combines
-  // re = sum(ar*br) - sum(ai*bi), im = sum(ar*bi) + sum(ai*br). That is
-  // one shuffle + two FMAs per two complexes, vs three shuffles + mul +
-  // fmaddsub + add for the addsub idiom -- the loop runs at FMA-port
-  // throughput instead of shuffle-port throughput. The difference of two
-  // large sums is covered by the absolute arm of the dot tolerance.
-  __m256d p0 = _mm256_setzero_pd();
-  __m256d p1 = _mm256_setzero_pd();
-  __m256d p2 = _mm256_setzero_pd();
-  __m256d p3 = _mm256_setzero_pd();
-  __m256d q0 = _mm256_setzero_pd();
-  __m256d q1 = _mm256_setzero_pd();
-  __m256d q2 = _mm256_setzero_pd();
-  __m256d q3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d a0 = _mm256_loadu_pd(ap + 2 * i);
-    const __m256d b0 = _mm256_loadu_pd(bp + 2 * i);
-    p0 = _mm256_fmadd_pd(a0, b0, p0);
-    q0 = _mm256_fmadd_pd(a0, _mm256_permute_pd(b0, 0x5), q0);
-    const __m256d a1 = _mm256_loadu_pd(ap + 2 * i + 4);
-    const __m256d b1 = _mm256_loadu_pd(bp + 2 * i + 4);
-    p1 = _mm256_fmadd_pd(a1, b1, p1);
-    q1 = _mm256_fmadd_pd(a1, _mm256_permute_pd(b1, 0x5), q1);
-    const __m256d a2 = _mm256_loadu_pd(ap + 2 * i + 8);
-    const __m256d b2 = _mm256_loadu_pd(bp + 2 * i + 8);
-    p2 = _mm256_fmadd_pd(a2, b2, p2);
-    q2 = _mm256_fmadd_pd(a2, _mm256_permute_pd(b2, 0x5), q2);
-    const __m256d a3 = _mm256_loadu_pd(ap + 2 * i + 12);
-    const __m256d b3 = _mm256_loadu_pd(bp + 2 * i + 12);
-    p3 = _mm256_fmadd_pd(a3, b3, p3);
-    q3 = _mm256_fmadd_pd(a3, _mm256_permute_pd(b3, 0x5), q3);
+MMR_AVX2 inline InterleavedDeltas interleave_deltas(const RampDeltas& d) {
+  InterleavedDeltas out;
+  for (std::size_t k = 0; k < kB / 2; ++k) {
+    out.v[k] = _mm256_set_pd(d.im[2 * k + 1], d.re[2 * k + 1], d.im[2 * k],
+                             d.re[2 * k]);
   }
-  const __m256d P = _mm256_add_pd(_mm256_add_pd(p0, p1),
-                                  _mm256_add_pd(p2, p3));
-  const __m256d Q = _mm256_add_pd(_mm256_add_pd(q0, q1),
-                                  _mm256_add_pd(q2, q3));
-  alignas(32) double pb[4];
-  alignas(32) double qb[4];
-  _mm256_store_pd(pb, P);
-  _mm256_store_pd(qb, Q);
-  double re = (pb[0] - pb[1]) + (pb[2] - pb[3]);
-  double im = (qb[0] + qb[1]) + (qb[2] + qb[3]);
-  for (; i < n; ++i) {
-    const double ar = ap[2 * i];
-    const double ai = ap[2 * i + 1];
-    const double br = bp[2 * i];
-    const double bi = bp[2 * i + 1];
-    re += ar * br - ai * bi;
-    im += ar * bi + ai * br;
-  }
-  return cplx(re, im);
+  return out;
 }
+
+}  // namespace
 
 MMR_AVX2 void avx2_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
   const double* xp = reinterpret_cast<const double*>(x);
@@ -160,76 +116,9 @@ MMR_AVX2 void avx2_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
   }
 }
 
-MMR_AVX2 void avx2_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                                   double* dst_im) {
+MMR_AVX2 void avx2_phasor_ramp(double step, std::size_t n, cplx* dst) {
   if (n < 2 * kB) {
-    scalar_phasor_ramp_soa(step, n, dst_re, dst_im);
-    return;
-  }
-  const RampDeltas d = compute_ramp_deltas(step);
-  const __m256d dre0 = _mm256_loadu_pd(d.re);
-  const __m256d dre1 = _mm256_loadu_pd(d.re + 4);
-  const __m256d dim0 = _mm256_loadu_pd(d.im);
-  const __m256d dim1 = _mm256_loadu_pd(d.im + 4);
-  double rot_re;
-  double rot_im;
-  exact_phasor(step, kB, &rot_re, &rot_im);
-  const auto emit_block = [&](std::size_t base, double a_re, double a_im)
-                              MMR_AVX2 {
-    const __m256d are = _mm256_set1_pd(a_re);
-    const __m256d aim = _mm256_set1_pd(a_im);
-    // out_re = are*dre - aim*dim ; out_im = aim*dre + are*dim
-    _mm256_storeu_pd(dst_re + base,
-                     _mm256_fmsub_pd(are, dre0, _mm256_mul_pd(aim, dim0)));
-    _mm256_storeu_pd(dst_re + base + 4,
-                     _mm256_fmsub_pd(are, dre1, _mm256_mul_pd(aim, dim1)));
-    _mm256_storeu_pd(dst_im + base,
-                     _mm256_fmadd_pd(aim, dre0, _mm256_mul_pd(are, dim0)));
-    _mm256_storeu_pd(dst_im + base + 4,
-                     _mm256_fmadd_pd(aim, dre1, _mm256_mul_pd(are, dim1)));
-  };
-  std::size_t i = 0;
-  // One libm sincos serves TWO blocks: the second block's anchor is the
-  // first rotated by kB steps (see rotate_anchor).
-  for (; i + 2 * kB <= n; i += 2 * kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    emit_block(i, a_re, a_im);
-    rotate_anchor(rot_re, rot_im, &a_re, &a_im);
-    emit_block(i + kB, a_re, a_im);
-  }
-  for (; i + kB <= n; i += kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    emit_block(i, a_re, a_im);
-  }
-  for (; i < n; ++i) exact_phasor(step, i, &dst_re[i], &dst_im[i]);
-}
-
-namespace {
-
-// Deltas as two interleaved vectors [re0 im0 re1 im1] per pair.
-struct InterleavedDeltas {
-  __m256d v[kB / 2];
-};
-
-MMR_AVX2 inline InterleavedDeltas interleave_deltas(const RampDeltas& d) {
-  InterleavedDeltas out;
-  for (std::size_t k = 0; k < kB / 2; ++k) {
-    out.v[k] = _mm256_set_pd(d.im[2 * k + 1], d.re[2 * k + 1], d.im[2 * k],
-                             d.re[2 * k]);
-  }
-  return out;
-}
-
-}  // namespace
-
-MMR_AVX2 void avx2_phasor_ramp_interleaved(double step, std::size_t n,
-                                           cplx* dst) {
-  if (n < 2 * kB) {
-    scalar_phasor_ramp_interleaved(step, n, dst);
+    scalar_phasor_ramp(step, n, dst);
     return;
   }
   const RampDeltas d = compute_ramp_deltas(step);
@@ -327,61 +216,10 @@ MMR_AVX2 cplx avx2_dot_phasor_ramp(double step, const cplx* w, std::size_t n) {
   return cplx(re, im);
 }
 
-MMR_AVX2 void avx2_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
-                                    std::size_t n) {
-  if (n < 2 * kB) {
-    scalar_axpy_phasor_ramp(alpha, step, y, n);
-    return;
-  }
-  const RampDeltas d = compute_ramp_deltas(step);
-  const InterleavedDeltas dv = interleave_deltas(d);
-  double rot_re;
-  double rot_im;
-  exact_phasor(step, kB, &rot_re, &rot_im);
-  const __m256d alr = _mm256_set1_pd(alpha.real());
-  const __m256d ali = _mm256_set1_pd(alpha.imag());
-  double* yp = reinterpret_cast<double*>(y);
-  const auto add_block = [&](std::size_t base, double a_re, double a_im)
-                             MMR_AVX2 {
-    const __m256d are = _mm256_set1_pd(a_re);
-    const __m256d aim = _mm256_set1_pd(a_im);
-    for (std::size_t k = 0; k < kB / 2; ++k) {
-      const __m256d ph = cmul_const(dv.v[k], are, aim);
-      const __m256d yv = _mm256_loadu_pd(yp + 2 * base + 4 * k);
-      _mm256_storeu_pd(yp + 2 * base + 4 * k,
-                       _mm256_add_pd(yv, cmul_const(ph, alr, ali)));
-    }
-  };
-  std::size_t i = 0;
-  for (; i + 2 * kB <= n; i += 2 * kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    add_block(i, a_re, a_im);
-    rotate_anchor(rot_re, rot_im, &a_re, &a_im);
-    add_block(i + kB, a_re, a_im);
-  }
-  for (; i + kB <= n; i += kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    add_block(i, a_re, a_im);
-  }
-  const double sar = alpha.real();
-  const double sai = alpha.imag();
-  for (; i < n; ++i) {
-    double pre;
-    double pim;
-    exact_phasor(step, i, &pre, &pim);
-    yp[2 * i] += sar * pre - sai * pim;
-    yp[2 * i + 1] += sar * pim + sai * pre;
-  }
-}
-
 MMR_AVX2 cplx avx2_dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
   // avx2_dot_phasor_ramp's accumulation over stored phasors: block b's
   // four vectors go to acc0..acc3, the same lanes the fused kernel feeds.
-  if (n < 2 * kB) return scalar_cdot(ph, w, n);
+  if (n < 2 * kB) return scalar_dot_phasors(ph, w, n);
   const double* pp = reinterpret_cast<const double*>(ph);
   const double* wp = reinterpret_cast<const double*>(w);
   __m256d acc0 = _mm256_setzero_pd();
@@ -679,12 +517,9 @@ MMR_AVX2 void avx2_sincos(const double* x, double* s, double* c,
 const KernelTable* avx2_table() {
   static const KernelTable table = [] {
     KernelTable t;
-    t.phasor_ramp_soa = &avx2_phasor_ramp_soa;
-    t.phasor_ramp_interleaved = &avx2_phasor_ramp_interleaved;
-    t.cdot = &avx2_cdot;
+    t.phasor_ramp = &avx2_phasor_ramp;
     t.dot_phasor_ramp = &avx2_dot_phasor_ramp;
     t.axpy = &avx2_axpy;
-    t.axpy_phasor_ramp = &avx2_axpy_phasor_ramp;
     t.delay_phasors = &avx2_delay_phasors;
     t.accumulate_phasors = &avx2_accumulate_phasors;
     t.dot_phasors = &avx2_dot_phasors;

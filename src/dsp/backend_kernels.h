@@ -17,31 +17,23 @@ namespace mmr::dsp::detail {
 // ---------------------------------------------------------------------------
 // Scalar reference (backend_scalar.cpp): bit-exact PR-2 loops.
 // ---------------------------------------------------------------------------
-void scalar_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                            double* dst_im);
-void scalar_phasor_ramp_interleaved(double step, std::size_t n, cplx* dst);
-cplx scalar_cdot(const cplx* a, const cplx* b, std::size_t n);
+void scalar_phasor_ramp(double step, std::size_t n, cplx* dst);
 cplx scalar_dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 void scalar_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
-void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
 void scalar_delay_phasors(const double* freqs, bool affine, double df,
                           double delay_s, cplx* dst, std::size_t n);
 void scalar_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
                                cplx* dst, std::size_t n);
+cplx scalar_dot_phasors(const cplx* ph, const cplx* w, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Portable FMA-restructured kernels (backend_portable.cpp): plain C++,
 // compiled everywhere. Reassociated accumulations (4 independent
 // accumulators) and anchor+delta phasor evaluation.
 // ---------------------------------------------------------------------------
-void portable_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                              double* dst_im);
-void portable_phasor_ramp_interleaved(double step, std::size_t n, cplx* dst);
-cplx portable_cdot(const cplx* a, const cplx* b, std::size_t n);
+void portable_phasor_ramp(double step, std::size_t n, cplx* dst);
 cplx portable_dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 void portable_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
-void portable_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
-                               std::size_t n);
 void portable_delay_phasors(const double* freqs, bool affine, double df,
                             double delay_s, cplx* dst, std::size_t n);
 void portable_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,

@@ -38,29 +38,9 @@ inline void exact_phasor(double step, std::size_t i, double* re, double* im) {
 
 }  // namespace
 
-void portable_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                              double* dst_im) {
+void portable_phasor_ramp(double step, std::size_t n, cplx* dst) {
   if (n < 2 * kB) {
-    scalar_phasor_ramp_soa(step, n, dst_re, dst_im);
-    return;
-  }
-  const RampDeltas d = compute_ramp_deltas(step);
-  std::size_t i = 0;
-  for (; i + kB <= n; i += kB) {
-    double are;
-    double aim;
-    exact_phasor(step, i, &are, &aim);
-    for (std::size_t k = 0; k < kB; ++k) {
-      dst_re[i + k] = are * d.re[k] - aim * d.im[k];
-      dst_im[i + k] = aim * d.re[k] + are * d.im[k];
-    }
-  }
-  for (; i < n; ++i) exact_phasor(step, i, &dst_re[i], &dst_im[i]);
-}
-
-void portable_phasor_ramp_interleaved(double step, std::size_t n, cplx* dst) {
-  if (n < 2 * kB) {
-    scalar_phasor_ramp_interleaved(step, n, dst);
+    scalar_phasor_ramp(step, n, dst);
     return;
   }
   const RampDeltas d = compute_ramp_deltas(step);
@@ -78,37 +58,6 @@ void portable_phasor_ramp_interleaved(double step, std::size_t n, cplx* dst) {
   for (; i < n; ++i) {
     exact_phasor(step, i, &out[2 * i], &out[2 * i + 1]);
   }
-}
-
-cplx portable_cdot(const cplx* a, const cplx* b, std::size_t n) {
-  const double* ap = reinterpret_cast<const double*>(a);
-  const double* bp = reinterpret_cast<const double*>(b);
-  double acc_re[4] = {0.0, 0.0, 0.0, 0.0};
-  double acc_im[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    for (std::size_t j = 0; j < 4; ++j) {
-      const double ar = ap[2 * (i + j)];
-      const double ai = ap[2 * (i + j) + 1];
-      const double br = bp[2 * (i + j)];
-      const double bi = bp[2 * (i + j) + 1];
-      acc_re[j] += ar * br - ai * bi;
-      acc_im[j] += ar * bi + ai * br;
-    }
-  }
-  // Deterministic combine order: ((0+1)+(2+3)), then the tail in element
-  // order. Fixed per backend so repeated calls are bit-stable.
-  double re = (acc_re[0] + acc_re[1]) + (acc_re[2] + acc_re[3]);
-  double im = (acc_im[0] + acc_im[1]) + (acc_im[2] + acc_im[3]);
-  for (; i < n; ++i) {
-    const double ar = ap[2 * i];
-    const double ai = ap[2 * i + 1];
-    const double br = bp[2 * i];
-    const double bi = bp[2 * i + 1];
-    re += ar * br - ai * bi;
-    im += ar * bi + ai * br;
-  }
-  return cplx(re, im);
 }
 
 cplx portable_dot_phasor_ramp(double step, const cplx* w, std::size_t n) {
@@ -158,40 +107,9 @@ void portable_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
   }
 }
 
-void portable_axpy_phasor_ramp(cplx alpha, double step, cplx* y,
-                               std::size_t n) {
-  if (n < 2 * kB) {
-    scalar_axpy_phasor_ramp(alpha, step, y, n);
-    return;
-  }
-  const RampDeltas d = compute_ramp_deltas(step);
-  const double ar = alpha.real();
-  const double ai = alpha.imag();
-  double* yp = reinterpret_cast<double*>(y);
-  std::size_t i = 0;
-  for (; i + kB <= n; i += kB) {
-    double are;
-    double aim;
-    exact_phasor(step, i, &are, &aim);
-    for (std::size_t k = 0; k < kB; ++k) {
-      const double pre = are * d.re[k] - aim * d.im[k];
-      const double pim = aim * d.re[k] + are * d.im[k];
-      yp[2 * (i + k)] += ar * pre - ai * pim;
-      yp[2 * (i + k) + 1] += ar * pim + ai * pre;
-    }
-  }
-  for (; i < n; ++i) {
-    double pre;
-    double pim;
-    exact_phasor(step, i, &pre, &pim);
-    yp[2 * i] += ar * pre - ai * pim;
-    yp[2 * i + 1] += ar * pim + ai * pre;
-  }
-}
-
 cplx portable_dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
   // portable_dot_phasor_ramp's accumulation over stored phasors.
-  if (n < 2 * kB) return scalar_cdot(ph, w, n);
+  if (n < 2 * kB) return scalar_dot_phasors(ph, w, n);
   const double* pp = reinterpret_cast<const double*>(ph);
   const double* wp = reinterpret_cast<const double*>(w);
   double acc_re[4] = {0.0, 0.0, 0.0, 0.0};
@@ -270,12 +188,9 @@ void portable_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
 const KernelTable* portable_table() {
   static const KernelTable table = [] {
     KernelTable t;
-    t.phasor_ramp_soa = &portable_phasor_ramp_soa;
-    t.phasor_ramp_interleaved = &portable_phasor_ramp_interleaved;
-    t.cdot = &portable_cdot;
+    t.phasor_ramp = &portable_phasor_ramp;
     t.dot_phasor_ramp = &portable_dot_phasor_ramp;
     t.axpy = &portable_axpy;
-    t.axpy_phasor_ramp = &portable_axpy_phasor_ramp;
     t.delay_phasors = &portable_delay_phasors;
     t.accumulate_phasors = &portable_accumulate_phasors;
     t.dot_phasors = &portable_dot_phasors;

@@ -23,31 +23,24 @@ inline cplx ref_unit_phasor(double step, std::size_t i) {
 
 }  // namespace
 
-void scalar_phasor_ramp_soa(double step, std::size_t n, double* dst_re,
-                            double* dst_im) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ang = -step * static_cast<double>(i);
-    dst_re[i] = std::cos(ang);
-    dst_im[i] = std::sin(ang);
-  }
-}
-
-void scalar_phasor_ramp_interleaved(double step, std::size_t n, cplx* dst) {
+void scalar_phasor_ramp(double step, std::size_t n, cplx* dst) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = ref_unit_phasor(step, i);
 }
 
-cplx scalar_cdot(const cplx* a, const cplx* b, std::size_t n) {
+cplx scalar_dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
   cplx acc{};
   std::size_t i = 0;
   // Unrolled by 4 into ONE accumulator: the additions stay in element
-  // order, so the sum rounds exactly like the naive reference loop.
+  // order, so the sum rounds exactly like the naive reference loop. With
+  // ph = the scalar ramp this is scalar_dot_phasor_ramp's sum, term for
+  // term.
   for (; i + 4 <= n; i += 4) {
-    acc += a[i] * b[i];
-    acc += a[i + 1] * b[i + 1];
-    acc += a[i + 2] * b[i + 2];
-    acc += a[i + 3] * b[i + 3];
+    acc += ph[i] * w[i];
+    acc += ph[i + 1] * w[i + 1];
+    acc += ph[i + 2] * w[i + 2];
+    acc += ph[i + 3] * w[i + 3];
   }
-  for (; i < n; ++i) acc += a[i] * b[i];
+  for (; i < n; ++i) acc += ph[i] * w[i];
   return acc;
 }
 
@@ -66,10 +59,6 @@ cplx scalar_dot_phasor_ramp(double step, const cplx* w, std::size_t n) {
 
 void scalar_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void scalar_axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * ref_unit_phasor(step, i);
 }
 
 void scalar_delay_phasors(const double* freqs, bool /*affine*/,
@@ -123,17 +112,12 @@ namespace mmr::dsp::detail {
 const KernelTable* scalar_table() {
   static const KernelTable table = [] {
     KernelTable t;
-    t.phasor_ramp_soa = &scalar_phasor_ramp_soa;
-    t.phasor_ramp_interleaved = &scalar_phasor_ramp_interleaved;
-    t.cdot = &scalar_cdot;
+    t.phasor_ramp = &scalar_phasor_ramp;
     t.dot_phasor_ramp = &scalar_dot_phasor_ramp;
     t.axpy = &scalar_axpy;
-    t.axpy_phasor_ramp = &scalar_axpy_phasor_ramp;
     t.delay_phasors = &scalar_delay_phasors;
     t.accumulate_phasors = &scalar_accumulate_phasors;
-    // sum ph[i] * w[i] in element order: with ph = the scalar ramp this
-    // is scalar_dot_phasor_ramp's sum, term for term.
-    t.dot_phasors = &scalar_cdot;
+    t.dot_phasors = &scalar_dot_phasors;
     t.log = &libm_log;
     t.sincos = &libm_sincos;
     return t;

@@ -1,6 +1,7 @@
-// Batched complex microkernels: phasor ramps (steering-vector innards),
-// fused phasor inner products (array factors), and complex axpy — the
-// primitives every beamforming hot loop reduces to.
+// Complex beamforming microkernels: phasor ramps (steering-vector
+// innards), fused phasor inner products (array factors), complex axpy,
+// and the per-tick phasor generation/consumption pairs -- the primitives
+// every beamforming hot loop reduces to.
 //
 // Bit-compatibility contract: on the SCALAR backend every kernel performs
 // the SAME per-element floating-point operations in the SAME order as the
@@ -12,10 +13,10 @@
 // is what lets the PatternCache hand one worker's result to every other
 // sweep worker without perturbing the golden figures.
 //
-// Since PR-6 every batched kernel dispatches through a runtime-selected
-// backend table (dsp/backend.h): the scalar reference keeps the contract
-// above verbatim, while the portable/AVX2/NEON backends may reassociate
-// sums and evaluate phasors by anchor+rotation within a declared,
+// Every kernel dispatches through a runtime-selected backend table
+// (dsp/backend.h): the scalar reference keeps the contract above
+// verbatim, while the portable/AVX2/NEON backends may reassociate sums
+// and evaluate phasors by anchor+rotation within a declared,
 // test-enforced tolerance (dsp::tolerances()). The goldens' exact pins
 // hold on the scalar reference; ctest runs the sweep and engine suites
 // under it (sweep_forced_scalar, engine_forced_scalar) as well as on the
@@ -26,7 +27,7 @@
 //  * n == 0 is a no-op (reductions return 0+0j); n == 1 is exact libm.
 //  * axpy allows x == y (full aliasing: y[i] += alpha*y[i] element-wise).
 //    PARTIALLY overlapping x/y ranges are undefined across all backends.
-//  * phasor_ramp/axpy_phasor_ramp/delay_phasors/accumulate_phasors/
+//  * phasor_ramp/delay_phasors/accumulate_phasors/accumulate_ramp/
 //    log/sincos destinations must not overlap their inputs (freqs, ph or
 //    x vs dst).
 #pragma once
@@ -38,73 +39,26 @@
 
 namespace mmr::dsp {
 
-/// SoA batch of `rows` complex vectors of length `cols` in ONE contiguous
-/// allocation. Row r's layout is [re x cols][im x cols], so a row's two
-/// planes are adjacent in memory and a row can be processed without
-/// touching any other row's cache lines.
-class CplxBatch {
- public:
-  CplxBatch() = default;
-  CplxBatch(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), data_(2 * rows * cols, 0.0) {}
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
-  double* row_re(std::size_t r) { return data_.data() + 2 * r * cols_; }
-  double* row_im(std::size_t r) { return row_re(r) + cols_; }
-  const double* row_re(std::size_t r) const {
-    return data_.data() + 2 * r * cols_;
-  }
-  const double* row_im(std::size_t r) const { return row_re(r) + cols_; }
-
-  cplx at(std::size_t r, std::size_t c) const {
-    return cplx(row_re(r)[c], row_im(r)[c]);
-  }
-
-  /// Materialize row r as an interleaved complex vector. Bounds-checked
-  /// (throws std::logic_error on r >= rows); the pointer accessors above
-  /// stay unchecked -- they are the hot path.
-  CVec row(std::size_t r) const;
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  RVec data_;
-};
-
-/// Unit phasor exp(-j step i): the per-element op of a steering vector
-/// with electrical phase step `step` between adjacent elements.
-cplx unit_phasor(double step, std::size_t i);
-
-/// Fill dst[i] = exp(-j step i) for i in [0, n) (interleaved complex).
+/// Fill dst[i] = exp(-j step i) for i in [0, n).
 void phasor_ramp(double step, std::size_t n, cplx* dst);
-
-/// SoA variant: dst_re[i] = cos(-step i), dst_im[i] = sin(-step i).
-void phasor_ramp(double step, std::size_t n, double* dst_re, double* dst_im);
 
 /// Fused array factor: sum_i exp(-j step i) * w[i], without materializing
 /// the phasor ramp. Sequential single-accumulator sum (unrolled by 4, no
 /// reassociation) — matches `steering_vector` + sequential dot bit for bit.
 cplx dot_phasor_ramp(double step, const cplx* w, std::size_t n);
 
-/// Unconjugated complex inner product sum_i a[i] * b[i], sequential
-/// single-accumulator order (unrolled by 4, no reassociation).
-cplx cdot(const cplx* a, const cplx* b, std::size_t n);
-
 /// y[i] += alpha * x[i] for i in [0, n).
 void axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n);
-
-/// Fused steering accumulate: y[i] += alpha * exp(-j step i). Replaces
-/// "build steering vector, then scale-add" without the temporary.
-void axpy_phasor_ramp(cplx alpha, double step, cplx* y, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Phasor generation vs consumption. Within one channel tick the traced
 // paths are fixed and only the beam weights change, so the phasors a path
 // contributes (its TX steering ramp, its per-subcarrier delay rotations)
-// are formed once and consumed by every probe. Each pair below is bit for
-// bit the fused kernel it splits, on every backend.
+// are formed once and consumed by every probe. A delay family is formed
+// by delay_phasors and consumed by accumulate_phasors; a steering ramp is
+// formed by phasor_ramp and consumed by dot_phasors (beam weights) or
+// accumulate_ramp (the per-antenna channel). Each consumer is bit for bit
+// the fused kernel it replaces, on every backend.
 // ---------------------------------------------------------------------------
 
 /// A subcarrier frequency grid as the delay-phasor kernels see it: the
@@ -137,8 +91,15 @@ void accumulate_phasors(cplx alpha, const PhasorGrid& grid, const cplx* ph,
 
 /// sum_i ph[i] * w[i] where ph holds phasor_ramp(step, n): bit for bit
 /// dot_phasor_ramp(step, w, n) on every backend, so a steering ramp
-/// formed once serves every weight vector.
+/// formed once serves every weight vector. On the scalar backend it is
+/// the sequential single-accumulator sum for any ph.
 cplx dot_phasors(const cplx* ph, const cplx* w, std::size_t n);
+
+/// dst[i] += alpha * ph[i] for i < n, where ph holds phasor_ramp(step, n):
+/// the MAC each backend pairs with its ramp (accumulate_phasors over an
+/// affine grid), so the result is bit for bit the fused steering
+/// accumulate dst[i] += alpha * exp(-j step i).
+void accumulate_ramp(cplx alpha, const cplx* ph, cplx* dst, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Element-wise transcendentals of the probe impairments. The scalar

@@ -256,7 +256,10 @@ double LinkWorld::true_snr_db(const CVec& tx_weights) const {
 
 CVec LinkWorld::true_per_antenna_channel() const {
   if (paths_.empty()) return CVec(config_.tx_ula.num_elements, cplx{1e-15, 0});
-  return channel::per_antenna_channel(paths_, config_.tx_ula, config_.rx);
+  std::optional<LocalResponse> local;
+  CVec h(config_.tx_ula.num_elements);
+  response(local, false).per_antenna(config_.rx, h.data());
+  return h;
 }
 
 double LinkWorld::power_for_snr(double snr_db) const {

@@ -60,14 +60,14 @@ class LinkWorld {
   /// true_power/true_snr_db). The frequency grid, the CSI / path-order
   /// scratch and the per-tick path-response table (channel::PathResponse)
   /// live on the workspace arena, so the steady-state scoring loop
-  /// allocates nothing, and every probe and score of one tick reads one
-  /// table instead of re-forming the paths' phasors. The table is valid
-  /// only for the tick id the last set_time took from a process-wide
-  /// counter; any other world sharing the workspace, or a later tick,
-  /// refills it. An unbound world fills a call-local table per
-  /// evaluation. Results are bit-identical with or without a workspace.
-  /// Pass nullptr to unbind. The workspace must outlive this world (or
-  /// the unbind).
+  /// allocates nothing, and every probe, score and oracle channel of one
+  /// tick reads one table instead of re-forming the paths' phasors. The
+  /// table is valid only for the tick id the last set_time took from a
+  /// process-wide counter; any other world sharing the workspace, or a
+  /// later tick, refills it. An unbound world fills a call-local table
+  /// per evaluation. Results are bit-identical with or without a
+  /// workspace. Pass nullptr to unbind. The workspace must outlive this
+  /// world (or the unbind).
   void bind_workspace(TrialWorkspace* ws) { ws_ = ws; }
 
   /// Advance the world: re-trace paths for the UE pose at t and apply all

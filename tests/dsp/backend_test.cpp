@@ -6,8 +6,7 @@
 //   * edges: n == 0 is a no-op / zero reduction, n == 1 is exact libm,
 //     log/sincos lanes outside the vector domain (+-0, subnormals,
 //     negatives, NaN/Inf, |x| beyond 2^20) are exact libm,
-//   * aliasing: axpy with x == y (full overlap) is well-defined,
-//   * CplxBatch: length-0 and length-1 batches, bounds-checked row().
+//   * aliasing: axpy with x == y (full overlap) is well-defined.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -98,15 +96,8 @@ TEST_P(KernelEdges, LengthZeroIsANoOp) {
   cplx guard(42.0, -7.0);
   dsp::phasor_ramp(1.3, 0, &guard);
   EXPECT_EQ(guard, cplx(42.0, -7.0));
-  double gre = 1.0, gim = 2.0;
-  dsp::phasor_ramp(1.3, 0, &gre, &gim);
-  EXPECT_EQ(gre, 1.0);
-  EXPECT_EQ(gim, 2.0);
-  EXPECT_EQ(dsp::cdot(&guard, &guard, 0), cplx(0.0, 0.0));
   EXPECT_EQ(dsp::dot_phasor_ramp(0.7, &guard, 0), cplx(0.0, 0.0));
   dsp::axpy(cplx(3.0, 1.0), &guard, &guard, 0);
-  EXPECT_EQ(guard, cplx(42.0, -7.0));
-  dsp::axpy_phasor_ramp(cplx(3.0, 1.0), 0.7, &guard, 0);
   EXPECT_EQ(guard, cplx(42.0, -7.0));
   const double freq = 1e6;
   const dsp::PhasorGrid grid = dsp::make_phasor_grid(&freq, 0);
@@ -114,6 +105,8 @@ TEST_P(KernelEdges, LengthZeroIsANoOp) {
   EXPECT_EQ(guard, cplx(42.0, -7.0));
   const cplx ph(0.5, 0.5);
   dsp::accumulate_phasors(cplx(3.0, 1.0), grid, &ph, &guard);
+  EXPECT_EQ(guard, cplx(42.0, -7.0));
+  dsp::accumulate_ramp(cplx(3.0, 1.0), &ph, &guard, 0);
   EXPECT_EQ(guard, cplx(42.0, -7.0));
   EXPECT_EQ(dsp::dot_phasors(&ph, &guard, 0), cplx(0.0, 0.0));
   const double x = 0.5;
@@ -140,7 +133,7 @@ TEST_P(KernelEdges, LengthOneIsExactLibm) {
   const cplx a(1.5, -2.0), b(-0.25, 3.0);
   const cplx expect(a.real() * b.real() - a.imag() * b.imag(),
                     a.real() * b.imag() + a.imag() * b.real());
-  const cplx got = dsp::cdot(&a, &b, 1);
+  const cplx got = dsp::dot_phasors(&a, &b, 1);
   EXPECT_EQ(got.real(), expect.real());
   EXPECT_EQ(got.imag(), expect.imag());
   // A lone element (and any n % 4 tail) is libm on every backend.
@@ -266,37 +259,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<dsp::Backend>& info) {
       return std::string(dsp::backend_name(info.param));
     });
-
-TEST(CplxBatchEdges, LengthZeroBatches) {
-  const dsp::CplxBatch empty;
-  EXPECT_EQ(empty.rows(), 0u);
-  EXPECT_EQ(empty.cols(), 0u);
-
-  dsp::CplxBatch no_rows(0, 8);
-  EXPECT_EQ(no_rows.rows(), 0u);
-
-  dsp::CplxBatch no_cols(3, 0);
-  EXPECT_EQ(no_cols.rows(), 3u);
-  const CVec row = no_cols.row(1);
-  EXPECT_TRUE(row.empty());
-}
-
-TEST(CplxBatchEdges, LengthOneBatchRoundTrips) {
-  dsp::CplxBatch batch(1, 1);
-  batch.row_re(0)[0] = 2.5;
-  batch.row_im(0)[0] = -1.25;
-  EXPECT_EQ(batch.at(0, 0), cplx(2.5, -1.25));
-  const CVec row = batch.row(0);
-  ASSERT_EQ(row.size(), 1u);
-  EXPECT_EQ(row[0], cplx(2.5, -1.25));
-}
-
-TEST(CplxBatchEdges, RowIsBoundsChecked) {
-  dsp::CplxBatch batch(2, 4);
-  EXPECT_THROW((void)batch.row(2), std::logic_error);
-  const dsp::CplxBatch empty;
-  EXPECT_THROW((void)empty.row(0), std::logic_error);
-}
 
 }  // namespace
 }  // namespace mmr

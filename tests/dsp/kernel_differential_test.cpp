@@ -1,5 +1,5 @@
-// Differential tests for the batched/cached beamforming kernels: every
-// fast path (dsp/kernels.h, array/pattern_cache.h, the rewired
+// Differential tests for the beamforming kernels and the weight cache:
+// every fast path (dsp/kernels.h, array/pattern_cache.h, the rewired
 // geometry/pattern/wideband callers) is driven with randomized inputs
 // from Rng::fork sub-streams and compared element-wise against a scalar
 // reference that re-states the pre-batching implementation, to a budget
@@ -224,24 +224,21 @@ TEST_F(KernelDiff, PhasorRampMatchesScalarReference) {
     Rng rng = base.fork(c);
     const double step = rng.uniform(-20.0, 20.0);
     const std::size_t n = 1 + rng.uniform_index(96);
-    CVec interleaved(n);
-    dsp::phasor_ramp(step, n, interleaved.data());
-    RVec re(n), im(n);
-    dsp::phasor_ramp(step, n, re.data(), im.data());
+    CVec ramp(n);
+    dsp::phasor_ramp(step, n, ramp.data());
     for (std::size_t i = 0; i < n; ++i) {
       const double ang = -step * static_cast<double>(i);
-      const cplx ref(std::cos(ang), std::sin(ang));
-      audit.compare(interleaved[i], ref, 1);
-      audit.compare(cplx(re[i], im[i]), ref, 1);
-      audit.compare(dsp::unit_phasor(step, i), ref, 1);
+      audit.compare(ramp[i], cplx(std::cos(ang), std::sin(ang)), 1);
     }
   }
   audit.finish(10000);
 }
 
 TEST_F(KernelDiff, CdotMatchesSequentialAccumulation) {
+  // dot_phasors over arbitrary vectors: the scalar entry is the
+  // sequential single-accumulator dot.
   Rng base(0xC0D07ull);
-  UlpAudit audit("cdot");
+  UlpAudit audit("dot_phasors");
   for (std::uint64_t c = 0; c < 400; ++c) {
     Rng rng = base.fork(c);
     const std::size_t n = 1 + rng.uniform_index(257);
@@ -249,7 +246,7 @@ TEST_F(KernelDiff, CdotMatchesSequentialAccumulation) {
     const CVec b = random_cvec(rng, n);
     cplx ref{};
     for (std::size_t i = 0; i < n; ++i) ref += a[i] * b[i];
-    audit.compare(dsp::cdot(a.data(), b.data(), n), ref, 1);
+    audit.compare(dsp::dot_phasors(a.data(), b.data(), n), ref, 1);
   }
   audit.finish(400);
 }
@@ -289,8 +286,10 @@ TEST_F(KernelDiff, AxpyKernelsMatchNaiveLoops) {
     }
 
     const double step = rng.uniform(-20.0, 20.0);
+    CVec ph(n);
+    dsp::phasor_ramp(step, n, ph.data());
     CVec got_ramp = y0;
-    dsp::axpy_phasor_ramp(alpha, step, got_ramp.data(), n);
+    dsp::accumulate_ramp(alpha, ph.data(), got_ramp.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       const double ang = -step * static_cast<double>(i);
       const cplx ref = y0[i] + alpha * cplx(std::cos(ang), std::sin(ang));
@@ -358,7 +357,7 @@ TEST_F(KernelDiff, LogAndSincosAreLibm) {
 
 TEST_F(KernelDiff, SteeringVectorAndBatchMatchScalarReference) {
   Rng base(0x57EE41ull);
-  UlpAudit audit("steering_vector[_batch]");
+  UlpAudit audit("steering_vector[_wideband]/single_beam_weights");
   for (std::uint64_t c = 0; c < 150; ++c) {
     Rng rng = base.fork(c);
     const Ula ula = random_ula(rng);
@@ -366,55 +365,24 @@ TEST_F(KernelDiff, SteeringVectorAndBatchMatchScalarReference) {
     RVec phis(num_angles);
     for (double& p : phis) p = random_angle(rng);
 
-    const dsp::CplxBatch batch = array::steering_vector_batch(ula, phis);
-    ASSERT_EQ(batch.rows(), num_angles);
-    ASSERT_EQ(batch.cols(), ula.num_elements);
     for (std::size_t r = 0; r < num_angles; ++r) {
-      const CVec ref = ref_steering(ula, phis[r]);
-      const CVec prod = array::steering_vector(ula, phis[r]);
-      const CVec row = batch.row(r);
-      for (std::size_t n = 0; n < ula.num_elements; ++n) {
-        audit.compare(prod[n], ref[n], 1);
-        audit.compare(batch.at(r, n), ref[n], 1);
-        // Batched and production paths run the identical expression:
-        // they must agree exactly, not just within the ULP budget.
-        audit.compare(row[n], prod[n], 0);
-      }
+      audit.compare_vec(array::steering_vector(ula, phis[r]),
+                        ref_steering(ula, phis[r]), 1);
+      audit.compare_vec(array::single_beam_weights(ula, phis[r]),
+                        ref_single_beam_weights(ula, phis[r]), 1);
     }
-  }
-  audit.finish(10000);
-}
-
-TEST_F(KernelDiff, WidebandSteeringBatchMatchesScalarReference) {
-  Rng base(0x51D37ull);
-  UlpAudit audit("steering_vector_wideband_batch");
-  for (std::uint64_t c = 0; c < 120; ++c) {
-    Rng rng = base.fork(c);
-    const Ula ula = random_ula(rng);
-    const double phi = random_angle(rng);
     const double carrier = rng.uniform(24e9, 40e9);
-    const std::size_t num_offsets = 1 + rng.uniform_index(8);
-    RVec offsets(num_offsets);
-    for (double& f : offsets) f = rng.uniform(-200e6, 200e6);
-
-    const dsp::CplxBatch batch =
-        array::steering_vector_wideband_batch(ula, phi, carrier, offsets);
-    for (std::size_t r = 0; r < num_offsets; ++r) {
-      const CVec ref = ref_steering_wideband(ula, phi, carrier, offsets[r]);
-      const CVec prod =
-          array::steering_vector_wideband(ula, phi, carrier, offsets[r]);
-      for (std::size_t n = 0; n < ula.num_elements; ++n) {
-        audit.compare(prod[n], ref[n], 1);
-        audit.compare(batch.at(r, n), prod[n], 0);
-      }
-    }
+    const double offset = rng.uniform(-200e6, 200e6);
+    audit.compare_vec(
+        array::steering_vector_wideband(ula, phis[0], carrier, offset),
+        ref_steering_wideband(ula, phis[0], carrier, offset), 1);
   }
   audit.finish(10000);
 }
 
 TEST_F(KernelDiff, ArrayFactorFusedMatchesMaterializedReference) {
   Rng base(0xAF5EEDull);
-  UlpAudit audit("array_factor[_batch]");
+  UlpAudit audit("array_factor");
   for (std::uint64_t c = 0; c < 250; ++c) {
     Rng rng = base.fork(c);
     const Ula ula = random_ula(rng);
@@ -423,41 +391,17 @@ TEST_F(KernelDiff, ArrayFactorFusedMatchesMaterializedReference) {
     RVec phis(num_angles);
     for (double& p : phis) p = random_angle(rng);
 
-    const CVec batch = array::array_factor_batch(ula, w, phis);
-    const RVec gains = array::power_gain_db_batch(ula, w, phis);
     for (std::size_t r = 0; r < num_angles; ++r) {
       const cplx ref = ref_array_factor(ula, w, phis[r]);
       const cplx prod = array::array_factor(ula, w, phis[r]);
       audit.compare(prod, ref, 1);
-      audit.compare(batch[r], prod, 0);
-      audit.compare(gains[r], array::power_gain_db(ula, w, phis[r]), 0);
+      // The fused kernel and a materialized steering vector consumed by
+      // dot_phasors run the identical expression: exact, not 1 ULP.
+      const CVec a = array::steering_vector(ula, phis[r]);
+      audit.compare(dsp::dot_phasors(a.data(), w.data(), w.size()), prod, 0);
     }
   }
   audit.finish(1000);
-}
-
-TEST_F(KernelDiff, SingleBeamWeightsBatchMatchesScalarReference) {
-  Rng base(0x5B3Dull);
-  UlpAudit audit("single_beam_weights[_batch]");
-  for (std::uint64_t c = 0; c < 120; ++c) {
-    Rng rng = base.fork(c);
-    const Ula ula = random_ula(rng);
-    const std::size_t num_angles = 1 + rng.uniform_index(6);
-    RVec phis(num_angles);
-    for (double& p : phis) p = random_angle(rng);
-
-    const std::vector<CVec> batch =
-        array::single_beam_weights_batch(ula, phis);
-    for (std::size_t r = 0; r < num_angles; ++r) {
-      const CVec ref = ref_single_beam_weights(ula, phis[r]);
-      const CVec prod = array::single_beam_weights(ula, phis[r]);
-      for (std::size_t n = 0; n < ula.num_elements; ++n) {
-        audit.compare(prod[n], ref[n], 1);
-        audit.compare(batch[r][n], prod[n], 0);
-      }
-    }
-  }
-  audit.finish(10000);
 }
 
 TEST_F(KernelDiff, PatternCutMatchesScalarReference) {
@@ -555,35 +499,6 @@ TEST(PatternCacheDiff, BeamWeightsBitIdenticalColdWarmAndDisabled) {
   audit.finish(100);
 }
 
-TEST(PatternCacheDiff, CutBitIdenticalColdWarmAndDisabled) {
-  array::PatternCache cache;
-  Rng base(0xC07C17ull);
-  UlpAudit audit("cache cut");
-  for (std::uint64_t c = 0; c < 30; ++c) {
-    Rng rng = base.fork(c);
-    const Ula ula = random_ula(rng);
-    const CVec w = random_cvec(rng, ula.num_elements);
-    const double lo = rng.uniform(-kPi / 2.0, 0.0);
-    const double hi = rng.uniform(lo + 0.01, kPi / 2.0);
-    const std::size_t points = 2 + rng.uniform_index(31);
-    const array::PatternCut direct =
-        array::pattern_cut(ula, w, lo, hi, points);
-
-    const auto cold = cache.cut(ula, w, lo, hi, points);
-    const auto warm = cache.cut(ula, w, lo, hi, points);
-    EXPECT_EQ(cold.get(), warm.get());
-    audit.compare_vec(cold->angle_rad, direct.angle_rad, 0);
-    audit.compare_vec(cold->gain_db, direct.gain_db, 0);
-
-    cache.set_enabled(false);
-    const auto bypass = cache.cut(ula, w, lo, hi, points);
-    cache.set_enabled(true);
-    EXPECT_NE(bypass.get(), cold.get());
-    audit.compare_vec(bypass->gain_db, direct.gain_db, 0);
-  }
-  audit.finish(60);
-}
-
 TEST(PatternCacheDiff, StatsCountHitsAndMisses) {
   array::PatternCache cache;
   const Ula ula{16, 0.5};
@@ -649,9 +564,6 @@ TEST(PatternCacheDiff, SharedAcrossThreadsBitIdenticalAndRaceClean) {
     phis[i] = -0.7 + 0.2 * static_cast<double>(i);
     refs[i] = array::single_beam_weights(ula, phis[i]);
   }
-  const CVec probe_w = refs[0];
-  const array::PatternCut cut_ref =
-      array::pattern_cut(ula, probe_w, -1.0, 1.0, 33);
 
   std::atomic<std::size_t> mismatches{0};
   ThreadPool pool(4);
@@ -661,11 +573,6 @@ TEST(PatternCacheDiff, SharedAcrossThreadsBitIdenticalAndRaceClean) {
       const std::size_t i = (task + rep) % kAngles;
       const auto w = cache.beam_weights(ula, phis[i]);
       if (!bitwise_equal(*w, refs[i])) mismatches.fetch_add(1);
-    }
-    const auto cut = cache.cut(ula, probe_w, -1.0, 1.0, 33);
-    if (cut->gain_db != cut_ref.gain_db ||
-        cut->angle_rad != cut_ref.angle_rad) {
-      mismatches.fetch_add(1);
     }
   });
   EXPECT_EQ(mismatches.load(), 0u);
@@ -741,24 +648,18 @@ TEST_P(KernelBackendSweep, PhasorRampWithinDeclaredTolerance) {
     Rng rng = base.fork(c);
     const double step = rng.uniform(-20.0, 20.0);
     const std::size_t n = 1 + rng.uniform_index(192);
-    CVec ref_i(n);
-    RVec ref_re(n), ref_im(n);
+    CVec ref(n);
     {
       dsp::ScopedBackend scalar(dsp::Backend::kScalar);
       ASSERT_TRUE(scalar.ok());
-      dsp::phasor_ramp(step, n, ref_i.data());
-      dsp::phasor_ramp(step, n, ref_re.data(), ref_im.data());
+      dsp::phasor_ramp(step, n, ref.data());
     }
     with_backend([&] {
-      CVec got_i(n);
-      RVec got_re(n), got_im(n);
-      dsp::phasor_ramp(step, n, got_i.data());
-      dsp::phasor_ramp(step, n, got_re.data(), got_im.data());
+      CVec got(n);
+      dsp::phasor_ramp(step, n, got.data());
       for (std::size_t i = 0; i < n; ++i) {
         // Unit phasors: natural scale 1.
-        audit.compare_tol(got_i[i], ref_i[i], tol_.phasor_ramp, 1.0);
-        audit.compare_tol(cplx(got_re[i], got_im[i]),
-                          cplx(ref_re[i], ref_im[i]), tol_.phasor_ramp, 1.0);
+        audit.compare_tol(got[i], ref[i], tol_.phasor_ramp, 1.0);
       }
     });
   }
@@ -767,7 +668,7 @@ TEST_P(KernelBackendSweep, PhasorRampWithinDeclaredTolerance) {
 
 TEST_P(KernelBackendSweep, DotKernelsWithinDeclaredTolerance) {
   Rng base(0xB4C4D07ull);
-  UlpAudit audit(std::string("cdot+dot_phasor_ramp/") +
+  UlpAudit audit(std::string("dot_phasors+dot_phasor_ramp/") +
                  std::string(dsp::backend_name(GetParam())));
   for (std::uint64_t c = 0; c < 5000; ++c) {
     Rng rng = base.fork(c);
@@ -786,12 +687,12 @@ TEST_P(KernelBackendSweep, DotKernelsWithinDeclaredTolerance) {
     {
       dsp::ScopedBackend scalar(dsp::Backend::kScalar);
       ASSERT_TRUE(scalar.ok());
-      ref_dot = dsp::cdot(a.data(), b.data(), n);
+      ref_dot = dsp::dot_phasors(a.data(), b.data(), n);
       ref_ramp = dsp::dot_phasor_ramp(step, a.data(), n);
     }
     with_backend([&] {
-      audit.compare_tol(dsp::cdot(a.data(), b.data(), n), ref_dot, tol_.dot,
-                        dot_scale);
+      audit.compare_tol(dsp::dot_phasors(a.data(), b.data(), n), ref_dot,
+                        tol_.dot, dot_scale);
       audit.compare_tol(dsp::dot_phasor_ramp(step, a.data(), n), ref_ramp,
                         tol_.dot, ramp_scale);
     });
@@ -812,17 +713,20 @@ TEST_P(KernelBackendSweep, AxpyKernelsWithinDeclaredTolerance) {
     const CVec y0 = random_cvec(rng, n);
     CVec ref_axpy = y0;
     CVec ref_ramp = y0;
+    CVec ph(n);
     {
       dsp::ScopedBackend scalar(dsp::Backend::kScalar);
       ASSERT_TRUE(scalar.ok());
       dsp::axpy(alpha, x.data(), ref_axpy.data(), n);
-      dsp::axpy_phasor_ramp(alpha, step, ref_ramp.data(), n);
+      dsp::phasor_ramp(step, n, ph.data());
+      dsp::accumulate_ramp(alpha, ph.data(), ref_ramp.data(), n);
     }
     with_backend([&] {
       CVec got_axpy = y0;
       CVec got_ramp = y0;
       dsp::axpy(alpha, x.data(), got_axpy.data(), n);
-      dsp::axpy_phasor_ramp(alpha, step, got_ramp.data(), n);
+      dsp::phasor_ramp(step, n, ph.data());
+      dsp::accumulate_ramp(alpha, ph.data(), got_ramp.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         audit.compare_tol(got_axpy[i], ref_axpy[i], tol_.axpy,
                           std::abs(y0[i]) + std::abs(alpha) * std::abs(x[i]));
@@ -911,49 +815,6 @@ TEST_P(KernelBackendSweep, LogAndSincosWithinDeclaredTolerance) {
   }
   log_audit.finish(10000);
   sincos_audit.finish(20000);
-}
-
-TEST_P(KernelBackendSweep, BatchedSteeringEvaluatorsWithinTolerance) {
-  // The PatternCache batch evaluators reach the backends through the
-  // dsp kernels; sweep them end-to-end so a backend bug that only shows
-  // through the SoA batch layout is caught here, not in a golden run.
-  Rng base(0xB4C457EEull);
-  UlpAudit audit(std::string("steering/array-factor batch/") +
-                 std::string(dsp::backend_name(GetParam())));
-  for (std::uint64_t c = 0; c < 200; ++c) {
-    Rng rng = base.fork(c);
-    const Ula ula = random_ula(rng);
-    const CVec w = random_cvec(rng, ula.num_elements);
-    const std::size_t num_angles = 1 + rng.uniform_index(12);
-    RVec phis(num_angles);
-    for (double& p : phis) p = random_angle(rng);
-
-    std::vector<CVec> ref_rows(num_angles);
-    CVec ref_af;
-    {
-      dsp::ScopedBackend scalar(dsp::Backend::kScalar);
-      ASSERT_TRUE(scalar.ok());
-      const dsp::CplxBatch ref_batch = array::steering_vector_batch(ula, phis);
-      for (std::size_t r = 0; r < num_angles; ++r) {
-        ref_rows[r] = ref_batch.row(r);
-      }
-      ref_af = array::array_factor_batch(ula, w, phis);
-    }
-    double w_scale = 0.0;
-    for (const cplx& v : w) w_scale += std::abs(v);
-    with_backend([&] {
-      const dsp::CplxBatch batch = array::steering_vector_batch(ula, phis);
-      const CVec af = array::array_factor_batch(ula, w, phis);
-      for (std::size_t r = 0; r < num_angles; ++r) {
-        for (std::size_t e = 0; e < ula.num_elements; ++e) {
-          audit.compare_tol(batch.at(r, e), ref_rows[r][e], tol_.phasor_ramp,
-                            1.0);
-        }
-        audit.compare_tol(af[r], ref_af[r], tol_.dot, w_scale);
-      }
-    });
-  }
-  audit.finish(10000);
 }
 
 INSTANTIATE_TEST_SUITE_P(

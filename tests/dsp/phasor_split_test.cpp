@@ -1,9 +1,9 @@
 // Bit-for-bit differential of the split phasor kernels (dsp/kernels.h):
 // generation (phasor_ramp, delay_phasors) followed by consumption
-// (dot_phasors, accumulate_phasors) must reproduce the fused kernels they
-// replace, on every compiled backend, byte for byte -- compared with
-// memcmp, signed zeros and infinities included, not with the declared
-// tolerance table.
+// (dot_phasors, accumulate_ramp, accumulate_phasors) must reproduce the
+// fused kernels they replace, on every compiled backend, byte for byte --
+// compared with memcmp, signed zeros and infinities included, not with
+// the declared tolerance table.
 //
 // One exception: a NaN result only has to be a NaN. Which operand's NaN
 // an addition propagates (its sign and payload) follows the operand
@@ -14,10 +14,11 @@
 // Inf recovery against the raw formula -- is still checked.
 //
 // dot_phasor_ramp is still a library kernel, so it is its own reference.
-// The fused delay-phasor kernel was deleted; its per-backend loops are
-// kept verbatim as the reference, below and, for AVX2, in
-// fused_avx2_reference.cpp. Both sources are compiled with the library's
-// contraction rules, so the comparison is bytewise in every build.
+// The fused delay-phasor and steering-accumulate kernels were deleted;
+// their per-backend loops are kept verbatim as the references, below and,
+// for AVX2, in fused_avx2_reference.cpp. Both sources are compiled with
+// the library's contraction rules, so the comparison is bytewise in every
+// build.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,7 +39,7 @@
 namespace mmr {
 
 // ---------------------------------------------------------------------------
-// The fused kernels as they stood before the split (the AVX2 one is in
+// The fused kernels as they stood before the split (the AVX2 ones are in
 // fused_avx2_reference.cpp).
 // ---------------------------------------------------------------------------
 
@@ -47,6 +48,13 @@ void fused_scalar(cplx alpha, const double* freqs, double delay_s, cplx* dst,
   for (std::size_t k = 0; k < n; ++k) {
     const double ang = -2.0 * kPi * freqs[k] * delay_s;
     dst[k] += alpha * cplx(std::cos(ang), std::sin(ang));
+  }
+}
+
+void fused_ramp_scalar(cplx alpha, double step, cplx* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ang = -step * static_cast<double>(i);
+    y[i] += alpha * cplx(std::cos(ang), std::sin(ang));
   }
 }
 
@@ -94,7 +102,39 @@ void fused_portable(cplx alpha, const double* freqs, double delay_s,
   }
 }
 
+void fused_ramp_portable(cplx alpha, double step, cplx* y, std::size_t n) {
+  constexpr std::size_t kB = kRampBlock;
+  if (n < 2 * kB) {
+    fused_ramp_scalar(alpha, step, y, n);
+    return;
+  }
+  const dsp::detail::RampDeltas d = dsp::detail::compute_ramp_deltas(step);
+  const double ar = alpha.real();
+  const double ai = alpha.imag();
+  double* yp = reinterpret_cast<double*>(y);
+  std::size_t i = 0;
+  for (; i + kB <= n; i += kB) {
+    const double ang = -step * static_cast<double>(i);
+    const double are = std::cos(ang);
+    const double aim = std::sin(ang);
+    for (std::size_t k = 0; k < kB; ++k) {
+      const double pre = are * d.re[k] - aim * d.im[k];
+      const double pim = aim * d.re[k] + are * d.im[k];
+      yp[2 * (i + k)] += ar * pre - ai * pim;
+      yp[2 * (i + k) + 1] += ar * pim + ai * pre;
+    }
+  }
+  for (; i < n; ++i) {
+    const double ang = -step * static_cast<double>(i);
+    const double pre = std::cos(ang);
+    const double pim = std::sin(ang);
+    yp[2 * i] += ar * pre - ai * pim;
+    yp[2 * i + 1] += ar * pim + ai * pre;
+  }
+}
+
 using FusedFn = void (*)(cplx, const double*, double, cplx*, std::size_t);
+using FusedRampFn = void (*)(cplx, double, cplx*, std::size_t);
 
 FusedFn fused_for(dsp::Backend backend) {
   switch (backend) {
@@ -106,6 +146,23 @@ FusedFn fused_for(dsp::Backend backend) {
     case dsp::Backend::kAvx2:
 #if defined(__x86_64__) || defined(_M_X64)
       return &fused_avx2;
+#else
+      return nullptr;
+#endif
+  }
+  return nullptr;
+}
+
+FusedRampFn fused_ramp_for(dsp::Backend backend) {
+  switch (backend) {
+    case dsp::Backend::kScalar:
+      return &fused_ramp_scalar;
+    case dsp::Backend::kPortable:
+    case dsp::Backend::kNeon:  // NEON ran the portable fused kernel
+      return &fused_ramp_portable;
+    case dsp::Backend::kAvx2:
+#if defined(__x86_64__) || defined(_M_X64)
+      return &fused_ramp_avx2;
 #else
       return nullptr;
 #endif
@@ -237,6 +294,40 @@ TEST_P(PhasorSplit, DotPhasorsOverARampEqualDotPhasorRamp) {
           << got << " fused " << ref;
     }
   }
+}
+
+TEST_P(PhasorSplit, AccumulateOverARampEqualsTheFusedSteeringAccumulate) {
+  const FusedRampFn fused = fused_ramp_for(GetParam());
+  ASSERT_NE(fused, nullptr);
+  const Rng base(0x57EEACCull);
+  std::size_t compared = 0;
+  for (std::size_t n = 0; n <= 80; ++n) {
+    Rng rng = base.fork(n);
+    std::vector<cplx> alphas = edge_alphas();
+    for (int r = 0; r < 8; ++r) alphas.push_back(rng.complex_normal());
+    // Step 0 is broadside (every phasor exactly 1); the last is a
+    // half-wavelength ULA's 2 pi d sin(phi).
+    for (double step : {0.0, rng.uniform(-20.0, 20.0), rng.uniform(-1.0, 1.0),
+                        kPi * std::sin(rng.uniform(-1.5, 1.5))}) {
+      CVec ph(n);
+      dsp::phasor_ramp(step, n, ph.data());
+      for (const cplx alpha : alphas) {
+        CVec dst0(n);
+        for (cplx& c : dst0) c = rng.complex_normal();
+        CVec ref = dst0;
+        fused(alpha, step, ref.data(), n);
+        CVec got = dst0;
+        dsp::accumulate_ramp(alpha, ph.data(), got.data(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(same_cplx(got[i], ref[i]))
+              << "n " << n << " step " << step << " alpha " << alpha
+              << " i " << i << ": got " << got[i] << " fused " << ref[i];
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 200000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,6 +6,8 @@
 
 #include <clocale>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -242,6 +244,54 @@ TEST(SweepCliDeathTest, MergeCombinedWithWorkerFlagsExits2) {
               ::testing::ExitedWithCode(2), "standalone");
   EXPECT_EXIT(run_cli({"prog", "--merge", "/tmp/b", "--shard", "0/2"}),
               ::testing::ExitedWithCode(2), "standalone");
+}
+
+// --- benches without a journaled trial campaign ------------------------
+
+// The first step of bench_network's ExtraFlagHandler.
+bool refuse_as_bench_network(int& i, int /*argc*/, char** argv) {
+  bench::refuse_campaign_flags(argv[i], argv[0], {"--shards"},
+                               "the network campaign keeps no journal");
+  return false;
+}
+
+int run_refusing_cli(std::vector<std::string> args) {
+  auto argv = argv_of(args);
+  bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data(),
+                         refuse_as_bench_network, nullptr);
+  return 0;
+}
+
+TEST(SweepCliDeathTest, RefusedShardQueueLeavesEveryTicketInTodo) {
+#ifndef __unix__
+  GTEST_SKIP() << "ShardQueue requires a POSIX filesystem";
+#else
+  char tmpl[] = "/tmp/mmr_refuse_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string root = tmpl;
+  const std::string queue = root + "/queue";
+  sim::ShardQueue::init(queue, 2);
+  EXPECT_EXIT(run_refusing_cli({"prog", "--trials", "1", "--shard-queue",
+                                queue, "--shards", "2", "--resume",
+                                root + "/b"}),
+              ::testing::ExitedWithCode(2), "--shard-queue is not supported");
+  const sim::ShardQueue::Counts counts = sim::ShardQueue::counts(queue);
+  EXPECT_EQ(counts.todo, 2u);
+  EXPECT_EQ(counts.claimed, 0u);
+  EXPECT_EQ(counts.done, 0u);
+  std::filesystem::remove_all(root);
+#endif
+}
+
+TEST(SweepCliDeathTest, RefusedJournalFlagsExit2) {
+  EXPECT_EXIT(run_refusing_cli({"prog", "--resume", "/tmp/b"}),
+              ::testing::ExitedWithCode(2), "--resume is not supported");
+  EXPECT_EXIT(run_refusing_cli({"prog", "--trial-retries=2"}),
+              ::testing::ExitedWithCode(2),
+              "--trial-retries is not supported");
+  EXPECT_EXIT(run_refusing_cli({"prog", "--trial-timeout-s", "5"}),
+              ::testing::ExitedWithCode(2),
+              "--trial-timeout-s is not supported");
 }
 
 // --kernel-backend: scalar/portable are compiled on every target, so

@@ -1,9 +1,9 @@
 // Property-based kernel/arena invariants (>= 1000 Rng::fork cases each),
 // swept across every compiled-and-executable kernel backend:
 //   * phasor ramps are unit-modulus per element on every backend,
-//   * cdot is exactly commutative and exactly conjugation-equivariant
-//     (sign symmetry of IEEE rounding makes both bit-exact even for the
-//     FMA backends),
+//   * dot_phasors over arbitrary vectors is commutative within the dot
+//     tolerance and exactly conjugation-equivariant (sign symmetry of
+//     IEEE rounding makes it bit-exact even for the FMA backends),
 //   * axpy is linear in alpha within the declared backend tolerance,
 //   * batched normals (Rng::normals through each backend's log/sincos)
 //     have the standard normal's mean, variance and fourth moment,
@@ -74,16 +74,17 @@ TEST(KernelProps, CdotIsCommutativeWithinBackendTolerance) {
     const dsp::Tolerance declared = dsp::tolerances(b).dot;
     const dsp::Tolerance tol{std::max<std::uint64_t>(declared.max_ulp, 16),
                              declared.abs_tol + 1e-14};
-    mmr::testing::UlpAudit audit(std::string("cdot commutativity on ") +
-                                 std::string(dsp::backend_name(b)));
+    mmr::testing::UlpAudit audit(
+        std::string("dot_phasors commutativity on ") +
+        std::string(dsp::backend_name(b)));
     const Rng base(kBaseSeed + 1);
     for (std::size_t i = 0; i < kCases; ++i) {
       Rng rng = base.fork(i);
       const std::size_t n = rng.uniform_index(200);
       const CVec a = random_cvec(rng, n);
       const CVec v = random_cvec(rng, n);
-      const cplx ab = dsp::cdot(a.data(), v.data(), n);
-      const cplx ba = dsp::cdot(v.data(), a.data(), n);
+      const cplx ab = dsp::dot_phasors(a.data(), v.data(), n);
+      const cplx ba = dsp::dot_phasors(v.data(), a.data(), n);
       double scale = 1e-30;
       for (std::size_t k = 0; k < n; ++k) scale += std::abs(a[k]) * std::abs(v[k]);
       audit.compare_tol(ab, ba, tol, scale);
@@ -107,10 +108,10 @@ TEST(KernelProps, CdotIsExactlyConjugationEquivariantOnEveryBackend) {
         ac[k] = std::conj(a[k]);
         vc[k] = std::conj(v[k]);
       }
-      const cplx d = dsp::cdot(a.data(), v.data(), n);
-      const cplx dc = dsp::cdot(ac.data(), vc.data(), n);
+      const cplx d = dsp::dot_phasors(a.data(), v.data(), n);
+      const cplx dc = dsp::dot_phasors(ac.data(), vc.data(), n);
       // Conjugating both inputs only flips signs; IEEE rounding is sign
-      // symmetric, so conj(cdot(a,v)) == cdot(conj a, conj v) exactly.
+      // symmetric, so conj(dot(a,v)) == dot(conj a, conj v) exactly.
       ASSERT_EQ(dc.real(), d.real()) << dsp::backend_name(b) << " case " << i;
       ASSERT_EQ(dc.imag(), -d.imag()) << dsp::backend_name(b) << " case " << i;
     }
