@@ -25,12 +25,11 @@ CVec synth_cir(std::size_t taps, const std::vector<cplx>& amps,
                const RVec& delays, Rng& rng, double noise_var,
                double jitter_std) {
   CVec cir(taps, cplx{});
+  RVec pulse(taps);
   const double jitter = rng.normal(0.0, jitter_std);
   for (std::size_t k = 0; k < amps.size(); ++k) {
-    for (std::size_t n = 0; n < taps; ++n) {
-      cir[n] += amps[k] * dsp::sampled_sinc_tap(
-                              n, kTs, kBw, delays[k] + std::abs(jitter));
-    }
+    dsp::sinc_pulse(kTs, kBw, delays[k] + std::abs(jitter), pulse);
+    for (std::size_t n = 0; n < taps; ++n) cir[n] += amps[k] * pulse[n];
   }
   for (cplx& c : cir) c += rng.complex_normal(noise_var);
   return cir;

@@ -39,11 +39,11 @@ CVec make_cir(std::size_t taps, const RVec& delays, Rng& rng) {
   constexpr double kBw = 400e6;
   constexpr double kTs = 1.0 / kBw;
   CVec cir(taps, cplx{});
+  RVec pulse(taps);
   for (std::size_t k = 0; k < delays.size(); ++k) {
     const cplx amp = rng.complex_normal();
-    for (std::size_t n = 0; n < taps; ++n) {
-      cir[n] += amp * dsp::sampled_sinc_tap(n, kTs, kBw, delays[k]);
-    }
+    dsp::sinc_pulse(kTs, kBw, delays[k], pulse);
+    for (std::size_t n = 0; n < taps; ++n) cir[n] += amp * pulse[n];
   }
   return cir;
 }

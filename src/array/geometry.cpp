@@ -17,17 +17,6 @@ CVec steering_vector(const Ula& ula, double phi_rad) {
   return a;
 }
 
-CVec steering_vector_wideband(const Ula& ula, double phi_rad,
-                              double carrier_hz, double freq_offset_hz) {
-  MMR_EXPECTS(carrier_hz > 0.0);
-  // The physical element spacing is fixed; its electrical length scales
-  // with the instantaneous frequency, producing beam squint.
-  const double scale = (carrier_hz + freq_offset_hz) / carrier_hz;
-  Ula scaled = ula;
-  scaled.spacing_wavelengths = ula.spacing_wavelengths * scale;
-  return steering_vector(scaled, phi_rad);
-}
-
 CVec single_beam_weights(const Ula& ula, double phi_rad) {
   CVec w = steering_vector(ula, phi_rad);
   const double inv_sqrt_n = 1.0 / std::sqrt(static_cast<double>(w.size()));

@@ -40,13 +40,6 @@ inline double steering_phase_step(const Ula& ula, double phi_rad) {
 /// departure angle in radians, measured from broadside.
 CVec steering_vector(const Ula& ula, double phi_rad);
 
-/// Frequency-aware steering vector for wideband (beam squint) analysis.
-/// `freq_offset_hz` is the subcarrier offset from the carrier and
-/// `carrier_hz` the carrier itself; the element phase scales with
-/// (carrier + offset) / carrier.
-CVec steering_vector_wideband(const Ula& ula, double phi_rad,
-                              double carrier_hz, double freq_offset_hz);
-
 /// Matched single-beam weights for direction phi (unit norm, paper Eq. 6).
 CVec single_beam_weights(const Ula& ula, double phi_rad);
 

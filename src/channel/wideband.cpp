@@ -119,17 +119,16 @@ double PathResponse::received_power(const CVec& tx_weights,
 
 void PathResponse::cir(const CVec& tx_weights, const RxFrontend& rx,
                        const WidebandSpec& spec, std::size_t num_taps,
-                       double timing_offset_s, cplx* cir) const {
+                       double timing_offset_s, cplx* cir,
+                       double* pulse) const {
   MMR_EXPECTS(num_taps >= 1);
   const double ts = spec.sample_period();
   for (std::size_t n = 0; n < num_taps; ++n) cir[n] = cplx{};
   for (std::size_t l = 0; l < terms_.size(); ++l) {
     const cplx alpha = amplitude(l, tx_weights, rx);
-    const double excess = terms_[l].excess_s + timing_offset_s;
-    for (std::size_t n = 0; n < num_taps; ++n) {
-      cir[n] += alpha *
-                dsp::sampled_sinc_tap(n, ts, spec.bandwidth_hz, excess);
-    }
+    dsp::sinc_pulse(ts, spec.bandwidth_hz,
+                    terms_[l].excess_s + timing_offset_s, {pulse, num_taps});
+    for (std::size_t n = 0; n < num_taps; ++n) cir[n] += alpha * pulse[n];
   }
 }
 
@@ -185,7 +184,9 @@ CVec effective_cir(const std::vector<Path>& paths, const array::Ula& tx_ula,
   PathResponse response;
   response.fill(paths, tx_ula);
   CVec cir(num_taps);
-  response.cir(tx_weights, rx, spec, num_taps, timing_offset_s, cir.data());
+  RVec pulse(num_taps);
+  response.cir(tx_weights, rx, spec, num_taps, timing_offset_s, cir.data(),
+               pulse.data());
   return cir;
 }
 

@@ -116,10 +116,11 @@ class PathResponse {
   /// received_power; `csi` is grid.size scratch. Requires fill_delays().
   double received_power(const CVec& tx_weights, const RxFrontend& rx,
                         cplx* csi) const;
-  /// effective_cir into cir[0..num_taps), num_taps >= 1.
+  /// effective_cir into cir[0..num_taps), num_taps >= 1; `pulse` is
+  /// num_taps scratch.
   void cir(const CVec& tx_weights, const RxFrontend& rx,
            const WidebandSpec& spec, std::size_t num_taps,
-           double timing_offset_s, cplx* cir) const;
+           double timing_offset_s, cplx* cir, double* pulse) const;
   /// per_antenna_channel into h[0..num_elements): each path's steering
   /// ramp, scaled by its gain through `rx`, accumulated in path order.
   void per_antenna(const RxFrontend& rx, cplx* h) const;

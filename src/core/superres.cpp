@@ -1,7 +1,9 @@
 #include "core/superres.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory_resource>
 #include <utility>
 
 #include "common/error.h"
@@ -67,10 +69,10 @@ class DelayFitter {
 
   void set_column(Fit& fit, std::size_t c) const {
     double* col = fit.dict.data() + c * h_.size();
+    dsp::sinc_pulse(ts_, bandwidth_hz_, fit.delays[c], {col, h_.size()});
     double re = 0.0;
     double im = 0.0;
     for (std::size_t n = 0; n < h_.size(); ++n) {
-      col[n] = dsp::sampled_sinc_tap(n, ts_, bandwidth_hz_, fit.delays[c]);
       re += col[n] * h_[n].real();
       im += col[n] * h_[n].imag();
     }
@@ -235,14 +237,14 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
 CVec reconstruct_cir(const SuperresResult& fit, std::size_t num_taps,
                      double ts, double bandwidth_hz) {
   MMR_EXPECTS(fit.alphas.size() == fit.delays_s.size());
+  // Per tap, the columns summed in column order.
   CVec model(num_taps);
-  for (std::size_t n = 0; n < num_taps; ++n) {
-    cplx acc{};
-    for (std::size_t c = 0; c < fit.alphas.size(); ++c) {
-      acc += dsp::sampled_sinc_tap(n, ts, bandwidth_hz, fit.delays_s[c]) *
-             fit.alphas[c];
+  RVec pulse(num_taps);
+  for (std::size_t c = 0; c < fit.alphas.size(); ++c) {
+    dsp::sinc_pulse(ts, bandwidth_hz, fit.delays_s[c], pulse);
+    for (std::size_t n = 0; n < num_taps; ++n) {
+      model[n] += pulse[n] * fit.alphas[c];
     }
-    model[n] = acc;
   }
   return model;
 }
@@ -279,10 +281,15 @@ double estimate_peak_delay(const CVec& cir, double ts) {
   double best_mag = best;
   const double lo = (static_cast<double>(peak) - 0.6) * ts;
   const double hi = (static_cast<double>(peak) + 0.6) * ts;
+  // Pulse scratch on the stack for CIRs of up to 64 taps.
+  std::array<double, 64> stack{};
+  std::pmr::monotonic_buffer_resource arena(stack.data(), sizeof(stack));
+  std::pmr::vector<double> pulse(h.size(), &arena);
   for (int i = 0; i <= 48; ++i) {
     const double tau = lo + (hi - lo) * static_cast<double>(i) / 48.0;
     if (tau < 0.0) continue;
-    const double mag = std::abs(dsp::sinc_interpolate(h, ts, bandwidth, tau));
+    const double mag =
+        std::abs(dsp::sinc_interpolate(h, ts, bandwidth, tau, pulse));
     if (mag > best_mag) {
       best_mag = mag;
       best_tau = tau;

@@ -49,8 +49,8 @@ struct SuperresResult {
 
 /// Fit per-beam amplitudes to a measured CIR. `nominal_delays_s` come from
 /// training (relative to the earliest path, which the receiver's timing
-/// lock pins to tap 0). `ts` is the CIR sample period (1/B), `bandwidth_hz`
-/// the sinc bandwidth.
+/// lock pins to tap 0). `ts` is the CIR sample period, `bandwidth_hz` the
+/// sinc bandwidth B; ts must be 1/B (dsp::sinc_pulse's precondition).
 ///
 /// Non-finite CIR taps (corrupted feedback) are zeroed before the fit and
 /// any non-finite fitted amplitude is clamped to zero, so the returned

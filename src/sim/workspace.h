@@ -63,6 +63,8 @@ class TrialWorkspace {
   }
   /// CSI scratch for the power score (overwritten every call).
   std::pmr::vector<cplx>& csi() { return scratch_->csi; }
+  /// Sampled-pulse scratch for CIR synthesis (overwritten every call).
+  std::pmr::vector<double>& pulse() { return scratch_->pulse; }
   /// Stable-order index scratch for the blockage event process.
   std::pmr::vector<std::size_t>& order() { return scratch_->order; }
 
@@ -78,11 +80,12 @@ class TrialWorkspace {
  private:
   struct Scratch {
     explicit Scratch(std::pmr::memory_resource* mr)
-        : freqs(mr), csi(mr), order(mr), response(mr) {}
+        : freqs(mr), csi(mr), pulse(mr), order(mr), response(mr) {}
     std::pmr::vector<double> freqs;
     double grid_bandwidth_hz = 0.0;
     dsp::PhasorGrid grid;
     std::pmr::vector<cplx> csi;
+    std::pmr::vector<double> pulse;
     std::pmr::vector<std::size_t> order;
     channel::PathResponse response;
     std::uint64_t response_tick = 0;

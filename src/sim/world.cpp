@@ -76,6 +76,7 @@ void LinkWorld::add_irs(channel::IrsPanel panel) {
 struct LinkWorld::LocalResponse {
   RVec freqs;
   channel::PathResponse table;
+  std::pmr::vector<double> pulse;
 };
 
 void LinkWorld::set_time(double t_s) {
@@ -129,12 +130,7 @@ core::LinkProbeInterface LinkWorld::probe_interface() {
   };
   link.cir = [this](const CVec& weights, std::size_t num_taps) -> CVec {
     CVec cir(num_taps, cplx{});
-    if (!paths_.empty()) {
-      const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
-      std::optional<LocalResponse> local;
-      response(local, false).cir(weights, config_.rx, config_.spec, num_taps,
-                                 std::abs(jitter), cir.data());
-    }
+    if (!paths_.empty()) synthesize_cir(weights, config_.rx, cir);
     impair_cir(cir);
     return cir;
   };
@@ -155,11 +151,8 @@ LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
                   std::size_t num_taps) -> CVec {
     CVec cir(num_taps, cplx{});
     if (!paths_.empty()) {
-      const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-      const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
-      std::optional<LocalResponse> local;
-      response(local, false).cir(tx_w, rx, config_.spec, num_taps,
-                                 std::abs(jitter), cir.data());
+      synthesize_cir(tx_w, channel::RxFrontend::beam(config_.ue_ula, rx_w),
+                     cir);
     }
     impair_cir(cir);
     return cir;
@@ -174,6 +167,17 @@ CVec LinkWorld::noise_csi() {
       phy::noise_reference(config_.budget) / config_.pilot_averaging_gain;
   rng_.complex_normals(noise.data(), noise.size(), var, dsp::normal_math());
   return noise;
+}
+
+void LinkWorld::synthesize_cir(const CVec& tx_weights,
+                               const channel::RxFrontend& rx, CVec& cir) {
+  const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
+  std::optional<LocalResponse> local;
+  const channel::PathResponse& table = response(local, false);
+  auto& pulse = ws_ != nullptr ? ws_->pulse() : local->pulse;
+  pulse.resize(cir.size());
+  table.cir(tx_weights, rx, config_.spec, cir.size(), std::abs(jitter),
+            cir.data(), pulse.data());
 }
 
 void LinkWorld::impair_cir(CVec& cir) {

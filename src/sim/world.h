@@ -119,6 +119,10 @@ class LinkWorld {
   /// Mean received power over the subcarriers (paths non-empty).
   double received_power(const CVec& tx_weights,
                         const channel::RxFrontend& rx) const;
+  /// The noiseless CIR of one probe into cir (paths non-empty): every
+  /// arrival shifted by this probe's timing jitter.
+  void synthesize_cir(const CVec& tx_weights, const channel::RxFrontend& rx,
+                      CVec& cir);
   /// CSI probe of a link with no traced path: estimation noise only.
   CVec noise_csi();
   /// CIR probe impairments, in place: one CFO rotation, then AWGN per

@@ -20,9 +20,9 @@
 #include "channel/mobility.h"
 #include "common/types.h"
 #include "core/controller_base.h"
+#include "core/maintenance.h"
 #include "core/metrics.h"
 #include "core/superres.h"
-#include "dsp/sinc.h"
 #include "net/network.h"
 #include "sim/engine.h"
 #include "sim/runner.h"
@@ -30,6 +30,7 @@
 #include "sim/workspace.h"
 #include "sim/world.h"
 #include "tests/common/alloc_guard.h"
+#include "tests/common/sinc_reference.h"
 
 namespace {
 
@@ -294,7 +295,8 @@ std::size_t superres_allocations(const core::SuperresConfig& config) {
   CVec cir(24, cplx{});
   for (std::size_t k = 0; k < amps.size(); ++k) {
     for (std::size_t n = 0; n < cir.size(); ++n) {
-      cir[n] += amps[k] * dsp::sampled_sinc_tap(n, kTs, kBw, truth[k]);
+      cir[n] += amps[k] *
+                mmr::testing::reference_sinc_tap(n, kTs, kBw, truth[k]);
     }
   }
   mmr::testing::AllocationCounter audit;
@@ -318,6 +320,62 @@ TEST_F(ZeroAllocTest, SuperresAllocationsDoNotGrowWithTheSearchGrid) {
   std::printf("superres_per_beam allocations: %zu (default grid), %zu "
               "(wide grid)\n", base, grown);
   EXPECT_EQ(grown, base) << "a superres solve allocates per trial point";
+}
+
+// --- One mmReliable monitoring step -----------------------------------
+
+/// Measured: one steady-state monitoring step of the Fig. 16 trial --
+/// the CIR probe, its report sanitizing, the 3-beam super-resolution fit
+/// and the per-beam tracker updates -- allocates exactly this many times:
+/// the probe's result (1), the fit's once-per-call buffers and result
+/// (16, as in SuperresAllocationsDoNotGrowWithTheSearchGrid) and the
+/// per-beam power vector (1). A pulse or dictionary scratch allocated
+/// per column, per solve or per call raises it.
+constexpr std::size_t kMonitoringStepAllocations = 18;
+
+TEST_F(ZeroAllocTest, MonitoringStepAllocationsArePinned) {
+  sim::LinkWorld world =
+      sim::ScenarioRegistry::instance().make(fig16_scenario());
+  sim::TrialWorkspace workspace;
+  world.bind_workspace(&workspace);
+  sim::ControllerSpec ctrl_spec;
+  ctrl_spec.name = "mmreliable";
+  const auto made = sim::ControllerRegistry::instance().make(
+      world, fig16_scenario().config, ctrl_spec);
+  auto* ctrl = dynamic_cast<core::MmReliableController*>(made.get());
+  ASSERT_NE(ctrl, nullptr);
+  const core::LinkProbeInterface link = world.probe_interface();
+  auto step_at = [&](double t) {
+    world.set_time(t);
+    ctrl->step(t, link);
+  };
+
+  // Train at 0, tick at the CSI-RS cadence up to 0.2 s (the walker
+  // crosses at 0.5 s), then force a refinement pass at 0.25 s so the two
+  // ticks after it are monitoring only.
+  world.set_time(0.0);
+  ctrl->start(0.0, link);
+  for (std::size_t i = 1; i <= 80; ++i) {
+    step_at(static_cast<double>(i) * kTickS);
+  }
+  step_at(0.25);
+  step_at(0.25 + kTickS);  // warm-up: the same work as the audited step
+  world.set_time(0.25 + 2.0 * kTickS);
+  const int monitor_probes = ctrl->monitor_probes();
+  const int refinement_probes = ctrl->refinement_probes();
+  const int trainings = ctrl->trainings();
+
+  mmr::testing::AllocationCounter audit;
+  ctrl->step(0.25 + 2.0 * kTickS, link);
+  const std::size_t count = audit.delta();
+  std::printf("one mmReliable monitoring step: %zu allocations\n", count);
+
+  // Exactly one monitoring probe, nothing else.
+  ASSERT_EQ(ctrl->monitor_probes(), monitor_probes + 1);
+  ASSERT_EQ(ctrl->refinement_probes(), refinement_probes);
+  ASSERT_EQ(ctrl->trainings(), trainings);
+  ASSERT_EQ(ctrl->last_beam_powers().size(), 3u);
+  EXPECT_EQ(count, kMonitoringStepAllocations);
 }
 
 // --- Streaming service steady state (PR-8) ------------------------------

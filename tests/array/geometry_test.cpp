@@ -57,35 +57,6 @@ TEST_P(MatchedGainTest, MatchedBeamGainIsN) {
 INSTANTIATE_TEST_SUITE_P(Sizes, MatchedGainTest,
                          ::testing::Values(2, 4, 8, 16, 32, 64));
 
-TEST(SteeringWideband, ReducesToCarrierAtZeroOffset) {
-  const Ula ula{8, 0.5};
-  const double phi = deg_to_rad(40.0);
-  const CVec a0 = steering_vector(ula, phi);
-  const CVec aw = steering_vector_wideband(ula, phi, 28e9, 0.0);
-  for (std::size_t n = 0; n < 8; ++n) {
-    EXPECT_NEAR(std::abs(a0[n] - aw[n]), 0.0, 1e-12);
-  }
-}
-
-TEST(SteeringWideband, SquintGrowsWithOffset) {
-  // At a frequency offset, the matched (carrier) beam loses gain off
-  // boresight -- beam squint.
-  const Ula ula{64, 0.5};
-  const double phi = deg_to_rad(50.0);
-  const CVec w = single_beam_weights(ula, phi);
-  auto gain_at = [&](double offset_hz) {
-    const CVec a = steering_vector_wideband(ula, phi, 28e9, offset_hz);
-    cplx af{};
-    for (std::size_t n = 0; n < a.size(); ++n) af += a[n] * w[n];
-    return std::norm(af);
-  };
-  const double g0 = gain_at(0.0);
-  const double g200 = gain_at(200e6);
-  const double g2000 = gain_at(2000e6);
-  EXPECT_GT(g0, g200);
-  EXPECT_GT(g200, g2000);
-}
-
 TEST(Steering, RejectsDegenerateArray) {
   EXPECT_THROW(steering_vector(Ula{0, 0.5}, 0.0), std::logic_error);
   EXPECT_THROW(steering_vector(Ula{4, 0.0}, 0.0), std::logic_error);

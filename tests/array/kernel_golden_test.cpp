@@ -66,39 +66,5 @@ TEST(KernelGolden, FrozenSeedRandomWeightPatternCut) {
   }
 }
 
-TEST(KernelGolden, WidebandSteeringVector) {
-  const Ula ula{8, 0.5};
-  constexpr double kCarrier = 28e9;
-  constexpr double kPhi = 0.35;
-
-  struct Pin {
-    double offset_hz;
-    double a1_re, a1_im;  // element 1
-    double a7_re, a7_im;  // element 7
-  };
-  const Pin pins[3] = {
-      {-200e6, 0.48051837336654946, -0.87698465941951653,
-       0.35893561484348352, -0.93336232214340564},
-      {0.0, 0.47375616111536478, -0.8806560621520938, 0.30816637796383606,
-       -0.95133247789227193},
-      {200e6, 0.4669658993193278, -0.88427532413433962, 0.25650332240598811,
-       -0.96654334905098271},
-  };
-  for (const Pin& pin : pins) {
-    const CVec a =
-        steering_vector_wideband(ula, kPhi, kCarrier, pin.offset_hz);
-    ASSERT_EQ(a.size(), 8u);
-    // Element 0 is the phase reference at every frequency.
-    expect_close(a[0].real(), 1.0, "a[0].re");
-    expect_close(a[0].imag(), 0.0, "a[0].im");
-    expect_close(a[1].real(), pin.a1_re, "a[1].re");
-    expect_close(a[1].imag(), pin.a1_im, "a[1].im");
-    expect_close(a[7].real(), pin.a7_re, "a[7].re");
-    expect_close(a[7].imag(), pin.a7_im, "a[7].im");
-    // Unit-modulus phasors, squint or not.
-    for (const cplx& c : a) expect_close(std::abs(c), 1.0, "|a[n]|");
-  }
-}
-
 }  // namespace
 }  // namespace mmr::array

@@ -12,7 +12,10 @@
 // this file against the libraries that should define the values and run
 // it with --gtest_also_run_disabled_tests
 // --gtest_filter=SuperresGolden.DISABLED_DumpTable, then paste the
-// printed table over kExpected. The values depend on libm's sin().
+// printed table over kExpected. The values depend on libm's sin(): one
+// call per dictionary column (dsp::sinc_pulse's anchor tap), and one per
+// tap of the input CIRs, which the per-tap reference
+// (tests/common/sinc_reference.h) synthesizes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,7 +28,7 @@
 #include "common/angles.h"
 #include "common/rng.h"
 #include "core/superres.h"
-#include "dsp/sinc.h"
+#include "tests/common/sinc_reference.h"
 
 namespace mmr::core {
 namespace {
@@ -83,7 +86,7 @@ GoldenInput make_input(const GoldenCase& c) {
         std::polar(rng.uniform(0.2, 1.0), rng.uniform(-kPi, kPi));
     const double tau = nominal + shift + rng.uniform(-0.1e-9, 0.1e-9);
     for (std::size_t n = 0; n < c.taps; ++n) {
-      in.cir[n] += amp * dsp::sampled_sinc_tap(n, kTs, kBw, tau);
+      in.cir[n] += amp * mmr::testing::reference_sinc_tap(n, kTs, kBw, tau);
     }
   }
   for (cplx& tap : in.cir) tap += rng.complex_normal(1e-6);
@@ -114,62 +117,62 @@ const std::vector<Expected> kExpected = {
      0x1.6c9aa80978f7fp-7},  // k1_24taps
     {{{-0x1.1bdf0b080c402p-2, -0x1.4bdcd352bcfdep-1}},
      {0x1.49e4a490a996cp-31},
-     0x1.ef44f5b636f6ep-7},  // k1_16taps
-    {{{-0x1.1ee4bb6bf069dp-2, -0x1.00df8d7cc23f7p-2},
-      {0x1.c535027b6e893p-2, 0x1.2ef6f2656a22ap-1}},
+     0x1.ef44f5b636f49p-7},  // k1_16taps
+    {{{-0x1.1ee4bb6bf069cp-2, -0x1.00df8d7cc23f6p-2},
+      {0x1.c535027b6e894p-2, 0x1.2ef6f2656a22bp-1}},
      {0x1.1d7b9279306f4p-30, 0x1.045128b835d81p-28},
-     0x1.6574c686cc979p-8},  // k2_24taps
-    {{{-0x1.330b479df490ep-2, 0x1.2b1c9d49363dp-1},
-      {-0x1.190fba7b7938fp-1, -0x1.4d3b5268ad4a8p-2}},
+     0x1.6574c686cc972p-8},  // k2_24taps
+    {{{-0x1.330b479df490fp-2, 0x1.2b1c9d49363dp-1},
+      {-0x1.190fba7b7938fp-1, -0x1.4d3b5268ad4a6p-2}},
      {-0x1.7a0ea9ed961a1p-33, 0x1.adaea6bb2c6dap-29},
-     0x1.390edef2196efp-6},  // k2_16taps
-    {{{-0x1.344163b312985p-1, 0x1.21edd9683b8f2p-1},
-      {-0x1.2c5b63411ecc3p-3, -0x1.13abaa463ccb5p-1},
-      {-0x1.da9472f53d7fcp-2, -0x1.015417d3b5b6p-1}},
+     0x1.390edef2196e9p-6},  // k2_16taps
+    {{{-0x1.344163b312988p-1, 0x1.21edd9683b8f5p-1},
+      {-0x1.2c5b63411ecb8p-3, -0x1.13abaa463ccb6p-1},
+      {-0x1.da9472f53d7fbp-2, -0x1.015417d3b5b5fp-1}},
      {0x1.24bddb8667231p-30, 0x1.5205398384defp-29, 0x1.8f62af6b13d34p-28},
-     0x1.95478d9a9ad93p-7},  // k3_24taps
-    {{{-0x1.b2f4506b8fe63p-2, 0x1.97042265b2fe6p-4},
-      {-0x1.b54914f6849adp-3, -0x1.568ac17dc9ab3p-3},
-      {0x1.1c05e4c440a71p-3, -0x1.4cacd708ac9f4p-2}},
+     0x1.95478d9a9ad8ap-7},  // k3_24taps
+    {{{-0x1.b2f4506b8fe62p-2, 0x1.97042265b2feap-4},
+      {-0x1.b54914f6849bp-3, -0x1.568ac17dc9ab1p-3},
+      {0x1.1c05e4c440a7p-3, -0x1.4cacd708ac9f3p-2}},
      {0x1.08dc4a9114c5bp-31, 0x1.bfa87bfeb6cbdp-29, 0x1.8902ccc3aa1e2p-28},
-     0x1.424feb1e2a0bp-7},  // k3_16taps
-    {{{-0x1.adf377f143443p-1, -0x1.a1a7e6d7df31bp-2},
-      {-0x1.9e65a543fcabdp-2, 0x1.3ff5fcd6b4276p-4},
-      {0x1.5e84a82b8f26fp-1, -0x1.bcded099689f2p-5},
-      {-0x1.454468465d4a7p-2, -0x1.d44595d7ebfd5p-1}},
+     0x1.424feb1e2a09bp-7},  // k3_16taps
+    {{{-0x1.adf377f143443p-1, -0x1.a1a7e6d7df311p-2},
+      {-0x1.9e65a543fcacp-2, 0x1.3ff5fcd6b425ap-4},
+      {0x1.5e84a82b8f264p-1, -0x1.bcded099688f7p-5},
+      {-0x1.454468465d497p-2, -0x1.d44595d7ebfe8p-1}},
      {0x1.10f4709b0f71bp-29, 0x1.f53027f3dd9ffp-29, 0x1.e4f1fa0b80548p-28,
       0x1.12dc111dd4554p-27},
-     0x1.48ce2995d2dc5p-7},  // k4_24taps
-    {{{0x1.fdebfe776e4fdp-2, 0x1.7300446919b6ep-1},
-      {0x1.490b6a68d9964p-1, -0x1.4b5a648e521fap-1},
-      {-0x1.06123e36a69c3p-2, -0x1.90d292522128bp-1},
-      {-0x1.e55604780a3eap-3, 0x1.f779dfc8b6b3bp-1},
-      {0x1.b05b7e4a58e94p-5, 0x1.0c120b0524a08p-1}},
+     0x1.48ce2995d2db6p-7},  // k4_24taps
+    {{{0x1.fdebfe776e4f9p-2, 0x1.7300446919b6ep-1},
+      {0x1.490b6a68d9965p-1, -0x1.4b5a648e521f8p-1},
+      {-0x1.06123e36a69c3p-2, -0x1.90d292522128fp-1},
+      {-0x1.e55604780a3e6p-3, 0x1.f779dfc8b6b41p-1},
+      {0x1.b05b7e4a58e8cp-5, 0x1.0c120b0524a0cp-1}},
      {0x1.69972b38aee84p-30, 0x1.a4dc28ed6b8d9p-29, 0x1.47a66dc65c4c4p-28,
       0x1.1eba6b03cc66fp-27, 0x1.9570a787e92fap-27},
-     0x1.2c9a3793b3308p-5},  // k5_24taps
-    {{{-0x1.c40fac0d00d31p-2, -0x1.139e27ec1b2dap-2},
-      {-0x1.90720c5eed921p-5, -0x1.c1a0ff979f192p-3},
-      {0x1.c366a973b8b46p-3, 0x1.9c2f2f9f9e971p-2},
-      {-0x1.3d598e6d81021p-1, 0x1.76bc5da528855p-4},
-      {0x1.03eab5a100841p-1, -0x1.1725a323ad7e4p-1}},
+     0x1.2c9a3793b332ep-5},  // k5_24taps
+    {{{-0x1.c40fac0d00d33p-2, -0x1.139e27ec1b2e3p-2},
+      {-0x1.90720c5eed912p-5, -0x1.c1a0ff979f164p-3},
+      {0x1.c366a973b8b48p-3, 0x1.9c2f2f9f9e95dp-2},
+      {-0x1.3d598e6d8101cp-1, 0x1.76bc5da528843p-4},
+      {0x1.03eab5a10083cp-1, -0x1.1725a323ad7e2p-1}},
      {0x1.50207f5c7f082p-30, 0x1.59b6494b5ae58p-29, 0x1.c41a8c8229d89p-29,
       0x1.e48fea9bf83dbp-28, 0x1.320d5dd5e3602p-27},
-     0x1.1160dc95b7e6cp-7},  // k5_16taps
-    {{{0x1.12d1c02740717p-4, 0x1.e0fb70e39ee2p-2},
-      {-0x1.2fd6fedb0c2fbp-2, -0x1.2b9268f3fff25p-1}},
+     0x1.1160dc95b7e7bp-7},  // k5_16taps
+    {{{0x1.12d1c02740719p-4, 0x1.e0fb70e39ee22p-2},
+      {-0x1.2fd6fedb0c2fbp-2, -0x1.2b9268f3fff26p-1}},
      {0x1.7c21fd4223716p-32, 0x1.67033ea36cab4p-30},
-     0x1.8c2d55e319b17p-7},  // k2_24taps_nan_inf_taps
-    {{{-0x1.521b4a9db2fd2p-2, 0x1.153ffdef17872p-5},
-      {0x1.13e30f64ec55bp-2, 0x1.0396f6d5d277ep-2},
-      {-0x1.a2169c7f30b35p-5, -0x1.ad78fbd3a56c3p-1}},
+     0x1.8c2d55e319b03p-7},  // k2_24taps_nan_inf_taps
+    {{{-0x1.521b4a9db2fd4p-2, 0x1.153ffdef17854p-5},
+      {0x1.13e30f64ec559p-2, 0x1.0396f6d5d276ap-2},
+      {-0x1.a2169c7f30b28p-5, -0x1.ad78fbd3a56bap-1}},
      {0x1.e350334f25967p-31, 0x1.5b65cc3157d1dp-28, 0x1.983b02faea448p-28},
-     0x1.b14211d408334p-7},  // k3_24taps_two_rounds
-    {{{-0x1.a21ac8c703e05p-1, 0x1.7453f9c9677ecp-5},
-      {-0x1.608c52c65ffe9p-1, 0x1.33c7dbb467e59p-1},
-      {-0x1.380ec747cf7a1p-3, -0x1.aeef67dfab7ecp-1}},
+     0x1.b14211d408362p-7},  // k3_24taps_two_rounds
+    {{{-0x1.a21ac8c703e07p-1, 0x1.7453f9c9677edp-5},
+      {-0x1.608c52c65ffe6p-1, 0x1.33c7dbb467e5ep-1},
+      {-0x1.380ec747cf7a8p-3, -0x1.aeef67dfab7f1p-1}},
      {0x1.dae76b814037ep-30, 0x1.85577b46dee7fp-28, 0x1.bfed873c50952p-28},
-     0x1.8a5c6959f2e7ap-6},  // k3_16taps_no_fine_shift
+     0x1.8a5c6959f2e6cp-6},  // k3_16taps_no_fine_shift
 };
 
 // The pins are the bits of a build that does not fuse multiply-adds, the

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "dsp/sinc.h"
+#include "tests/common/sinc_reference.h"
 
 namespace mmr::core {
 namespace {
@@ -18,8 +18,8 @@ CVec synth_cir(std::size_t taps, const std::vector<cplx>& amps,
   CVec cir(taps, cplx{});
   for (std::size_t k = 0; k < amps.size(); ++k) {
     for (std::size_t n = 0; n < taps; ++n) {
-      cir[n] += amps[k] * dsp::sampled_sinc_tap(n, kTs, kBw,
-                                                delays[k] + shift);
+      cir[n] += amps[k] * mmr::testing::reference_sinc_tap(
+                              n, kTs, kBw, delays[k] + shift);
     }
   }
   return cir;

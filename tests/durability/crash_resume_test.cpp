@@ -5,6 +5,7 @@
 // (--freeze-timing) since wall-clock can never reproduce.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -41,10 +42,16 @@ std::size_t count_occurrences(const std::string& haystack,
   return count;
 }
 
-/// The campaign under test: the first trials are fast, the later ones
-/// sleep long enough that the parent can reliably SIGKILL the child while
-/// the sweep is still in flight. Faults are enabled so journal replay has
-/// to restore fault-event streams, and labels so it has to restore those.
+/// Set only in the forked child: there every trial after the first two
+/// to start blocks until the SIGKILL, so the kill always lands mid-sweep
+/// with exactly two trials journaled, however the child is scheduled. (The
+/// rule counts starts, not indices: the pool's workers pop their own
+/// queues newest first, so trials 4 and 5 may be the first two to run.)
+bool g_block_late_trials = false;
+std::atomic<std::size_t> g_trials_started{0};
+
+/// The campaign under test. Faults are enabled so journal replay has to
+/// restore fault-event streams, and labels so it has to restore those.
 sim::ExperimentSpec crash_spec() {
   sim::ExperimentSpec spec;
   spec.name = "crash_resume_demo";
@@ -56,10 +63,10 @@ sim::ExperimentSpec crash_spec() {
   spec.jobs = 2;
   spec.seed = 11;
   spec.seed_policy = sim::SeedPolicy::kPerTrialStream;
-  spec.customize = [](const sim::TrialContext& ctx, sim::ScenarioSpec&,
+  spec.customize = [](const sim::TrialContext&, sim::ScenarioSpec&,
                       sim::ControllerSpec&, sim::RunConfig&) {
-    if (ctx.index >= 2) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+    if (g_block_late_trials && g_trials_started.fetch_add(1) >= 2) {
+      for (;;) ::pause();
     }
   };
   spec.label = [](const sim::TrialContext& ctx) {
@@ -92,43 +99,38 @@ TEST_F(CrashResumeTest, SigkilledCampaignResumesByteIdentically) {
   const pid_t child = ::fork();
   ASSERT_NE(child, -1);
   if (child == 0) {
+    g_block_late_trials = true;
     bench::SweepCliOptions opts;
     opts.jobs = 2;
     opts.resume = journal_base;
     opts.json_out = dir_ + "/child.json";
     opts.freeze_timing = true;
     (void)bench::run_campaign(spec, opts);
-    ::_exit(0);  // never reached: the parent kills us mid-sweep
+    ::_exit(0);  // never reached: the third trial blocks until the SIGKILL
   }
 
-  // Wait for at least two checkpointed trials, then SIGKILL mid-flight.
+  // Wait for the two checkpointed trials, then SIGKILL mid-flight.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  bool child_exited = false;
   while (std::chrono::steady_clock::now() < deadline) {
     if (count_occurrences(read_all(journal_file), "{\"trial\":") >= 2) break;
     int status = 0;
     if (::waitpid(child, &status, WNOHANG) == child) {
-      child_exited = true;  // finished early; resume degenerates to replay
-      break;
+      FAIL() << "the child campaign exited before the kill";
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  if (!child_exited) {
-    ASSERT_EQ(::kill(child, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
-    ASSERT_TRUE(WIFSIGNALED(status));
-    ASSERT_EQ(WTERMSIG(status), SIGKILL);
-  }
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status));
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
   // The kill must have left a usable journal with partial progress.
   const std::string journal_bytes = read_all(journal_file);
-  EXPECT_GE(count_occurrences(journal_bytes, "{\"trial\":"), 2u);
-  if (!child_exited) {
-    // No committed --json-out: the AtomicFile was never committed.
-    EXPECT_TRUE(read_all(dir_ + "/child.json").empty());
-  }
+  EXPECT_EQ(count_occurrences(journal_bytes, "{\"trial\":"), 2u);
+  // No committed --json-out: the AtomicFile was never committed.
+  EXPECT_TRUE(read_all(dir_ + "/child.json").empty());
 
   // --- parent: resume ---------------------------------------------------
   bench::SweepCliOptions resume_opts;
@@ -137,8 +139,7 @@ TEST_F(CrashResumeTest, SigkilledCampaignResumesByteIdentically) {
   resume_opts.json_out = dir_ + "/resumed.json";
   resume_opts.freeze_timing = true;
   const sim::EngineResult resumed = bench::run_campaign(spec, resume_opts);
-  EXPECT_GE(resumed.replayed_trials, 2u);
-  EXPECT_LE(resumed.replayed_trials, spec.trials);
+  EXPECT_EQ(resumed.replayed_trials, 2u);
   EXPECT_TRUE(resumed.failures.empty());
 
   // --- reference: the same campaign, uninterrupted, no journal ----------
