@@ -61,9 +61,6 @@ cplx path_amplitude(const Path& path, const array::Ula& tx_ula,
          rx.response(path.aoa_rad);
 }
 
-PathResponse::PathResponse(std::pmr::memory_resource* mr)
-    : terms_(mr), steering_(mr), delays_(mr) {}
-
 void PathResponse::fill(const std::vector<Path>& paths,
                         const array::Ula& tx_ula) {
   const double t0 = min_delay(paths);

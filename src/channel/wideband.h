@@ -5,7 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <memory_resource>
 #include <vector>
 
 #include "array/geometry.h"
@@ -97,12 +96,9 @@ double received_power(const std::vector<Path>& paths,
 ///
 /// Filled in two stages: fill() sets everything but the delay phasors,
 /// which only CSI and power evaluations read and fill_delays() adds.
-/// Storage comes from `mr` and is reused across refills.
+/// Storage is reused across refills.
 class PathResponse {
  public:
-  explicit PathResponse(
-      std::pmr::memory_resource* mr = std::pmr::get_default_resource());
-
   /// Stage 1 for `paths` (non-empty) seen through `tx_ula`. Drops any
   /// delay phasors of a previous fill.
   void fill(const std::vector<Path>& paths, const array::Ula& tx_ula);
@@ -135,9 +131,9 @@ class PathResponse {
     double aoa_rad = 0.0;
     double excess_s = 0.0;  ///< delay over the earliest path
   };
-  std::pmr::vector<Terms> terms_;
-  std::pmr::vector<cplx> steering_;  ///< num_paths x num_elements
-  std::pmr::vector<cplx> delays_;    ///< num_paths x grid.size
+  std::vector<Terms> terms_;
+  CVec steering_;  ///< num_paths x num_elements
+  CVec delays_;    ///< num_paths x grid.size
   std::size_t num_elements_ = 0;
   dsp::PhasorGrid grid_;  ///< size and affine check; freqs not read again
   bool has_delays_ = false;

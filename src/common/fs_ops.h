@@ -2,7 +2,8 @@
 //
 // Every syscall the durability layer depends on (AtomicFile's staged
 // commit, the campaign journal's fsync'd append, the shard queue's
-// claim-by-rename) routes through a per-process fn-pointer table -- the
+// O_EXCL ticket creation and its claim, reclaim, complete and requeue
+// renames) routes through a per-process fn-pointer table -- the
 // same pattern as dsp::backend -- so tests can install a faulting table
 // that deterministically injects EINTR storms, short writes, ENOSPC, and
 // delays into every recovery path. Production always runs the real

@@ -378,14 +378,14 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
     core::LinkSummary summary;
     double wall_s = 0.0, cpu_s = 0.0;
     bool succeeded = false;
-    // Per-trial scratch arena for the world's scoring hot path; reset
-    // between retry attempts (a retried trial reuses the same chunks and
-    // stays bit-identical -- pinned by the props tier).
+    // Per-trial scratch for the world's scoring hot path, kept across
+    // retry attempts: each attempt's world takes fresh tick ids from its
+    // constructor's set_time on, so it never reads a table an earlier
+    // attempt left behind.
     TrialWorkspace workspace;
     watchdog.begin(ctx.index);
     for (std::size_t attempt = 0; attempt < max_attempts && !succeeded;
          ++attempt) {
-      workspace.reset();
       try {
         // Every attempt restarts from pristine copies of the spec and the
         // SAME deterministic Rng stream (ctx is untouched), so a retried
@@ -510,24 +510,7 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
 
   // Quarantined trials carry default summaries; keep them out of the
   // aggregate so one bad trial cannot poison the campaign statistics.
-  bool any_quarantined = false;
-  for (const TrialFailure& f : result.failures) {
-    any_quarantined = any_quarantined || f.quarantined();
-  }
-  if (!any_quarantined) {
-    result.aggregate = summarize_sweep(result.trials);
-  } else {
-    std::vector<SweepTrial<core::LinkSummary>> survivors;
-    std::vector<bool> quarantined(result.trials.size(), false);
-    for (const TrialFailure& f : result.failures) {
-      if (f.quarantined()) quarantined[f.index] = true;
-    }
-    for (std::size_t i = 0; i < result.trials.size(); ++i) {
-      if (!quarantined[i]) survivors.push_back(result.trials[i]);
-    }
-    result.aggregate =
-        survivors.empty() ? SweepSummary{} : summarize_sweep(survivors);
-  }
+  result.aggregate = summarize_survivors(result.trials, result.failures);
 
   if (sink != nullptr) {
     std::size_t next_failure = 0;

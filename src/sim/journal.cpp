@@ -34,20 +34,6 @@ std::string bits_of(double v) {
   return buf;
 }
 
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 const char* seed_policy_name(SeedPolicy policy) {
   return policy == SeedPolicy::kFixed ? "fixed" : "per_trial_stream";
 }
@@ -191,7 +177,7 @@ bool parse_fault_kind(const std::string& name, core::FaultEventKind& out) {
 std::string header_line(const CampaignKey& key, const ShardPlan& shard) {
   std::ostringstream os;
   os << "{\"campaign_header\": {\"format\": " << kJournalFormat
-     << ", \"name\": \"" << escape(key.name)
+     << ", \"name\": \"" << json_escape(key.name)
      << "\", \"base_seed\": " << key.base_seed
      << ", \"trials\": " << key.trials << ", \"seed_policy\": \""
      << seed_policy_name(key.seed_policy) << "\", \"fingerprint\": \"";
@@ -259,7 +245,7 @@ std::string trial_line(const JournalTrial& t) {
   std::ostringstream os;
   os << "{\"trial\": {\"index\": " << t.index << ", \"wall_bits\": "
      << "\"" << bits_of(t.wall_s) << "\", \"cpu_bits\": \""
-     << bits_of(t.cpu_s) << "\", \"label\": \"" << escape(t.label)
+     << bits_of(t.cpu_s) << "\", \"label\": \"" << json_escape(t.label)
      << "\", \"summary_bits\": [\"" << bits_of(t.summary.reliability)
      << "\", \"" << bits_of(t.summary.mean_throughput_bps) << "\", \""
      << bits_of(t.summary.mean_spectral_efficiency) << "\", \""

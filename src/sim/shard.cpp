@@ -21,6 +21,8 @@
 
 #include "common/atomic_file.h"
 #include "common/error.h"
+#include "common/fs_ops.h"
+#include "common/io_error.h"
 #include "common/parse.h"
 #include "sim/journal.h"
 
@@ -230,16 +232,18 @@ void ensure_dir(const std::string& path) {
                            "': " + std::strerror(errno));
 }
 
-/// O_CREAT|O_EXCL marker creation: true iff WE created it.
+/// O_CREAT|O_EXCL marker creation: true iff WE created it; EEXIST means
+/// another initializer made it.
 bool create_exclusive(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd >= 0) {
-    ::close(fd);
-    return true;
+  int fd = -1;
+  try {
+    fd = fsio::open_retry(path, O_CREAT | O_EXCL | O_WRONLY, 0644);
+  } catch (const IoError& e) {
+    if (e.code() == EEXIST) return false;
+    throw;
   }
-  if (errno == EEXIST) return false;
-  throw std::runtime_error("shard queue: cannot create '" + path +
-                           "': " + std::strerror(errno));
+  fsio::close_or_throw(fd, path);
+  return true;
 }
 
 bool path_exists(const std::string& path) {
@@ -382,22 +386,16 @@ std::optional<ShardPlan> ShardQueue::claim(const std::string& dir,
       // TTL would otherwise look instantly stale in claimed/ during the
       // gap before the lease content lands.
       (void)::utimensat(AT_FDCWD, join(todo, name).c_str(), nullptr, 0);
-      if (::rename(join(todo, name).c_str(), join(claimed, name).c_str()) ==
-          0) {
-        // We own the shard; stamp the lease (AtomicFile gives the file a
-        // fresh inode and mtime from the queue filesystem's clock).
-        AtomicFile::write(join(claimed, name),
-                          lease_content(self_host(), ::getpid(), 0));
-        return ShardPlan::parse_suffix(name);
-      }
-      if (errno == ENOENT) {
+      if (!fsio::rename_if_exists(join(todo, name), join(claimed, name))) {
         // Another worker won this ticket between listing and rename.
         raced = true;
         continue;
       }
-      throw std::runtime_error("shard queue: cannot claim '" +
-                               join(todo, name) +
-                               "': " + std::strerror(errno));
+      // We own the shard; stamp the lease (AtomicFile gives the file a
+      // fresh inode and mtime from the queue filesystem's clock).
+      AtomicFile::write(join(claimed, name),
+                        lease_content(self_host(), ::getpid(), 0));
+      return ShardPlan::parse_suffix(name);
     }
     if (raced) continue;
     // Nothing claimable: reclaim any claimed/ shard whose lease has gone
@@ -408,13 +406,8 @@ std::optional<ShardPlan> ShardQueue::claim(const std::string& dir,
       if (!lease_is_stale(age_vs_probe(dir, join(claimed, name)), opts)) {
         continue;
       }
-      if (::rename(join(claimed, name).c_str(), join(todo, name).c_str()) ==
-          0) {
+      if (fsio::rename_if_exists(join(claimed, name), join(todo, name))) {
         reclaimed = true;
-      } else if (errno != ENOENT) {
-        throw std::runtime_error("shard queue: cannot reclaim '" +
-                                 join(claimed, name) +
-                                 "': " + std::strerror(errno));
       }
     }
     if (!reclaimed) return std::nullopt;
@@ -456,13 +449,9 @@ void ShardQueue::complete(const std::string& dir, const ShardPlan& plan) {
     // their call, not ours.
     return;
   }
-  if (::rename(claimed.c_str(), done.c_str()) == 0) return;
-  if (errno != ENOENT) {
-    throw std::runtime_error("shard queue: cannot complete '" + claimed +
-                             "': " + std::strerror(errno));
-  }
-  // Not claimed, not done: the ticket is back in todo/ (reclaimed) or
+  // A ticket missing from claimed/ is back in todo/ (reclaimed) or
   // mid-rename; either way, nothing for us to mark.
+  (void)fsio::rename_if_exists(claimed, done);
 }
 
 void ShardQueue::requeue(const std::string& dir, const ShardPlan& plan,
@@ -491,11 +480,7 @@ void ShardQueue::requeue(const std::string& dir, const ShardPlan& plan,
         std::to_string(opts.ttl_s + opts.effective_grace_s()) +
         "s) -- wait for the lease to lapse or stop that worker first");
   }
-  if (::rename(from.c_str(), to.c_str()) == 0) return;
-  if (errno != ENOENT) {
-    throw std::runtime_error("shard queue: cannot requeue '" + from +
-                             "': " + std::strerror(errno));
-  }
+  if (fsio::rename_if_exists(from, to)) return;
   // Not in claimed/: lost to a crash between renames. The permanent
   // ticket proves the shard belongs to this queue, so ensure exactly one
   // offer exists.

@@ -58,7 +58,7 @@ void StreamingSpec::validate() const {
 }
 
 /// One shard: a session table (its own interference/handover domain), a
-/// workspace arena bound to every session world, a churn stream, slot
+/// scratch workspace bound to every session world, a churn stream, slot
 /// lifetime deadlines, and the shard-local O(1) accumulators. Everything
 /// a shard computes is a pure function of the spec + shard index, never
 /// of the worker schedule.

@@ -5,7 +5,7 @@
 // Where a campaign runs trial i to completion and aggregates at the end,
 // the StreamingService ticks epoch t across a sharded table of live UE
 // sessions: each shard owns a net::Network session table (driven through
-// the resumable step_tick interface), a PR-6 TrialWorkspace arena, a
+// the resumable step_tick interface), a TrialWorkspace of scratch, a
 // churn stream, and a set of O(1) streaming accumulators
 // (common/streaming_stats.h). Sessions join and leave mid-run through a
 // Poisson-arrival / exponential-lifetime churn model; retired slots are

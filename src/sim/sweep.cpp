@@ -59,17 +59,43 @@ SweepSummary summarize_sweep(
 
 namespace {
 
+/// Per trial slot: did a failure quarantine it?
+std::vector<bool> quarantine_mask(std::size_t num_trials,
+                                  std::span<const TrialFailure> failures) {
+  std::vector<bool> quarantined(num_trials, false);
+  for (const TrialFailure& f : failures) {
+    MMR_EXPECTS(f.index < num_trials);
+    if (f.quarantined()) quarantined[f.index] = true;
+  }
+  return quarantined;
+}
+
 void json_kv(std::ostream& os, const char* key, double value,
              bool trailing_comma = true) {
   os << "\"" << key << "\": " << value;
   if (trailing_comma) os << ", ";
 }
 
+}  // namespace
+
+SweepSummary summarize_survivors(
+    std::span<const SweepTrial<core::LinkSummary>> trials,
+    std::span<const TrialFailure> failures) {
+  const std::vector<bool> quarantined =
+      quarantine_mask(trials.size(), failures);
+  std::vector<SweepTrial<core::LinkSummary>> survivors;
+  survivors.reserve(trials.size());
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    if (!quarantined[i]) survivors.push_back(trials[i]);
+  }
+  return survivors.empty() ? SweepSummary{} : summarize_sweep(survivors);
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
-    if (c == '\n') {  // exception texts can be multi-line
+    if (c == '\n') {
       out += "\\n";
       continue;
     }
@@ -79,27 +105,14 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-}  // namespace
-
 void write_sweep_json(std::ostream& os, const std::string& bench_name,
                       std::span<const SweepTrial<core::LinkSummary>> trials,
                       const SweepTiming& timing,
                       std::span<const std::string> labels,
                       std::span<const TrialFailure> failures) {
   MMR_EXPECTS(labels.empty() || labels.size() == trials.size());
-  // Quarantined trials keep their slot but must not poison the aggregate.
-  std::vector<bool> quarantined(trials.size(), false);
-  for (const TrialFailure& f : failures) {
-    MMR_EXPECTS(f.index < trials.size());
-    if (f.quarantined()) quarantined[f.index] = true;
-  }
-  std::vector<SweepTrial<core::LinkSummary>> survivors;
-  if (!failures.empty()) {
-    survivors.reserve(trials.size());
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      if (!quarantined[i]) survivors.push_back(trials[i]);
-    }
-  }
+  const std::vector<bool> quarantined =
+      quarantine_mask(trials.size(), failures);
   const auto flags = os.flags();
   const auto precision = os.precision();
   os.precision(10);
@@ -139,11 +152,7 @@ void write_sweep_json(std::ostream& os, const std::string& bench_name,
     }
     os << "], ";
   }
-  const SweepSummary agg = failures.empty()
-                               ? summarize_sweep(trials)
-                               : (survivors.empty()
-                                      ? SweepSummary{}
-                                      : summarize_sweep(survivors));
+  const SweepSummary agg = summarize_survivors(trials, failures);
   os << "\"aggregate\": {";
   json_kv(os, "mean_reliability", agg.mean_reliability);
   json_kv(os, "median_reliability", agg.median_reliability);

@@ -176,6 +176,17 @@ struct SweepSummary {
 SweepSummary summarize_sweep(
     std::span<const SweepTrial<core::LinkSummary>> trials);
 
+/// summarize_sweep over the trials no entry of `failures` quarantined
+/// (their slots hold default values that must not poison the campaign
+/// statistics); a default SweepSummary when every trial was quarantined.
+SweepSummary summarize_survivors(
+    std::span<const SweepTrial<core::LinkSummary>> trials,
+    std::span<const TrialFailure> failures);
+
+/// `s` escaped for a JSON string literal: quotes and backslashes get a
+/// backslash, newlines become \n (exception texts can be multi-line).
+std::string json_escape(const std::string& s);
+
 /// Emit the bench JSON record: sweep timing (per-trial wall-clock,
 /// serial-equivalent time, speedup), per-trial LinkSummary values, and the
 /// aggregate. `labels` (optional, one per trial) tags trials with e.g. a

@@ -54,26 +54,6 @@ void MemorySink::on_run_end(const core::LinkSummary& summary) {
 
 void MemorySink::on_sweep(const SweepRecord& /*record*/) { ++num_sweeps_; }
 
-namespace {
-
-/// Minimal escaping for strings embedded in the failure records
-/// (write_sweep_json escapes its own fields).
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-}  // namespace
-
 void JsonLinesSink::record_written() {
   if (flush_every_n_ == 0) return;  // never flush mid-stream
   if (++records_since_flush_ >= flush_every_n_) {
@@ -162,7 +142,7 @@ void JsonLinesSink::on_trial_failure(const TrialFailure& failure) {
       << ", \"attempts\": " << failure.attempts << ", \"timed_out\": "
       << (failure.timed_out ? "true" : "false") << ", \"quarantined\": "
       << (failure.quarantined() ? "true" : "false") << ", \"error\": \""
-      << escape_json(failure.error) << "\"}}\n";
+      << json_escape(failure.error) << "\"}}\n";
   record_written();
 }
 

@@ -12,20 +12,6 @@
 namespace mmr::sim {
 namespace {
 
-// Shared between the plain and workspace-scratch order containers (the
-// latter is a pmr vector): identical iota + sort, so the event process
-// addresses the same stable ranks either way.
-template <typename IndexVec>
-void fill_stable_order(const std::vector<channel::Path>& paths,
-                       IndexVec& order) {
-  order.resize(paths.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (paths[a].is_los != paths[b].is_los) return paths[a].is_los;
-    return std::norm(paths[a].gain) > std::norm(paths[b].gain);
-  });
-}
-
 /// Source of the tick ids that key the workspace's path-response table:
 /// process-wide, so no two ticks of any worlds share one -- not even a
 /// world rebuilt at a recycled address. 0 is never issued.
@@ -62,22 +48,10 @@ void LinkWorld::set_event_process(channel::BlockageEventProcess process) {
   set_time(t_s_);
 }
 
-std::vector<std::size_t> LinkWorld::stable_order() const {
-  std::vector<std::size_t> order;
-  fill_stable_order(paths_, order);
-  return order;
-}
-
 void LinkWorld::add_irs(channel::IrsPanel panel) {
   irs_panels_.push_back(panel);
   set_time(t_s_);
 }
-
-struct LinkWorld::LocalResponse {
-  RVec freqs;
-  channel::PathResponse table;
-  std::pmr::vector<double> pulse;
-};
 
 void LinkWorld::set_time(double t_s) {
   t_s_ = t_s;
@@ -101,20 +75,19 @@ void LinkWorld::set_time(double t_s) {
     p.blockage_db = atten;
   }
 
-  // Stochastic event process: addressed by stable path index. With a
-  // bound workspace the index scratch lives on the trial arena.
+  // Stochastic event process: addressed by stable path index, 0 = LOS,
+  // then NLOS paths by descending nominal power.
   if (events_ != nullptr && !paths_.empty()) {
-    if (ws_ != nullptr) {
-      auto& order = ws_->order();
-      fill_stable_order(paths_, order);
-      for (std::size_t rank = 0; rank < order.size(); ++rank) {
-        paths_[order[rank]].blockage_db += events_->attenuation_db(t_s, rank);
-      }
-    } else {
-      const std::vector<std::size_t> order = stable_order();
-      for (std::size_t rank = 0; rank < order.size(); ++rank) {
-        paths_[order[rank]].blockage_db += events_->attenuation_db(t_s, rank);
-      }
+    std::optional<TrialWorkspace> local;
+    std::vector<std::size_t>& order = scratch(local).order;
+    order.resize(paths_.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      if (paths_[a].is_los != paths_[b].is_los) return paths_[a].is_los;
+      return std::norm(paths_[a].gain) > std::norm(paths_[b].gain);
+    });
+    for (std::size_t rank = 0; rank < order.size(); ++rank) {
+      paths_[order[rank]].blockage_db += events_->attenuation_db(t_s, rank);
     }
   }
 }
@@ -123,9 +96,9 @@ core::LinkProbeInterface LinkWorld::probe_interface() {
   core::LinkProbeInterface link;
   link.csi = [this](const CVec& weights) -> CVec {
     if (paths_.empty()) return noise_csi();
-    std::optional<LocalResponse> local;
+    std::optional<TrialWorkspace> local;
     CVec csi(config_.spec.num_subcarriers);
-    response(local, true).csi(weights, config_.rx, csi.data());
+    response(scratch(local), true).csi(weights, config_.rx, csi.data());
     return estimator_.estimate(std::move(csi));
   };
   link.cir = [this](const CVec& weights, std::size_t num_taps) -> CVec {
@@ -142,9 +115,9 @@ LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
   jp.csi = [this](const CVec& tx_w, const CVec& rx_w) -> CVec {
     if (paths_.empty()) return noise_csi();
     const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-    std::optional<LocalResponse> local;
+    std::optional<TrialWorkspace> local;
     CVec csi(config_.spec.num_subcarriers);
-    response(local, true).csi(tx_w, rx, csi.data());
+    response(scratch(local), true).csi(tx_w, rx, csi.data());
     return estimator_.estimate(std::move(csi));
   };
   jp.cir = [this](const CVec& tx_w, const CVec& rx_w,
@@ -172,12 +145,11 @@ CVec LinkWorld::noise_csi() {
 void LinkWorld::synthesize_cir(const CVec& tx_weights,
                                const channel::RxFrontend& rx, CVec& cir) {
   const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
-  std::optional<LocalResponse> local;
-  const channel::PathResponse& table = response(local, false);
-  auto& pulse = ws_ != nullptr ? ws_->pulse() : local->pulse;
-  pulse.resize(cir.size());
-  table.cir(tx_weights, rx, config_.spec, cir.size(), std::abs(jitter),
-            cir.data(), pulse.data());
+  std::optional<TrialWorkspace> local;
+  TrialWorkspace& ws = scratch(local);
+  ws.pulse.resize(cir.size());
+  response(ws, false).cir(tx_weights, rx, config_.spec, cir.size(),
+                          std::abs(jitter), cir.data(), ws.pulse.data());
 }
 
 void LinkWorld::impair_cir(CVec& cir) {
@@ -201,42 +173,29 @@ void LinkWorld::impair_cir(CVec& cir) {
   }
 }
 
-const channel::PathResponse& LinkWorld::response(
-    std::optional<LocalResponse>& local, bool delays) const {
-  if (ws_ == nullptr) {
-    LocalResponse& l = local.emplace();
-    l.table.fill(paths_, config_.tx_ula);
-    if (delays) {
-      l.freqs.resize(config_.spec.num_subcarriers);
-      channel::fill_freq_grid(config_.spec, l.freqs.data());
-      l.table.fill_delays(
-          dsp::make_phasor_grid(l.freqs.data(), l.freqs.size()));
-    }
-    return l.table;
+TrialWorkspace& LinkWorld::scratch(
+    std::optional<TrialWorkspace>& local) const {
+  return ws_ != nullptr ? *ws_ : local.emplace();
+}
+
+const channel::PathResponse& LinkWorld::response(TrialWorkspace& ws,
+                                                 bool delays) const {
+  if (ws.response_tick != tick_) {
+    ws.response.fill(paths_, config_.tx_ula);
+    ws.response_tick = tick_;
   }
-  channel::PathResponse& table = ws_->response();
-  if (ws_->response_tick() != tick_) {
-    table.fill(paths_, config_.tx_ula);
-    ws_->set_response_tick(tick_);
+  if (delays && !ws.response.has_delays()) {
+    ws.response.fill_delays(ws.grid(config_.spec));
   }
-  if (delays && !table.has_delays()) {
-    table.fill_delays(ws_->grid(config_.spec));
-  }
-  return table;
+  return ws.response;
 }
 
 double LinkWorld::received_power(const CVec& tx_weights,
                                  const channel::RxFrontend& rx) const {
-  std::optional<LocalResponse> local;
-  const channel::PathResponse& table = response(local, true);
-  const std::size_t n = config_.spec.num_subcarriers;
-  if (ws_ != nullptr) {
-    auto& csi = ws_->csi();
-    csi.resize(n);
-    return table.received_power(tx_weights, rx, csi.data());
-  }
-  CVec csi(n);
-  return table.received_power(tx_weights, rx, csi.data());
+  std::optional<TrialWorkspace> local;
+  TrialWorkspace& ws = scratch(local);
+  ws.csi.resize(config_.spec.num_subcarriers);
+  return response(ws, true).received_power(tx_weights, rx, ws.csi.data());
 }
 
 double LinkWorld::true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const {
@@ -260,9 +219,9 @@ double LinkWorld::true_snr_db(const CVec& tx_weights) const {
 
 CVec LinkWorld::true_per_antenna_channel() const {
   if (paths_.empty()) return CVec(config_.tx_ula.num_elements, cplx{1e-15, 0});
-  std::optional<LocalResponse> local;
+  std::optional<TrialWorkspace> local;
   CVec h(config_.tx_ula.num_elements);
-  response(local, false).per_antenna(config_.rx, h.data());
+  response(scratch(local), false).per_antenna(config_.rx, h.data());
   return h;
 }
 

@@ -57,17 +57,17 @@ class LinkWorld {
   void add_irs(channel::IrsPanel panel);
 
   /// Bind per-trial scratch for the hot path (set_time, probes,
-  /// true_power/true_snr_db). The frequency grid, the CSI / path-order
-  /// scratch and the per-tick path-response table (channel::PathResponse)
-  /// live on the workspace arena, so the steady-state scoring loop
-  /// allocates nothing, and every probe, score and oracle channel of one
-  /// tick reads one table instead of re-forming the paths' phasors. The
-  /// table is valid only for the tick id the last set_time took from a
-  /// process-wide counter; any other world sharing the workspace, or a
-  /// later tick, refills it. An unbound world fills a call-local table
-  /// per evaluation. Results are bit-identical with or without a
-  /// workspace. Pass nullptr to unbind. The workspace must outlive this
-  /// world (or the unbind).
+  /// true_power/true_snr_db). The frequency grid, the CSI / pulse /
+  /// path-order scratch and the per-tick path-response table
+  /// (channel::PathResponse) keep their capacity in the workspace, so the
+  /// steady-state scoring loop allocates nothing, and every probe, score
+  /// and oracle channel of one tick reads one table instead of re-forming
+  /// the paths' phasors. The table is valid only for the tick id the last
+  /// set_time took from a process-wide counter; any other world sharing
+  /// the workspace, or a later tick, refills it. An unbound world takes a
+  /// fresh call-local workspace per evaluation. Results are bit-identical
+  /// with or without a workspace. Pass nullptr to unbind. The workspace
+  /// must outlive this world (or the unbind).
   void bind_workspace(TrialWorkspace* ws) { ws_ = ws; }
 
   /// Advance the world: re-trace paths for the UE pose at t and apply all
@@ -105,16 +105,12 @@ class LinkWorld {
   double power_for_snr(double snr_db) const;
 
  private:
-  /// Stable path index for the event process: 0 = LOS, then NLOS paths by
-  /// descending nominal power.
-  std::vector<std::size_t> stable_order() const;
-
-  /// Buffers of one unbound evaluation.
-  struct LocalResponse;
-  /// This tick's path-response table, with delay phasors when `delays`:
-  /// the bound workspace's, refilled only if another tick or world filled
-  /// it last, or else one emplaced in `local` and filled from scratch.
-  const channel::PathResponse& response(std::optional<LocalResponse>& local,
+  /// Scratch for one evaluation: the bound workspace, or else a fresh
+  /// one emplaced in `local`.
+  TrialWorkspace& scratch(std::optional<TrialWorkspace>& local) const;
+  /// This tick's path-response table in `ws`, with delay phasors when
+  /// `delays`, refilled only if another tick or world filled it last.
+  const channel::PathResponse& response(TrialWorkspace& ws,
                                         bool delays) const;
   /// Mean received power over the subcarriers (paths non-empty).
   double received_power(const CVec& tx_weights,

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/controller_base.h"
 #include "sim/engine.h"
 #include "sim/telemetry.h"
 
@@ -65,6 +66,73 @@ TEST(RetryQuarantine, TransientFailureIsRetriedBitIdentically) {
   opts.trial_retries = 1;
   const EngineResult retried = Engine().run(flaky, nullptr, opts);
 
+  EXPECT_TRUE(retried.failures.empty());
+  expect_trials_identical(retried.trials, clean.trials);
+  EXPECT_EQ(retried.aggregate.mean_reliability,
+            clean.aggregate.mean_reliability);
+}
+
+/// mmreliable, except that an armed instance throws from its
+/// `throw_at_step`-th step: mid-run, after the world has filled the trial
+/// workspace's path-response table.
+class MidRunFlakyController final : public core::BeamController {
+ public:
+  MidRunFlakyController(std::unique_ptr<core::BeamController> inner,
+                        int throw_at_step)
+      : inner_(std::move(inner)), throw_at_step_(throw_at_step) {}
+
+  void start(double t_s, const core::LinkProbeInterface& link) override {
+    inner_->start(t_s, link);
+  }
+  void step(double t_s, const core::LinkProbeInterface& link) override {
+    if (++steps_ == throw_at_step_) {
+      throw std::runtime_error("mid-run fault injected by test");
+    }
+    inner_->step(t_s, link);
+  }
+  const CVec& tx_weights() const override { return inner_->tx_weights(); }
+  bool link_available(double t_s) const override {
+    return inner_->link_available(t_s);
+  }
+  const char* name() const override { return inner_->name(); }
+  core::LinkState link_state(double t_s) const override {
+    return inner_->link_state(t_s);
+  }
+  void set_fault_listener(core::FaultListener listener) override {
+    inner_->set_fault_listener(std::move(listener));
+  }
+
+ private:
+  std::unique_ptr<core::BeamController> inner_;
+  int throw_at_step_;
+  int steps_ = 0;
+};
+
+TEST(RetryQuarantine, MidRunFailureIsRetriedBitIdentically) {
+  // The first controller instance throws on its 20th step (the runs are
+  // 40 ticks), so trial 0's first attempt dies after its world filled the
+  // workspace; the retry reuses that workspace and must still match a
+  // sweep that never failed.
+  const EngineResult clean = Engine().run(base_spec());
+
+  auto first_instance = std::make_shared<std::atomic<bool>>(true);
+  ControllerRegistry::instance().add(
+      "mid_run_flaky",
+      [first_instance](const LinkWorld& world, const ScenarioConfig& config,
+                       const ControllerSpec& spec) {
+        ControllerSpec inner = spec;
+        inner.name = "mmreliable";
+        return std::make_unique<MidRunFlakyController>(
+            ControllerRegistry::instance().make(world, config, inner),
+            first_instance->exchange(false) ? 20 : -1);
+      });
+  ExperimentSpec flaky = base_spec();
+  flaky.controller.name = "mid_run_flaky";
+  EngineOptions opts;
+  opts.trial_retries = 1;
+  const EngineResult retried = Engine().run(flaky, nullptr, opts);
+
+  EXPECT_FALSE(first_instance->load()) << "no instance was armed";
   EXPECT_TRUE(retried.failures.empty());
   expect_trials_identical(retried.trials, clean.trials);
   EXPECT_EQ(retried.aggregate.mean_reliability,

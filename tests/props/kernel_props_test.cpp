@@ -1,4 +1,4 @@
-// Property-based kernel/arena invariants (>= 1000 Rng::fork cases each),
+// Property-based kernel/workspace invariants (>= 1000 Rng::fork cases each),
 // swept across every compiled-and-executable kernel backend:
 //   * phasor ramps are unit-modulus per element on every backend,
 //   * dot_phasors over arbitrary vectors is commutative within the dot
@@ -7,8 +7,8 @@
 //   * axpy is linear in alpha within the declared backend tolerance,
 //   * batched normals (Rng::normals through each backend's log/sincos)
 //     have the standard normal's mean, variance and fourth moment,
-//   * Arena reset/reuse is address-stable, and a trial rerun on a reset
-//     workspace -- or with no workspace at all -- is bit-identical.
+//   * a trial rerun on a reused workspace -- or with no workspace at
+//     all -- is bit-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "dsp/backend.h"
@@ -196,40 +195,10 @@ TEST(KernelProps, BatchedNormalMomentsOnEveryBackend) {
   });
 }
 
-TEST(ArenaProps, ResetReuseIsAddressStableAndChunkStable) {
-  const Rng base(kBaseSeed + 4);
-  for (std::size_t i = 0; i < 1000; ++i) {
-    Rng rng = base.fork(i);
-    Arena arena(128);
-    const std::size_t count = 1 + rng.uniform_index(40);
-    std::vector<std::size_t> sizes;
-    std::vector<std::size_t> aligns;
-    std::vector<void*> first;
-    for (std::size_t k = 0; k < count; ++k) {
-      sizes.push_back(1 + rng.uniform_index(600));
-      aligns.push_back(std::size_t{1} << rng.uniform_index(6));  // 1..32
-      first.push_back(arena.allocate(sizes[k], aligns[k]));
-    }
-    const std::size_t chunks = arena.chunk_count();
-    const std::size_t used = arena.bytes_in_use();
-    arena.reset();
-    ASSERT_EQ(arena.bytes_in_use(), 0u) << "case " << i;
-    for (std::size_t k = 0; k < count; ++k) {
-      // Identical allocation sequence after reset() returns identical
-      // addresses from the retained chunks: the no-new-chunks guarantee
-      // the zero-alloc trial loop rests on.
-      ASSERT_EQ(arena.allocate(sizes[k], aligns[k]), first[k])
-          << "case " << i << " alloc " << k;
-    }
-    ASSERT_EQ(arena.chunk_count(), chunks) << "case " << i;
-    ASSERT_EQ(arena.bytes_in_use(), used) << "case " << i;
-    ASSERT_EQ(arena.high_water(), used) << "case " << i;
-  }
-}
-
-// A full trial rerun on the SAME workspace after reset(), and a trial run
-// with NO workspace at all, must both be bit-identical to the first run:
-// the arena is a pure performance mechanism with zero observable effect.
+// A full trial rerun on the SAME workspace, which still holds the first
+// run's scratch and table, and a trial run with NO workspace at all, must
+// both be bit-identical to the first run: the workspace is a pure
+// performance mechanism with zero observable effect.
 TEST(ArenaProps, TrialRerunOnResetWorkspaceIsBitIdentical) {
   sim::ScenarioSpec scenario;
   scenario.name = "indoor_sparse";
@@ -250,7 +219,6 @@ TEST(ArenaProps, TrialRerunOnResetWorkspaceIsBitIdentical) {
 
   sim::TrialWorkspace ws;
   const sim::RunResult first = run_once(&ws);
-  ws.reset();
   const sim::RunResult rerun = run_once(&ws);
   const sim::RunResult bare = run_once(nullptr);
 

@@ -198,23 +198,6 @@ TEST(PathResponseProps, WorldRebuiltInPlaceNeverHitsAStaleTable) {
   }
 }
 
-TEST(PathResponseProps, ResetWorkspaceHoldsNoTable) {
-  sim::ScenarioSpec spec;
-  spec.name = "indoor_sparse";
-  spec.config.seed = 5;
-  sim::LinkWorld world = sim::ScenarioRegistry::instance().make(spec);
-  sim::LinkWorld twin = sim::ScenarioRegistry::instance().make(spec);
-  sim::TrialWorkspace ws;
-  world.bind_workspace(&ws);
-  const CVec w = array::single_beam_weights(world.config().tx_ula, 0.1);
-  ASSERT_TRUE(same_bits(world.true_snr_db(w), twin.true_snr_db(w)));
-  EXPECT_NE(ws.response_tick(), 0u);
-  ws.reset();
-  EXPECT_EQ(ws.response_tick(), 0u);
-  // Same tick, rebuilt scratch: the world refills and still agrees.
-  ASSERT_TRUE(same_bits(world.true_snr_db(w), twin.true_snr_db(w)));
-}
-
 /// An indoor world over a 64-subcarrier grid of `bandwidth_hz`.
 sim::LinkWorld world_at_bandwidth(double bandwidth_hz) {
   sim::WorldConfig wc;
