@@ -37,73 +37,4 @@ double GeometricBlocker::attenuation_db(double t_s, Vec2 tx, Vec2 rx,
   return config_.depth_db * frac;
 }
 
-void apply_blockers(std::vector<Path>& paths,
-                    const std::vector<GeometricBlocker>& blockers, double t_s,
-                    Vec2 tx, Vec2 rx,
-                    const std::vector<Vec2>& reflection_points) {
-  MMR_EXPECTS(reflection_points.size() == paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    double total = 0.0;
-    const Vec2* refl = paths[i].is_los ? nullptr : &reflection_points[i];
-    for (const auto& blocker : blockers) {
-      total += blocker.attenuation_db(t_s, tx, rx, refl);
-    }
-    paths[i].blockage_db = total;
-  }
-}
-
-BlockageEventProcess::BlockageEventProcess(Config config, Rng rng)
-    : config_(config), rng_(rng) {
-  MMR_EXPECTS(config_.event_rate_hz >= 0.0);
-  MMR_EXPECTS(config_.max_duration_s >= config_.min_duration_s);
-}
-
-void BlockageEventProcess::generate(double horizon_s, std::size_t num_paths) {
-  MMR_EXPECTS(num_paths >= 1);
-  events_.clear();
-  if (config_.event_rate_hz <= 0.0) return;
-  double t = rng_.exponential(1.0 / config_.event_rate_hz);
-  while (t < horizon_s) {
-    Event ev;
-    ev.start_s = t;
-    ev.duration_s =
-        rng_.uniform(config_.min_duration_s, config_.max_duration_s);
-    ev.depth_db = config_.depth_db;
-    // Primary target.
-    std::size_t primary = 0;
-    if (num_paths > 1 && !rng_.bernoulli(config_.los_bias)) {
-      primary = 1 + rng_.uniform_index(num_paths - 1);
-    }
-    ev.paths.push_back(primary);
-    // Occasional correlated second blockage.
-    if (num_paths > 1 && rng_.bernoulli(config_.correlated_prob)) {
-      std::size_t second = rng_.uniform_index(num_paths);
-      if (second != primary) ev.paths.push_back(second);
-    }
-    events_.push_back(std::move(ev));
-    t += rng_.exponential(1.0 / config_.event_rate_hz);
-  }
-}
-
-double BlockageEventProcess::attenuation_db(double t_s,
-                                            std::size_t path_idx) const {
-  double total = 0.0;
-  for (const Event& ev : events_) {
-    if (t_s < ev.start_s || t_s > ev.start_s + ev.duration_s) continue;
-    if (std::find(ev.paths.begin(), ev.paths.end(), path_idx) ==
-        ev.paths.end()) {
-      continue;
-    }
-    // Ramp in and out over onset_s.
-    double frac = 1.0;
-    if (config_.onset_s > 0.0) {
-      const double in = (t_s - ev.start_s) / config_.onset_s;
-      const double out = (ev.start_s + ev.duration_s - t_s) / config_.onset_s;
-      frac = std::clamp(std::min(in, out), 0.0, 1.0);
-    }
-    total += ev.depth_db * frac;
-  }
-  return total;
-}
-
 }  // namespace mmr::channel

@@ -1,20 +1,13 @@
-// Blockage models.
-//
-// Two levels of fidelity:
-//  * GeometricBlocker: a human-sized moving obstacle whose position is
-//    checked against each path's ray every step; attenuation ramps in dB
-//    as the body enters the Fresnel zone (reproduces Fig. 16's walk-through
-//    traces and the ~10 dB / 10-symbol onset rate of Section 4.1).
-//  * BlockageEventProcess: a stochastic injector for end-to-end runs
-//    (Section 6.2: events of 100-500 ms uniformly distributed, targeting
-//    the LOS path most often).
+// Blockage model: GeometricBlocker, a human-sized moving obstacle whose
+// position is checked against each path's ray every step; attenuation
+// ramps in dB as the body enters the Fresnel zone (reproduces Fig. 16's
+// walk-through traces and the ~10 dB / 10-symbol onset rate of Section
+// 4.1). The paper's end-to-end blockage events (Section 6.2: people
+// walking through the beams for 100-500 ms) run as crossing blockers too
+// (sim::BlockerSpec, drawn per trial by the Fig. 18 bench).
 #pragma once
 
-#include <vector>
-
 #include "channel/geometry2d.h"
-#include "channel/path.h"
-#include "common/rng.h"
 
 namespace mmr::channel {
 
@@ -44,52 +37,6 @@ class GeometricBlocker {
 
  private:
   Config config_;
-};
-
-/// Apply a set of blockers to traced paths at time t: fills in
-/// Path::blockage_db. Reflection points must be recomputable from the
-/// environment; here the caller passes them per path (empty pointer = LOS).
-void apply_blockers(std::vector<Path>& paths,
-                    const std::vector<GeometricBlocker>& blockers, double t_s,
-                    Vec2 tx, Vec2 rx,
-                    const std::vector<Vec2>& reflection_points);
-
-/// Stochastic blockage events for Monte-Carlo end-to-end runs.
-class BlockageEventProcess {
- public:
-  struct Config {
-    double event_rate_hz = 1.0;       ///< mean events per second
-    double min_duration_s = 0.1;      ///< paper: 100 ms
-    double max_duration_s = 0.5;      ///< paper: 500 ms
-    double depth_db = 26.0;
-    double onset_s = 0.005;           ///< dB ramp time
-    /// Probability an event hits the LOS path (else a random NLOS path).
-    double los_bias = 0.7;
-    /// Probability a second path is blocked by the same event (correlated
-    /// blockage; Section 3.1 discusses this case).
-    double correlated_prob = 0.05;
-  };
-
-  BlockageEventProcess(Config config, Rng rng);
-
-  /// Pre-generate all events within [0, horizon_s) for `num_paths` paths.
-  void generate(double horizon_s, std::size_t num_paths);
-
-  /// Attenuation [dB] on path `path_idx` at time t.
-  double attenuation_db(double t_s, std::size_t path_idx) const;
-
-  struct Event {
-    double start_s = 0.0;
-    double duration_s = 0.0;
-    double depth_db = 0.0;
-    std::vector<std::size_t> paths;
-  };
-  const std::vector<Event>& events() const { return events_; }
-
- private:
-  Config config_;
-  Rng rng_;
-  std::vector<Event> events_;
 };
 
 }  // namespace mmr::channel

@@ -43,14 +43,9 @@ Environment::Environment(double carrier_hz) : carrier_hz_(carrier_hz) {
 
 void Environment::add_wall(Wall wall) { walls_.push_back(std::move(wall)); }
 
-bool Environment::occluded(Vec2 p, Vec2 q, int ignore_wall_a,
-                           int ignore_wall_b) const {
+bool Environment::occluded(Vec2 p, Vec2 q, int ignore_wall) const {
   for (std::size_t i = 0; i < walls_.size(); ++i) {
-    if (static_cast<int>(i) == ignore_wall_a ||
-        static_cast<int>(i) == ignore_wall_b) {
-      continue;
-    }
-    if (!walls_[i].occludes) continue;
+    if (static_cast<int>(i) == ignore_wall || !walls_[i].occludes) continue;
     const auto hit = intersect(walls_[i].segment, p, q);
     if (!hit) continue;
     // Endpoint touches (ray grazing the wall it starts next to) don't count.
@@ -61,21 +56,18 @@ bool Environment::occluded(Vec2 p, Vec2 q, int ignore_wall_a,
 }
 
 std::vector<Path> Environment::trace(const Pose& tx, const Pose& rx,
-                                     double min_rel_power_db,
-                                     int max_bounces) const {
+                                     double min_rel_power_db) const {
   std::vector<Path> paths;
-  trace_into(paths, tx, rx, min_rel_power_db, max_bounces);
+  trace_into(paths, tx, rx, min_rel_power_db);
   return paths;
 }
 
 void Environment::trace_into(std::vector<Path>& paths, const Pose& tx,
-                             const Pose& rx, double min_rel_power_db,
-                             int max_bounces) const {
-  MMR_EXPECTS(max_bounces >= 1 && max_bounces <= 2);
+                             const Pose& rx, double min_rel_power_db) const {
   paths.clear();
 
   // LOS.
-  if (!occluded(tx.position, rx.position, -1, -1)) {
+  if (!occluded(tx.position, rx.position, -1)) {
     const double d = distance(tx.position, rx.position);
     if (d > 1e-6) {
       Path p;
@@ -105,8 +97,8 @@ void Environment::trace_into(std::vector<Path>& paths, const Pose& tx,
       continue;
     }
     const int wall_id = static_cast<int>(i);
-    if (occluded(tx.position, refl, wall_id, -1)) continue;
-    if (occluded(refl, rx.position, wall_id, -1)) continue;
+    if (occluded(tx.position, refl, wall_id)) continue;
+    if (occluded(refl, rx.position, wall_id)) continue;
     const double d = distance(tx.position, refl) + distance(refl, rx.position);
     Path p;
     p.is_los = false;
@@ -120,54 +112,6 @@ void Environment::trace_into(std::vector<Path>& paths, const Pose& tx,
     p.gain =
         path_gain(d, wall.material.reflection_loss_db, carrier_hz_) * elem;
     paths.push_back(p);
-  }
-
-  // Double bounce off ordered wall pairs (image of the image). Only the
-  // corridor/canyon benches ask for this; the default single-bounce trace
-  // matches the sparse-cluster channel the paper's algorithms assume.
-  if (max_bounces >= 2) {
-    for (std::size_t i = 0; i < walls_.size(); ++i) {
-      for (std::size_t j = 0; j < walls_.size(); ++j) {
-        if (i == j) continue;
-        const Wall& first = walls_[i];
-        const Wall& second = walls_[j];
-        const Vec2 image1 = mirror_across(first.segment, tx.position);
-        const Vec2 image2 = mirror_across(second.segment, image1);
-        const auto hit2 = intersect(second.segment, image2, rx.position);
-        if (!hit2) continue;
-        const Vec2 p2 = *hit2;
-        const auto hit1 = intersect(first.segment, image1, p2);
-        if (!hit1) continue;
-        const Vec2 p1 = *hit1;
-        if (distance(p1, tx.position) < 1e-6 ||
-            distance(p2, rx.position) < 1e-6 ||
-            distance(p1, p2) < 1e-6) {
-          continue;
-        }
-        const int wi = static_cast<int>(i);
-        const int wj = static_cast<int>(j);
-        if (occluded(tx.position, p1, wi, -1)) continue;
-        if (occluded(p1, p2, wi, wj)) continue;
-        if (occluded(p2, rx.position, wj, -1)) continue;
-        const double d = distance(tx.position, p1) + distance(p1, p2) +
-                         distance(p2, rx.position);
-        Path p;
-        p.is_los = false;
-        p.reflector_id = wi;  // first interaction names the path
-        p.reflection_point = p1;
-        p.aod_rad = relative_angle(tx, p1 - tx.position);
-        p.aoa_rad = relative_angle(rx, p2 - rx.position);
-        p.delay_s = d / kSpeedOfLight;
-        const double elem = element_gain(p.aod_rad);
-        if (elem <= 0.0) continue;
-        p.gain = path_gain(d,
-                           first.material.reflection_loss_db +
-                               second.material.reflection_loss_db,
-                           carrier_hz_) *
-                 elem;
-        paths.push_back(p);
-      }
-    }
   }
 
   if (paths.empty()) return;

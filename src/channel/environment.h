@@ -42,12 +42,8 @@ class Environment {
   /// returned paths are relative to each terminal's boresight. Occluded
   /// rays are dropped; paths weaker than `min_rel_power_db` below the
   /// strongest are pruned (beam training would never pick them).
-  /// `max_bounces` of 1 (default) traces single reflections -- the sparse
-  /// regime the paper's algorithms assume; 2 adds wall-pair double
-  /// bounces (corridor/canyon environments).
   std::vector<Path> trace(const Pose& tx, const Pose& rx,
-                          double min_rel_power_db = 40.0,
-                          int max_bounces = 1) const;
+                          double min_rel_power_db = 40.0) const;
 
   /// Allocation-reusing form of trace(): clears `out` and fills it with
   /// exactly the paths (same values, same order) trace() would return,
@@ -55,7 +51,7 @@ class Environment {
   /// this so the trial hot path stops allocating once the path count has
   /// plateaued. trace() is a thin wrapper around this.
   void trace_into(std::vector<Path>& out, const Pose& tx, const Pose& rx,
-                  double min_rel_power_db = 40.0, int max_bounces = 1) const;
+                  double min_rel_power_db = 40.0) const;
 
   /// Canonical scenarios from the paper's evaluation (Section 6).
   /// 7 m x 10 m conference room: glass walls, whiteboard, metal cabinets.
@@ -69,7 +65,9 @@ class Environment {
   static Environment outdoor_street();
 
  private:
-  bool occluded(Vec2 p, Vec2 q, int ignore_wall_a, int ignore_wall_b) const;
+  /// True if an occluding wall other than `ignore_wall` (-1: none)
+  /// crosses the segment p-q.
+  bool occluded(Vec2 p, Vec2 q, int ignore_wall) const;
 
   double carrier_hz_;
   std::vector<Wall> walls_;

@@ -1,9 +1,6 @@
 #include "channel/mobility.h"
 
-#include <algorithm>
-
 #include "common/angles.h"
-#include "common/error.h"
 
 namespace mmr::channel {
 
@@ -16,15 +13,6 @@ Pose LinearTranslation::at(double t_s) const {
   return p;
 }
 
-UniformRotation::UniformRotation(Pose start, double rate_rad_per_s)
-    : start_(start), rate_(rate_rad_per_s) {}
-
-Pose UniformRotation::at(double t_s) const {
-  Pose p = start_;
-  p.orientation_rad = wrap_pi(start_.orientation_rad + rate_ * t_s);
-  return p;
-}
-
 TranslateAndRotate::TranslateAndRotate(Pose start, Vec2 velocity_mps,
                                        double rate_rad_per_s)
     : start_(start), velocity_(velocity_mps), rate_(rate_rad_per_s) {}
@@ -34,32 +22,6 @@ Pose TranslateAndRotate::at(double t_s) const {
   p.position = start_.position + velocity_ * t_s;
   p.orientation_rad = wrap_pi(start_.orientation_rad + rate_ * t_s);
   return p;
-}
-
-WaypointPath::WaypointPath(std::vector<Waypoint> waypoints)
-    : waypoints_(std::move(waypoints)) {
-  MMR_EXPECTS(waypoints_.size() >= 2);
-  MMR_EXPECTS(std::is_sorted(
-      waypoints_.begin(), waypoints_.end(),
-      [](const Waypoint& a, const Waypoint& b) { return a.t_s < b.t_s; }));
-}
-
-Pose WaypointPath::at(double t_s) const {
-  if (t_s <= waypoints_.front().t_s) return waypoints_.front().pose;
-  if (t_s >= waypoints_.back().t_s) return waypoints_.back().pose;
-  for (std::size_t i = 1; i < waypoints_.size(); ++i) {
-    if (t_s > waypoints_[i].t_s) continue;
-    const Waypoint& a = waypoints_[i - 1];
-    const Waypoint& b = waypoints_[i];
-    const double u = (t_s - a.t_s) / (b.t_s - a.t_s);
-    Pose p;
-    p.position = a.pose.position + (b.pose.position - a.pose.position) * u;
-    const double dori =
-        wrap_pi(b.pose.orientation_rad - a.pose.orientation_rad);
-    p.orientation_rad = wrap_pi(a.pose.orientation_rad + dori * u);
-    return p;
-  }
-  return waypoints_.back().pose;  // unreachable
 }
 
 }  // namespace mmr::channel

@@ -4,9 +4,6 @@
 // they double as exact ground truth for tracking-accuracy experiments.
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "channel/environment.h"
 
 namespace mmr::channel {
@@ -38,17 +35,6 @@ class LinearTranslation final : public Trajectory {
   Vec2 velocity_;
 };
 
-/// In-place rotation at a constant rate.
-class UniformRotation final : public Trajectory {
- public:
-  UniformRotation(Pose start, double rate_rad_per_s);
-  Pose at(double t_s) const override;
-
- private:
-  Pose start_;
-  double rate_;
-};
-
 /// Translation and rotation combined.
 class TranslateAndRotate final : public Trajectory {
  public:
@@ -59,21 +45,6 @@ class TranslateAndRotate final : public Trajectory {
   Pose start_;
   Vec2 velocity_;
   double rate_;
-};
-
-/// Piecewise-linear waypoint path (position interpolated, orientation
-/// slerped); used for "natural motion" end-to-end runs.
-class WaypointPath final : public Trajectory {
- public:
-  struct Waypoint {
-    double t_s;
-    Pose pose;
-  };
-  explicit WaypointPath(std::vector<Waypoint> waypoints);
-  Pose at(double t_s) const override;
-
- private:
-  std::vector<Waypoint> waypoints_;
 };
 
 }  // namespace mmr::channel

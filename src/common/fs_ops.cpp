@@ -5,9 +5,12 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <memory>
 #include <thread>
 
+#include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace mmr::fsio {
@@ -31,14 +34,42 @@ int real_rename(const char* from, const char* to) {
 
 int real_unlink(const char* path) { return ::unlink(path); }
 
+int real_mkdir(const char* path, unsigned mode) {
+  return ::mkdir(path, static_cast<mode_t>(mode));
+}
+
+int real_list_dir(const char* path, std::vector<std::string>* names) {
+  const std::unique_ptr<DIR, int (*)(DIR*)> d(::opendir(path), &::closedir);
+  if (d == nullptr) return -1;
+  while (const dirent* entry = ::readdir(d.get())) {
+    names->push_back(entry->d_name);
+  }
+  return 0;
+}
+
+int real_stat(const char* path, struct stat* st) { return ::stat(path, st); }
+
+int real_touch(const char* path) {
+  return ::utimensat(AT_FDCWD, path, nullptr, 0);
+}
+
 void real_sleep(double seconds) {
   if (seconds <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 const OpsTable kRealOps = {
-    &real_open, &real_write, &real_fsync,  &real_close,
-    &real_rename, &real_unlink, &real_sleep,
+    .open_fn = &real_open,
+    .write_fn = &real_write,
+    .fsync_fn = &real_fsync,
+    .close_fn = &real_close,
+    .rename_fn = &real_rename,
+    .unlink_fn = &real_unlink,
+    .mkdir_fn = &real_mkdir,
+    .list_dir_fn = &real_list_dir,
+    .stat_fn = &real_stat,
+    .touch_fn = &real_touch,
+    .sleep_fn = &real_sleep,
 };
 
 // Published like dsp::backend's dispatch table: relaxed atomic pointer,
@@ -52,6 +83,24 @@ bool backoff_step(int& attempts_left, double& backoff_s) {
   ops().sleep_fn(backoff_s);
   backoff_s *= 2.0;
   return true;
+}
+
+/// Run `call` (a syscall wrapper returning 0, or -1 with errno set) until
+/// it succeeds (true) or fails with `tolerated` (false). A permanent
+/// errno or an exhausted retry budget throws IoError(op, path, errno).
+template <typename Call>
+bool retry(Call call, const char* op, const std::string& path,
+           const RetryPolicy& policy, int tolerated = 0) {
+  int attempts_left = policy.max_attempts;
+  double backoff_s = policy.initial_backoff_s;
+  for (;;) {
+    if (call() == 0) return true;
+    const int err = errno;
+    if (tolerated != 0 && err == tolerated) return false;
+    if (!transient_errno(err) || !backoff_step(attempts_left, backoff_s)) {
+      throw IoError(op, path, err);
+    }
+  }
 }
 
 }  // namespace
@@ -77,15 +126,12 @@ bool transient_errno(int err) {
 
 int open_retry(const std::string& path, int flags, unsigned mode,
                const RetryPolicy& policy) {
-  int attempts_left = policy.max_attempts;
-  double backoff_s = policy.initial_backoff_s;
-  for (;;) {
-    const int fd = ops().open_fn(path.c_str(), flags, mode);
-    if (fd >= 0) return fd;
-    if (!transient_errno(errno) || !backoff_step(attempts_left, backoff_s)) {
-      throw IoError("open", path, errno);
-    }
-  }
+  int fd = -1;
+  retry([&] {
+    fd = ops().open_fn(path.c_str(), flags, mode);
+    return fd >= 0 ? 0 : -1;
+  }, "open", path, policy);
+  return fd;
 }
 
 void write_all(int fd, const void* data, std::size_t n,
@@ -114,37 +160,51 @@ void write_all(int fd, const void* data, std::size_t n,
 }
 
 void fsync_retry(int fd, const std::string& path, const RetryPolicy& policy) {
-  int attempts_left = policy.max_attempts;
-  double backoff_s = policy.initial_backoff_s;
-  while (ops().fsync_fn(fd) != 0) {
-    if (!transient_errno(errno) || !backoff_step(attempts_left, backoff_s)) {
-      throw IoError("fsync", path, errno);
-    }
-  }
+  retry([&] { return ops().fsync_fn(fd); }, "fsync", path, policy);
 }
 
 void rename_retry(const std::string& from, const std::string& to,
                   const RetryPolicy& policy) {
-  int attempts_left = policy.max_attempts;
-  double backoff_s = policy.initial_backoff_s;
-  while (ops().rename_fn(from.c_str(), to.c_str()) != 0) {
-    if (!transient_errno(errno) || !backoff_step(attempts_left, backoff_s)) {
-      throw IoError("rename", to, errno);
-    }
-  }
+  retry([&] { return ops().rename_fn(from.c_str(), to.c_str()); }, "rename",
+        to, policy);
 }
 
 bool rename_if_exists(const std::string& from, const std::string& to,
                       const RetryPolicy& policy) {
-  int attempts_left = policy.max_attempts;
-  double backoff_s = policy.initial_backoff_s;
-  for (;;) {
-    if (ops().rename_fn(from.c_str(), to.c_str()) == 0) return true;
-    if (errno == ENOENT) return false;
-    if (!transient_errno(errno) || !backoff_step(attempts_left, backoff_s)) {
-      throw IoError("rename", to, errno);
-    }
+  return retry([&] { return ops().rename_fn(from.c_str(), to.c_str()); },
+               "rename", to, policy, ENOENT);
+}
+
+void make_dir(const std::string& path, unsigned mode,
+              const RetryPolicy& policy) {
+  retry([&] { return ops().mkdir_fn(path.c_str(), mode); }, "mkdir", path,
+        policy, EEXIST);
+}
+
+std::vector<std::string> list_dir(const std::string& path,
+                                  const RetryPolicy& policy) {
+  std::vector<std::string> names;
+  retry([&] {
+    names.clear();
+    return ops().list_dir_fn(path.c_str(), &names);
+  }, "opendir", path, policy);
+  return names;
+}
+
+std::optional<double> mtime_if_exists(const std::string& path,
+                                      const RetryPolicy& policy) {
+  struct stat st;
+  if (!retry([&] { return ops().stat_fn(path.c_str(), &st); }, "stat", path,
+             policy, ENOENT)) {
+    return std::nullopt;
   }
+  return static_cast<double>(st.st_mtim.tv_sec) +
+         static_cast<double>(st.st_mtim.tv_nsec) * 1e-9;
+}
+
+bool touch_if_exists(const std::string& path, const RetryPolicy& policy) {
+  return retry([&] { return ops().touch_fn(path.c_str()); }, "utimensat",
+               path, policy, ENOENT);
 }
 
 void close_or_throw(int fd, const std::string& path) {

@@ -1,8 +1,9 @@
 // Hookable filesystem syscalls with bounded deterministic retry.
 //
 // Every syscall the durability layer depends on (AtomicFile's staged
-// commit, the campaign journal's fsync'd append, the shard queue's
-// O_EXCL ticket creation and its claim, reclaim, complete and requeue
+// commit, the campaign journal's fsync'd append, and the shard queue's
+// directory creation and listing, O_EXCL ticket creation, lease-age
+// stats, pre-claim mtime refresh and claim, reclaim and complete
 // renames) routes through a per-process fn-pointer table -- the
 // same pattern as dsp::backend -- so tests can install a faulting table
 // that deterministically injects EINTR storms, short writes, ENOSPC, and
@@ -24,15 +25,21 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/io_error.h"
+
+struct stat;  // <sys/stat.h>
 
 namespace mmr::fsio {
 
 /// Hook table over the raw syscalls. Entries must behave like their
-/// POSIX namesakes (return value + errno); `sleep_fn` is the retry
-/// backoff sleeper (seconds).
+/// POSIX namesakes (return value + errno); `list_dir_fn` is
+/// opendir/readdir/closedir filling `names` with every entry, `touch_fn`
+/// is utimensat(AT_FDCWD, path, NULL, 0) (both timestamps to now), and
+/// `sleep_fn` is the retry backoff sleeper (seconds).
 struct OpsTable {
   int (*open_fn)(const char* path, int flags, unsigned mode) = nullptr;
   long (*write_fn)(int fd, const void* data, std::size_t n) = nullptr;
@@ -40,6 +47,11 @@ struct OpsTable {
   int (*close_fn)(int fd) = nullptr;
   int (*rename_fn)(const char* from, const char* to) = nullptr;
   int (*unlink_fn)(const char* path) = nullptr;
+  int (*mkdir_fn)(const char* path, unsigned mode) = nullptr;
+  int (*list_dir_fn)(const char* path, std::vector<std::string>* names) =
+      nullptr;
+  int (*stat_fn)(const char* path, struct stat* st) = nullptr;
+  int (*touch_fn)(const char* path) = nullptr;
   void (*sleep_fn)(double seconds) = nullptr;
 };
 
@@ -105,6 +117,27 @@ void rename_retry(const std::string& from, const std::string& to,
 /// on anything else after transient retries.
 bool rename_if_exists(const std::string& from, const std::string& to,
                       const RetryPolicy& policy = {});
+
+/// mkdir(2) with transient retry; an existing path (EEXIST) counts as
+/// success. Throws IoError("mkdir", path, errno).
+void make_dir(const std::string& path, unsigned mode,
+              const RetryPolicy& policy = {});
+
+/// Entry names of directory `path`, in directory order, with transient
+/// retry. Throws IoError("opendir", path, errno).
+std::vector<std::string> list_dir(const std::string& path,
+                                  const RetryPolicy& policy = {});
+
+/// stat(2) mtime of `path` in seconds, with transient retry; nullopt
+/// when `path` does not exist (ENOENT). Throws IoError("stat", path,
+/// errno) on anything else.
+std::optional<double> mtime_if_exists(const std::string& path,
+                                      const RetryPolicy& policy = {});
+
+/// Set `path`'s timestamps to now, with transient retry; false when
+/// `path` does not exist (ENOENT). Throws IoError("utimensat", path,
+/// errno) on anything else.
+bool touch_if_exists(const std::string& path, const RetryPolicy& policy = {});
 
 /// close(2); EINTR is treated as success (POSIX leaves the fd state
 /// unspecified and Linux closes it). Throws IoError("close", path, errno)

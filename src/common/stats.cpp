@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
 
@@ -27,26 +28,6 @@ double mean(std::span<const double> values) {
   double sum = 0.0;
   for (double v : values) sum += v;
   return sum / static_cast<double>(values.size());
-}
-
-Cdf empirical_cdf(std::span<const double> values) {
-  MMR_EXPECTS(!values.empty());
-  Cdf cdf;
-  cdf.value.assign(values.begin(), values.end());
-  std::sort(cdf.value.begin(), cdf.value.end());
-  cdf.prob.resize(cdf.value.size());
-  const double n = static_cast<double>(cdf.value.size());
-  for (std::size_t i = 0; i < cdf.value.size(); ++i) {
-    cdf.prob[i] = static_cast<double>(i + 1) / n;
-  }
-  return cdf;
-}
-
-double cdf_at(const Cdf& cdf, double x) {
-  MMR_EXPECTS(!cdf.value.empty());
-  const auto it = std::upper_bound(cdf.value.begin(), cdf.value.end(), x);
-  const auto idx = static_cast<std::size_t>(it - cdf.value.begin());
-  return static_cast<double>(idx) / static_cast<double>(cdf.value.size());
 }
 
 }  // namespace mmr

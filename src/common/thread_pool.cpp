@@ -2,25 +2,26 @@
 
 #include <utility>
 
-#include "common/error.h"
-
 namespace mmr {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = hardware_jobs();
-  queues_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  try {
+    for (std::size_t i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop_and_join();  // the threads already started must not outlive us
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
-    std::lock_guard<std::mutex> lock(wake_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
   }
   wake_.notify_all();
@@ -32,81 +33,53 @@ std::size_t ThreadPool::hardware_jobs() {
   return n == 0 ? 1 : static_cast<std::size_t>(n);
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
-  const std::size_t target =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  {
-    std::lock_guard<std::mutex> lock(queues_[target]->mutex);
-    queues_[target]->tasks.push_back(std::move(task));
-  }
-  {
-    // Bump under the wake mutex so a worker checking the predicate cannot
-    // miss the notification.
-    std::lock_guard<std::mutex> lock(wake_mutex_);
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  }
-  wake_.notify_one();
+void ThreadPool::run(std::size_t n, Invoke invoke, void* ctx) {
+  if (n == 0) return;
+  std::lock_guard<std::mutex> call(call_mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  invoke_ = invoke;
+  ctx_ = ctx;
+  n_ = n;
+  next_.store(0, std::memory_order_relaxed);
+  error_ = nullptr;
+  busy_ = workers_.size();
+  ++generation_;
+  wake_.notify_all();
+  // Every worker must leave the job before the body (and ctx) go out of
+  // scope, even one that wakes after the range is exhausted.
+  idle_.wait(lock, [this] { return busy_ == 0; });
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
-bool ThreadPool::try_pop(std::size_t worker, std::function<void()>& task) {
-  // Own queue first, newest task (LIFO keeps the working set warm)...
-  {
-    WorkerQueue& own = *queues_[worker];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  // ...then steal the oldest task from a sibling.
-  for (std::size_t k = 1; k < queues_.size(); ++k) {
-    WorkerQueue& victim = *queues_[(worker + k) % queues_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.tasks.empty()) {
-      task = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t worker) {
+void ThreadPool::drain() {
   for (;;) {
-    std::function<void()> task;
-    if (try_pop(worker, task)) {
-      task();
-      continue;
+    const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= n_) return;
+    try {
+      invoke_(ctx_, i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!error_ || i < error_index_) {
+        error_ = std::current_exception();
+        error_index_ = i;
+      }
     }
-    std::unique_lock<std::mutex> lock(wake_mutex_);
-    wake_.wait(lock, [this] {
-      return stop_ || pending_.load(std::memory_order_relaxed) > 0;
-    });
-    if (stop_ && pending_.load(std::memory_order_relaxed) == 0) return;
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  MMR_EXPECTS(body != nullptr);
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(submit([&body, i] { body(i); }));
-  }
-  // Collect everything before rethrowing so no task outlives `body`.
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
     }
+    drain();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--busy_ == 0) idle_.notify_one();
   }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace mmr

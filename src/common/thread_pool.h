@@ -1,8 +1,10 @@
-// Work-stealing thread pool for trial-level parallelism.
+// Fixed thread pool for trial-level parallelism: parallel_for only.
 //
-// Each worker owns a deque: it pops its own work LIFO (cache-warm) and
-// steals FIFO from siblings when idle, so uneven trial durations balance
-// without a central bottleneck. The pool makes no ordering promises --
+// Workers sleep until a parallel_for call publishes a job, then claim
+// indices from one shared atomic counter until the range is exhausted, so
+// uneven trial durations balance without per-worker queues. A call
+// allocates nothing: the body is passed by reference through a function
+// pointer and a context pointer. The pool makes no ordering promises --
 // determinism is the caller's job (see sim::SweepRunner, which gives every
 // trial an independent seed-derived Rng stream and writes results into
 // index-addressed slots).
@@ -11,10 +13,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <future>
-#include <memory>
+#include <cstdint>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -27,8 +27,7 @@ class ThreadPool {
   /// Spawn `num_threads` workers; 0 means hardware_jobs().
   explicit ThreadPool(std::size_t num_threads = 0);
 
-  /// Drains every queued task, then joins the workers. Work submitted
-  /// before destruction is guaranteed to run.
+  /// Joins the workers (no job is in flight once parallel_for returned).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -36,44 +35,46 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Submit a nullary callable; the future carries its result or its
-  /// exception.
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
-    return future;
-  }
-
-  /// Run body(i) for every i in [0, n) across the pool and block until all
+  /// Run body(i) for every i in [0, n) on the workers and block until all
   /// complete. If any invocation throws, the exception from the lowest
-  /// index is rethrown (the remaining iterations still run). Must be
-  /// called from outside the pool's own workers.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& body);
+  /// index is rethrown (the remaining iterations still run). Calls from
+  /// several threads run one at a time. Must be called from outside the
+  /// pool's own workers.
+  template <typename Body>
+  void parallel_for(std::size_t n, Body&& body) {
+    using B = std::remove_reference_t<Body>;
+    run(n, [](void* ctx, std::size_t i) { (*static_cast<B*>(ctx))(i); },
+        const_cast<void*>(static_cast<const void*>(&body)));
+  }
 
   /// Hardware concurrency, clamped to at least 1.
   static std::size_t hardware_jobs();
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  using Invoke = void (*)(void* ctx, std::size_t i);
 
-  void enqueue(std::function<void()> task);
-  bool try_pop(std::size_t worker, std::function<void()>& task);
-  void worker_loop(std::size_t worker);
+  void run(std::size_t n, Invoke invoke, void* ctx);
+  /// Claim and run indices of the current job until none remain.
+  void drain();
+  void worker_loop();
+  /// Wake every worker to exit and join it.
+  void stop_and_join();
 
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<std::size_t> pending_{0};
-  std::mutex wake_mutex_;
-  std::condition_variable wake_;
-  bool stop_ = false;  // guarded by wake_mutex_
+  std::mutex call_mutex_;  ///< serializes parallel_for callers
+  std::mutex mutex_;  ///< guards the fields below, but next_ and workers_
+  std::condition_variable wake_;  ///< a job was published, or stop_
+  std::condition_variable idle_;  ///< the last worker left the job
+  // The current job; published under mutex_ with a new generation_.
+  Invoke invoke_ = nullptr;
+  void* ctx_ = nullptr;
+  std::size_t n_ = 0;
+  std::atomic<std::size_t> next_{0};  ///< next unclaimed index
+  std::uint64_t generation_ = 0;
+  std::size_t busy_ = 0;  ///< workers that have not finished the job
+  std::exception_ptr error_;  ///< lowest-index failure of the job
+  std::size_t error_index_ = 0;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;  ///< last: the threads use the above
 };
 
 }  // namespace mmr

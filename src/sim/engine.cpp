@@ -242,71 +242,59 @@ class TrialWatchdog {
 
 }  // namespace
 
+template <>
 ScenarioRegistry& ScenarioRegistry::instance() {
   static ScenarioRegistry* reg = [] {
-    auto* r = new ScenarioRegistry();
+    auto* r = new ScenarioRegistry("scenario");
     register_builtin_scenarios(*r);
     return r;
   }();
   return *reg;
 }
 
-void ScenarioRegistry::add(const std::string& name, Factory factory) {
-  MMR_EXPECTS(!name.empty());
-  MMR_EXPECTS(factory != nullptr);
-  factories_[name] = std::move(factory);
-}
-
-bool ScenarioRegistry::contains(const std::string& name) const {
-  return factories_.count(name) != 0;
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
-}
-
-LinkWorld ScenarioRegistry::make(const ScenarioSpec& spec) const {
-  const auto it = factories_.find(spec.name);
-  if (it == factories_.end()) throw_unknown("scenario", spec.name, names());
-  return it->second(spec);
-}
-
+template <>
 ControllerRegistry& ControllerRegistry::instance() {
   static ControllerRegistry* reg = [] {
-    auto* r = new ControllerRegistry();
+    auto* r = new ControllerRegistry("controller");
     register_builtin_controllers(*r);
     return r;
   }();
   return *reg;
 }
 
-void ControllerRegistry::add(const std::string& name, Factory factory) {
+template <typename Product, typename Spec, typename... Context>
+void Registry<Product, Spec, Context...>::add(const std::string& name,
+                                              Factory factory) {
   MMR_EXPECTS(!name.empty());
   MMR_EXPECTS(factory != nullptr);
   factories_[name] = std::move(factory);
 }
 
-bool ControllerRegistry::contains(const std::string& name) const {
+template <typename Product, typename Spec, typename... Context>
+bool Registry<Product, Spec, Context...>::contains(
+    const std::string& name) const {
   return factories_.count(name) != 0;
 }
 
-std::vector<std::string> ControllerRegistry::names() const {
+template <typename Product, typename Spec, typename... Context>
+std::vector<std::string> Registry<Product, Spec, Context...>::names() const {
   std::vector<std::string> out;
   out.reserve(factories_.size());
   for (const auto& [name, factory] : factories_) out.push_back(name);
   return out;
 }
 
-std::unique_ptr<core::BeamController> ControllerRegistry::make(
-    const LinkWorld& world, const ScenarioConfig& config,
-    const ControllerSpec& spec) const {
-  const auto it = factories_.find(spec.name);
-  if (it == factories_.end()) throw_unknown("controller", spec.name, names());
-  return it->second(world, config, spec);
+template <typename Product, typename Spec, typename... Context>
+auto Registry<Product, Spec, Context...>::at(const std::string& name) const
+    -> const Factory& {
+  const auto it = factories_.find(name);
+  if (it == factories_.end()) throw_unknown(kind_, name, names());
+  return it->second;
 }
+
+template class Registry<LinkWorld, ScenarioSpec>;
+template class Registry<std::unique_ptr<core::BeamController>, ControllerSpec,
+                        LinkWorld, ScenarioConfig>;
 
 EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink) {
   return run(spec, sink, EngineOptions{});
@@ -329,12 +317,8 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
   const ControllerRegistry& controllers = ControllerRegistry::instance();
   // Fail fast on the authored names; `customize` may rewrite them per
   // trial, and those rewrites are validated inside the trial body.
-  if (!scenarios.contains(spec.scenario.name)) {
-    throw_unknown("scenario", spec.scenario.name, scenarios.names());
-  }
-  if (!controllers.contains(spec.controller.name)) {
-    throw_unknown("controller", spec.controller.name, controllers.names());
-  }
+  scenarios.at(spec.scenario.name);
+  controllers.at(spec.controller.name);
 
   EngineResult result;
   if (spec.label) result.labels.assign(spec.trials, "");
@@ -446,10 +430,12 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
       // Checkpoint the completed trial (append + fsync). An I/O failure
       // here intentionally propagates and aborts the sweep: continuing
       // without durability would break the resume contract silently.
+      // Frozen timing journals 0.0, so the file is a pure function of
+      // (spec, seed) like the output.
       JournalTrial jt;
       jt.index = ctx.index;
-      jt.wall_s = wall_s;
-      jt.cpu_s = cpu_s;
+      jt.wall_s = options.freeze_timing ? 0.0 : wall_s;
+      jt.cpu_s = options.freeze_timing ? 0.0 : cpu_s;
       if (spec.label) jt.label = result.labels[ctx.index];
       jt.summary = summary;
       jt.faults = result.fault_events[ctx.index];

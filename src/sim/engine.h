@@ -79,48 +79,49 @@ struct ControllerSpec {
   bool enable_cc_refresh = true;
 };
 
-/// String-keyed scenario factory registry. Unknown names throw
-/// std::invalid_argument whose message lists every registered name.
-class ScenarioRegistry {
+/// String-keyed factory registry: make() builds a Product from the
+/// factory registered under spec.name, passing it the Context arguments
+/// and the spec. Unknown names throw std::invalid_argument whose message
+/// lists every registered name.
+template <typename Product, typename Spec, typename... Context>
+class Registry {
  public:
-  using Factory = std::function<LinkWorld(const ScenarioSpec&)>;
+  using Factory = std::function<Product(const Context&..., const Spec&)>;
 
-  /// Process-wide registry, pre-populated with the built-in scenarios.
-  static ScenarioRegistry& instance();
+  /// Process-wide registry, pre-populated with the built-in factories.
+  static Registry& instance();
 
   void add(const std::string& name, Factory factory);
   bool contains(const std::string& name) const;
   /// Registered names in lexicographic order.
   std::vector<std::string> names() const;
-  LinkWorld make(const ScenarioSpec& spec) const;
+  /// The factory registered under `name` (throws if there is none).
+  const Factory& at(const std::string& name) const;
+  Product make(const Context&... context, const Spec& spec) const {
+    return at(spec.name)(context..., spec);
+  }
 
  private:
+  /// What the registry builds ("scenario", "controller"): the error text.
+  explicit Registry(const char* kind) : kind_(kind) {}
+
+  const char* kind_;
   std::map<std::string, Factory> factories_;
 };
 
-/// String-keyed controller factory registry; same error contract as
-/// ScenarioRegistry. The world reference passed to make() must outlive
-/// the returned controller (factories derive outage thresholds from it,
-/// and the oracle holds a reference).
-class ControllerRegistry {
- public:
-  using Factory = std::function<std::unique_ptr<core::BeamController>(
-      const LinkWorld& world, const ScenarioConfig& config,
-      const ControllerSpec& spec)>;
+/// Scenario name -> LinkWorld.
+using ScenarioRegistry = Registry<LinkWorld, ScenarioSpec>;
+/// Controller name -> BeamController. The world reference passed to make()
+/// must outlive the returned controller (factories derive outage
+/// thresholds from it, and the oracle holds a reference).
+using ControllerRegistry =
+    Registry<std::unique_ptr<core::BeamController>, ControllerSpec,
+             LinkWorld, ScenarioConfig>;
 
-  /// Process-wide registry, pre-populated with the built-in controllers.
-  static ControllerRegistry& instance();
-
-  void add(const std::string& name, Factory factory);
-  bool contains(const std::string& name) const;
-  std::vector<std::string> names() const;
-  std::unique_ptr<core::BeamController> make(const LinkWorld& world,
-                                             const ScenarioConfig& config,
-                                             const ControllerSpec& spec) const;
-
- private:
-  std::map<std::string, Factory> factories_;
-};
+template <>
+ScenarioRegistry& ScenarioRegistry::instance();
+template <>
+ControllerRegistry& ControllerRegistry::instance();
 
 /// How each trial's world seed is derived.
 enum class SeedPolicy {
@@ -183,9 +184,9 @@ struct EngineOptions {
   /// killed: results of late trials are kept.
   double trial_timeout_s = 0.0;
   /// Zero every timing field (per-trial wall/cpu, sweep wall /
-  /// serial-equivalent) so the JSON record is a pure function of
-  /// (spec, seed) -- the mode the crash/resume byte-identity tests and
-  /// any diff-based tooling run under.
+  /// serial-equivalent) so the JSON record and the journal's trial lines
+  /// are a pure function of (spec, seed) -- the mode the crash/resume
+  /// byte-identity tests and any diff-based tooling run under.
   bool freeze_timing = false;
   /// Distributed sharding (sim/shard.h): when enabled, trials this worker
   /// does not own are SKIPPED -- no world build, no journal record, no

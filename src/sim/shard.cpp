@@ -12,10 +12,7 @@
 #include <utility>
 
 #ifdef __unix__
-#include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
 #include <unistd.h>
 #endif
 
@@ -226,12 +223,6 @@ std::string join(const std::string& dir, const std::string& name) {
   return dir + "/" + name;
 }
 
-void ensure_dir(const std::string& path) {
-  if (::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST) return;
-  throw std::runtime_error("shard queue: cannot create directory '" + path +
-                           "': " + std::strerror(errno));
-}
-
 /// O_CREAT|O_EXCL marker creation: true iff WE created it; EEXIST means
 /// another initializer made it.
 bool create_exclusive(const std::string& path) {
@@ -255,19 +246,18 @@ bool path_exists(const std::string& path) {
 /// before the done/ directory existed).
 std::vector<std::string> list_tickets(const std::string& dir,
                                       bool allow_missing = false) {
+  std::vector<std::string> entries;
+  try {
+    entries = fsio::list_dir(dir);
+  } catch (const IoError& e) {
+    if (allow_missing && e.code() == ENOENT) return {};
+    throw;
+  }
   std::vector<std::pair<ShardPlan, std::string>> found;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) {
-    if (allow_missing && errno == ENOENT) return {};
-    throw std::runtime_error("shard queue: cannot list '" + dir +
-                             "': " + std::strerror(errno));
-  }
-  while (const dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
+  for (std::string& name : entries) {
     const std::optional<ShardPlan> plan = ShardPlan::parse_suffix(name);
-    if (plan.has_value()) found.emplace_back(*plan, name);
+    if (plan.has_value()) found.emplace_back(*plan, std::move(name));
   }
-  ::closedir(d);
   std::sort(found.begin(), found.end(), order_by_plan);
   std::vector<std::string> names;
   names.reserve(found.size());
@@ -313,25 +303,11 @@ std::optional<double> age_vs_probe(const std::string& dir,
                                    const std::string& path) {
   const std::string probe = join(dir, "probe");
   AtomicFile::write(probe, "probe\n");
-  struct stat probe_st, lease_st;
-  if (::stat(probe.c_str(), &probe_st) != 0) {
-    throw std::runtime_error("shard queue: cannot stat probe '" + probe +
-                             "': " + std::strerror(errno));
-  }
-  if (::stat(path.c_str(), &lease_st) != 0) {
-    if (errno == ENOENT) return std::nullopt;
-    throw std::runtime_error("shard queue: cannot stat '" + path +
-                             "': " + std::strerror(errno));
-  }
-  const auto seconds_of = [](const struct stat& st) {
-    return static_cast<double>(st.st_mtim.tv_sec) +
-           static_cast<double>(st.st_mtim.tv_nsec) * 1e-9;
-  };
-  return seconds_of(probe_st) - seconds_of(lease_st);
-}
-
-bool lease_is_stale(std::optional<double> age, const LeaseOptions& opts) {
-  return age.has_value() && *age > opts.ttl_s + opts.effective_grace_s();
+  const std::optional<double> probe_mtime = fsio::mtime_if_exists(probe);
+  if (!probe_mtime.has_value()) throw IoError("stat", probe, ENOENT);
+  const std::optional<double> lease_mtime = fsio::mtime_if_exists(path);
+  if (!lease_mtime.has_value()) return std::nullopt;
+  return *probe_mtime - *lease_mtime;
 }
 
 }  // namespace
@@ -339,11 +315,9 @@ bool lease_is_stale(std::optional<double> age, const LeaseOptions& opts) {
 void ShardQueue::init(const std::string& dir, std::size_t count) {
   MMR_EXPECTS(!dir.empty());
   MMR_EXPECTS(count >= 1);
-  ensure_dir(dir);
-  ensure_dir(join(dir, "tickets"));
-  ensure_dir(join(dir, "todo"));
-  ensure_dir(join(dir, "claimed"));
-  ensure_dir(join(dir, "done"));
+  for (const char* sub : {"", "/tickets", "/todo", "/claimed", "/done"}) {
+    fsio::make_dir(dir + sub, 0777);
+  }
   // A queue is permanently bound to its shard count: mixing counts would
   // mix ownership partitions.
   const std::string meta = join(dir, "shard-count");
@@ -384,9 +358,10 @@ std::optional<ShardPlan> ShardQueue::claim(const std::string& dir,
       // Freshen the ticket's mtime BEFORE the claiming rename: rename(2)
       // preserves mtime, so a ticket that sat in todo/ longer than the
       // TTL would otherwise look instantly stale in claimed/ during the
-      // gap before the lease content lands.
-      (void)::utimensat(AT_FDCWD, join(todo, name).c_str(), nullptr, 0);
-      if (!fsio::rename_if_exists(join(todo, name), join(claimed, name))) {
+      // gap before the lease content lands. A refresh that fails for good
+      // throws here, leaving the ticket in todo/.
+      if (!fsio::touch_if_exists(join(todo, name)) ||
+          !fsio::rename_if_exists(join(todo, name), join(claimed, name))) {
         // Another worker won this ticket between listing and rename.
         raced = true;
         continue;
@@ -403,8 +378,9 @@ std::optional<ShardPlan> ShardQueue::claim(const std::string& dir,
     // claim it through the normal rename race.
     bool reclaimed = false;
     for (const std::string& name : list_tickets(claimed)) {
-      if (!lease_is_stale(age_vs_probe(dir, join(claimed, name)), opts)) {
-        continue;
+      const std::optional<double> age = age_vs_probe(dir, join(claimed, name));
+      if (!age.has_value() || *age <= opts.ttl_s + opts.effective_grace_s()) {
+        continue;  // vanished mid-scan, or its holder is alive
       }
       if (fsio::rename_if_exists(join(claimed, name), join(todo, name))) {
         reclaimed = true;
@@ -454,39 +430,6 @@ void ShardQueue::complete(const std::string& dir, const ShardPlan& plan) {
   (void)fsio::rename_if_exists(claimed, done);
 }
 
-void ShardQueue::requeue(const std::string& dir, const ShardPlan& plan,
-                         const LeaseOptions& opts) {
-  MMR_EXPECTS(plan.enabled() && plan.valid());
-  const std::string name = plan.suffix();
-  if (!path_exists(join(join(dir, "tickets"), name))) {
-    throw std::runtime_error("shard queue '" + dir +
-                             "' has no ticket for shard " + name);
-  }
-  // Idempotent exits first: already claimable, or already finished (a
-  // done shard has nothing left to re-run).
-  const std::string to = join(join(dir, "todo"), name);
-  if (path_exists(to)) return;
-  if (path_exists(join(join(dir, "done"), name))) return;
-  const std::string from = join(join(dir, "claimed"), name);
-  // Refuse to pull a live worker's shard: a lease fresher than
-  // ttl + grace means its holder is still heartbeating, and re-offering
-  // the shard would run the same trials twice.
-  if (!lease_is_stale(age_vs_probe(dir, from), opts) && path_exists(from)) {
-    const std::optional<LeaseInfo> info = read_lease(from);
-    throw LeaseHeldError(
-        "shard " + name + " in queue '" + dir + "' is held by live worker " +
-        (info.has_value() ? info->describe() : std::string("(unknown)")) +
-        "; its lease is fresher than ttl+grace (" +
-        std::to_string(opts.ttl_s + opts.effective_grace_s()) +
-        "s) -- wait for the lease to lapse or stop that worker first");
-  }
-  if (fsio::rename_if_exists(from, to)) return;
-  // Not in claimed/: lost to a crash between renames. The permanent
-  // ticket proves the shard belongs to this queue, so ensure exactly one
-  // offer exists.
-  (void)create_exclusive(to);
-}
-
 std::optional<LeaseInfo> ShardQueue::holder(const std::string& dir,
                                             const ShardPlan& plan) {
   MMR_EXPECTS(plan.enabled() && plan.valid());
@@ -526,11 +469,6 @@ bool ShardQueue::renew(const std::string&, const ShardPlan&) {
 }
 
 void ShardQueue::complete(const std::string&, const ShardPlan&) {
-  throw_posix_only();
-}
-
-void ShardQueue::requeue(const std::string&, const ShardPlan&,
-                         const LeaseOptions&) {
   throw_posix_only();
 }
 

@@ -143,18 +143,6 @@ struct LeaseInfo {
   long pid = 0;
   std::uint64_t renewals = 0;
 
-  /// "host/pid" -- how errors and progress lines name the holder.
-  std::string describe() const {
-    return host + "/" + std::to_string(pid);
-  }
-};
-
-/// Thrown by requeue() when the shard's holder is demonstrably alive
-/// (its lease is fresher than ttl + grace): forcibly re-offering a live
-/// worker's shard would run the same trials twice.
-class LeaseHeldError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 /// File-based shard work queue (see the header comment). POSIX-only:
@@ -195,14 +183,6 @@ class ShardQueue {
   /// Idempotent (already-done is a no-op); a done shard is never
   /// reclaimed or re-offered.
   static void complete(const std::string& dir, const ShardPlan& plan);
-
-  /// Re-offer a claimed shard: move its ticket back to todo/. Refuses
-  /// with LeaseHeldError -- naming the live holder -- when the shard's
-  /// lease is fresher than ttl + grace; no-op when the ticket is already
-  /// in todo/ or in done/; throws std::runtime_error if `plan` was never
-  /// a ticket of this queue.
-  static void requeue(const std::string& dir, const ShardPlan& plan,
-                      const LeaseOptions& opts = {});
 
   /// The lease of a claimed shard, or nullopt when the shard is not in
   /// claimed/ (or its lease file is unreadable mid-rewrite).

@@ -177,11 +177,11 @@ void StreamingService::begin() {
       std::llround(spec_.snapshot_every_s / tick));
   if (ticks_per_snapshot_ == 0) ticks_per_snapshot_ = 1;
 
-  // jobs=1 steps the shards inline on this thread: no pool dispatch, no
-  // per-epoch task packaging -- the steady-state tick loop is
-  // allocation-free (pinned by the alloc tier). jobs=K>1 fans the shard
-  // sweep over a pool; either way the accumulator fold below is
-  // orchestrator-side and in shard-index order, so results are identical.
+  // jobs=1 steps the shards inline on this thread, jobs=K>1 fans the
+  // shard sweep over a pool; both steady-state tick loops are
+  // allocation-free (pinned by the alloc tier). Either way the
+  // accumulator fold below is orchestrator-side and in shard-index order,
+  // so results are identical.
   const std::size_t jobs =
       spec_.jobs == 0 ? ThreadPool::hardware_jobs() : spec_.jobs;
   if (jobs > 1) pool_ = std::make_unique<ThreadPool>(jobs);

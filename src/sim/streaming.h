@@ -17,7 +17,7 @@
 //     engine's link-0 convention; shard k > 0 from Rng::derive_stream_seed),
 //     its churn from a dedicated sub-stream -- so what each shard computes
 //     is a pure function of the spec.
-//   * jobs only parallelizes the per-epoch shard sweep over the PR-1
+//   * jobs only parallelizes the per-epoch shard sweep over a
 //     ThreadPool; accumulators are shard-local and fold in SHARD-INDEX
 //     ORDER on the orchestrator thread at every snapshot boundary. With
 //     freeze_timing (zeroing the wall-clock-derived rate field), jobs=K
@@ -135,10 +135,10 @@ class StreamingService {
   /// Advance ONE tick across every live session in every shard (churn,
   /// then network step, then accumulation), emitting a snapshot when the
   /// epoch crosses the cadence boundary. With jobs=1 the shards step
-  /// inline on the calling thread and the steady-state loop is
-  /// allocation-free (no churn, no snapshot boundary, slot capacities
-  /// plateaued -- pinned by the alloc tier); jobs>1 fans the sweep over
-  /// the pool at the cost of per-epoch task packaging.
+  /// inline on the calling thread; jobs>1 fans the sweep over the pool,
+  /// whose parallel_for allocates nothing. Either way the steady-state
+  /// loop is allocation-free (no churn, no snapshot boundary, slot
+  /// capacities plateaued -- pinned by the alloc tier at jobs 1 and 2).
   void step_epoch();
   /// Emit a final snapshot if the last window is non-empty, drain the
   /// async queue, and return the totals.

@@ -1,8 +1,8 @@
 // Deterministic parallel Monte-Carlo sweep engine.
 //
-// SweepRunner fans N independent trials across a work-stealing ThreadPool
-// and guarantees that the per-trial results are BIT-IDENTICAL to a serial
-// run of the same sweep:
+// SweepRunner fans N independent trials across a ThreadPool (workers
+// claim trial indices from one shared counter) and guarantees that the
+// per-trial results are BIT-IDENTICAL to a serial run of the same sweep:
 //   * every trial draws from an Rng stream derived purely from
 //     (base_seed, trial index) via Rng::fork(stream_id), so scheduling
 //     order cannot perturb random draws;

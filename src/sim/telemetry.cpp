@@ -1,6 +1,5 @@
 #include "sim/telemetry.h"
 
-#include "common/error.h"
 #include "sim/runner.h"
 
 namespace mmr::sim {
@@ -150,43 +149,6 @@ void JsonLinesSink::on_sweep(const SweepRecord& record) {
   write_sweep_json(os_, record.name, record.trials, record.timing,
                    record.labels, record.failures);
   record_written();
-}
-
-void FanoutSink::add(TelemetrySink* sink) {
-  MMR_EXPECTS(sink != nullptr);
-  sinks_.push_back(sink);
-}
-
-void FanoutSink::on_run_begin(const RunConfig& config) {
-  for (TelemetrySink* s : sinks_) s->on_run_begin(config);
-}
-
-void FanoutSink::on_sample(const core::LinkSample& sample) {
-  for (TelemetrySink* s : sinks_) s->on_sample(sample);
-}
-
-void FanoutSink::on_fault(const core::FaultEvent& event) {
-  for (TelemetrySink* s : sinks_) s->on_fault(event);
-}
-
-void FanoutSink::on_handover(const core::HandoverEvent& event) {
-  for (TelemetrySink* s : sinks_) s->on_handover(event);
-}
-
-void FanoutSink::on_trial_failure(const TrialFailure& failure) {
-  for (TelemetrySink* s : sinks_) s->on_trial_failure(failure);
-}
-
-void FanoutSink::on_snapshot(const StreamSnapshot& snapshot) {
-  for (TelemetrySink* s : sinks_) s->on_snapshot(snapshot);
-}
-
-void FanoutSink::on_run_end(const core::LinkSummary& summary) {
-  for (TelemetrySink* s : sinks_) s->on_run_end(summary);
-}
-
-void FanoutSink::on_sweep(const SweepRecord& record) {
-  for (TelemetrySink* s : sinks_) s->on_sweep(record);
 }
 
 }  // namespace mmr::sim

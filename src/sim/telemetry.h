@@ -5,10 +5,9 @@
 //   * a run-level LinkSummary when one controller run finishes,
 //   * a sweep-level record (per-trial summaries + timing + labels) when a
 //     whole Engine campaign completes.
-// Built-in sinks: NullSink (discard), MemorySink (in-process capture),
-// JsonLinesSink (the benches' one-line JSON record, byte-compatible with
-// write_sweep_json), FanoutSink (tee to several sinks, e.g. stdout + a
-// --json-out file).
+// Built-in sinks: MemorySink (in-process capture) and JsonLinesSink (the
+// benches' one-line JSON record, byte-compatible with write_sweep_json).
+// A caller that wants no telemetry passes a null sink pointer.
 //
 // Ordering contract: sinks are driven from ONE thread. When the Engine
 // fans trials across workers it buffers per-trial events and replays them
@@ -116,9 +115,6 @@ class TelemetrySink {
   virtual void on_sweep(const SweepRecord& record) { (void)record; }
 };
 
-/// Discards everything (the default when no telemetry is requested).
-class NullSink final : public TelemetrySink {};
-
 /// Captures everything in memory: per-run sample series and summaries in
 /// the order the runs were delivered, plus the last sweep record's
 /// aggregate inputs. Replaces the benches' bespoke trace capture.
@@ -209,25 +205,6 @@ class JsonLinesSink final : public TelemetrySink {
   bool per_tick_ = false;
   std::size_t flush_every_n_ = 1;
   std::size_t records_since_flush_ = 0;
-};
-
-/// Fans every event out to several sinks in registration order (tee).
-/// Does not own the sinks; keep them alive while the fanout is in use.
-class FanoutSink final : public TelemetrySink {
- public:
-  void add(TelemetrySink* sink);
-
-  void on_run_begin(const RunConfig& config) override;
-  void on_sample(const core::LinkSample& sample) override;
-  void on_fault(const core::FaultEvent& event) override;
-  void on_handover(const core::HandoverEvent& event) override;
-  void on_trial_failure(const TrialFailure& failure) override;
-  void on_snapshot(const StreamSnapshot& snapshot) override;
-  void on_run_end(const core::LinkSummary& summary) override;
-  void on_sweep(const SweepRecord& record) override;
-
- private:
-  std::vector<TelemetrySink*> sinks_;
 };
 
 }  // namespace mmr::sim

@@ -1,6 +1,6 @@
-// Per-trial scratch for the LinkWorld hot path (set_time, probes,
-// true_snr_db): the subcarrier grid, the CSI / CIR-pulse / path-order
-// scratch and the per-tick path-response table, all plain vectors that
+// Per-trial scratch for the LinkWorld hot path (probes, true_snr_db,
+// the oracle channel): the subcarrier grid, the CSI / CIR-pulse scratch and
+// the per-tick path-response table, all plain vectors that
 // keep their capacity from one use to the next. The engine creates one
 // TrialWorkspace per trial and binds it to the trial's world
 // (LinkWorld::bind_workspace), so a steady-state trial performs zero
@@ -47,8 +47,6 @@ class TrialWorkspace {
   CVec csi;
   /// Sampled-pulse scratch for CIR synthesis (overwritten every call).
   RVec pulse;
-  /// Stable-order index scratch for the blockage event process.
-  std::vector<std::size_t> order;
   /// The per-tick path-response table (see LinkWorld::bind_workspace) and
   /// the tick id it was filled for. Id 0 is never issued, so a fresh
   /// workspace holds no table.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 #include "dsp/kernels.h"
@@ -43,11 +42,6 @@ void LinkWorld::add_blocker(channel::GeometricBlocker blocker) {
   set_time(t_s_);
 }
 
-void LinkWorld::set_event_process(channel::BlockageEventProcess process) {
-  events_ = std::make_unique<channel::BlockageEventProcess>(std::move(process));
-  set_time(t_s_);
-}
-
 void LinkWorld::add_irs(channel::IrsPanel panel) {
   irs_panels_.push_back(panel);
   set_time(t_s_);
@@ -74,22 +68,6 @@ void LinkWorld::set_time(double t_s) {
     }
     p.blockage_db = atten;
   }
-
-  // Stochastic event process: addressed by stable path index, 0 = LOS,
-  // then NLOS paths by descending nominal power.
-  if (events_ != nullptr && !paths_.empty()) {
-    std::optional<TrialWorkspace> local;
-    std::vector<std::size_t>& order = scratch(local).order;
-    order.resize(paths_.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (paths_[a].is_los != paths_[b].is_los) return paths_[a].is_los;
-      return std::norm(paths_[a].gain) > std::norm(paths_[b].gain);
-    });
-    for (std::size_t rank = 0; rank < order.size(); ++rank) {
-      paths_[order[rank]].blockage_db += events_->attenuation_db(t_s, rank);
-    }
-  }
 }
 
 core::LinkProbeInterface LinkWorld::probe_interface() {
@@ -103,34 +81,11 @@ core::LinkProbeInterface LinkWorld::probe_interface() {
   };
   link.cir = [this](const CVec& weights, std::size_t num_taps) -> CVec {
     CVec cir(num_taps, cplx{});
-    if (!paths_.empty()) synthesize_cir(weights, config_.rx, cir);
+    if (!paths_.empty()) synthesize_cir(weights, cir);
     impair_cir(cir);
     return cir;
   };
   return link;
-}
-
-LinkWorld::JointProbe LinkWorld::joint_probe_interface() {
-  JointProbe jp;
-  jp.csi = [this](const CVec& tx_w, const CVec& rx_w) -> CVec {
-    if (paths_.empty()) return noise_csi();
-    const auto rx = channel::RxFrontend::beam(config_.ue_ula, rx_w);
-    std::optional<TrialWorkspace> local;
-    CVec csi(config_.spec.num_subcarriers);
-    response(scratch(local), true).csi(tx_w, rx, csi.data());
-    return estimator_.estimate(std::move(csi));
-  };
-  jp.cir = [this](const CVec& tx_w, const CVec& rx_w,
-                  std::size_t num_taps) -> CVec {
-    CVec cir(num_taps, cplx{});
-    if (!paths_.empty()) {
-      synthesize_cir(tx_w, channel::RxFrontend::beam(config_.ue_ula, rx_w),
-                     cir);
-    }
-    impair_cir(cir);
-    return cir;
-  };
-  return jp;
 }
 
 CVec LinkWorld::noise_csi() {
@@ -142,13 +97,12 @@ CVec LinkWorld::noise_csi() {
   return noise;
 }
 
-void LinkWorld::synthesize_cir(const CVec& tx_weights,
-                               const channel::RxFrontend& rx, CVec& cir) {
+void LinkWorld::synthesize_cir(const CVec& tx_weights, CVec& cir) {
   const double jitter = rng_.normal(0.0, config_.timing_jitter_std_s);
   std::optional<TrialWorkspace> local;
   TrialWorkspace& ws = scratch(local);
   ws.pulse.resize(cir.size());
-  response(ws, false).cir(tx_weights, rx, config_.spec, cir.size(),
+  response(ws, false).cir(tx_weights, config_.rx, config_.spec, cir.size(),
                           std::abs(jitter), cir.data(), ws.pulse.data());
 }
 
@@ -190,25 +144,13 @@ const channel::PathResponse& LinkWorld::response(TrialWorkspace& ws,
   return ws.response;
 }
 
-double LinkWorld::received_power(const CVec& tx_weights,
-                                 const channel::RxFrontend& rx) const {
+double LinkWorld::true_power(const CVec& tx_weights) const {
+  if (paths_.empty()) return 0.0;
   std::optional<TrialWorkspace> local;
   TrialWorkspace& ws = scratch(local);
   ws.csi.resize(config_.spec.num_subcarriers);
-  return response(ws, true).received_power(tx_weights, rx, ws.csi.data());
-}
-
-double LinkWorld::true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const {
-  if (paths_.empty()) return -300.0;
-  const double power =
-      received_power(tx_w, channel::RxFrontend::beam(config_.ue_ula, rx_w));
-  if (power <= 0.0) return -300.0;
-  return config_.budget.snr_db(power);
-}
-
-double LinkWorld::true_power(const CVec& tx_weights) const {
-  if (paths_.empty()) return 0.0;
-  return received_power(tx_weights, config_.rx);
+  return response(ws, true).received_power(tx_weights, config_.rx,
+                                           ws.csi.data());
 }
 
 double LinkWorld::true_snr_db(const CVec& tx_weights) const {

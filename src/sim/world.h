@@ -34,8 +34,6 @@ struct WorldConfig {
   phy::LinkBudget budget = phy::LinkBudget::paper_indoor();
   array::Ula tx_ula{8, 0.5};
   channel::RxFrontend rx = channel::RxFrontend::omni();
-  /// UE array used by joint_probe_interface (directional-UE experiments).
-  array::Ula ue_ula{4, 0.5};
   /// Pilot averaging gain of the channel estimator.
   double pilot_averaging_gain = 20.0;
   /// Std of the receiver timing error applied to CIR reports [s].
@@ -51,14 +49,13 @@ class LinkWorld {
             WorldConfig config, Rng rng);
 
   void add_blocker(channel::GeometricBlocker blocker);
-  void set_event_process(channel::BlockageEventProcess process);
   /// Deploy an intelligent reflecting surface (Section 8 future work):
   /// adds an engineered TX->panel->RX path on every trace.
   void add_irs(channel::IrsPanel panel);
 
-  /// Bind per-trial scratch for the hot path (set_time, probes,
-  /// true_power/true_snr_db). The frequency grid, the CSI / pulse /
-  /// path-order scratch and the per-tick path-response table
+  /// Bind per-trial scratch for the hot path (probes, true_power /
+  /// true_snr_db, the oracle channel). The frequency grid, the CSI / pulse
+  /// scratch and the per-tick path-response table
   /// (channel::PathResponse) keep their capacity in the workspace, so the
   /// steady-state scoring loop allocates nothing, and every probe, score
   /// and oracle channel of one tick reads one table instead of re-forming
@@ -70,8 +67,8 @@ class LinkWorld {
   /// must outlive this world (or the unbind).
   void bind_workspace(TrialWorkspace* ws) { ws_ = ws; }
 
-  /// Advance the world: re-trace paths for the UE pose at t and apply all
-  /// blockage sources.
+  /// Advance the world: re-trace paths for the UE pose at t and apply the
+  /// blockers.
   void set_time(double t_s);
 
   double time() const { return t_s_; }
@@ -81,19 +78,6 @@ class LinkWorld {
   /// Impaired probe interface for controllers. The returned lambdas
   /// reference this world; keep it alive while they are used.
   core::LinkProbeInterface probe_interface();
-
-  /// Joint-end probing for directional-UE experiments (Section 4.4):
-  /// the caller supplies BOTH the gNB weights and the UE weights
-  /// (applied over ue_ula). Same impairments as probe_interface().
-  struct JointProbe {
-    std::function<CVec(const CVec& tx_w, const CVec& rx_w)> csi;
-    std::function<CVec(const CVec& tx_w, const CVec& rx_w,
-                       std::size_t num_taps)> cir;
-  };
-  JointProbe joint_probe_interface();
-
-  /// True SNR with explicit weights at both ends.
-  double true_snr_db_joint(const CVec& tx_w, const CVec& rx_w) const;
 
   /// True mean channel power gain for given TX weights (linear).
   double true_power(const CVec& tx_weights) const;
@@ -112,13 +96,9 @@ class LinkWorld {
   /// `delays`, refilled only if another tick or world filled it last.
   const channel::PathResponse& response(TrialWorkspace& ws,
                                         bool delays) const;
-  /// Mean received power over the subcarriers (paths non-empty).
-  double received_power(const CVec& tx_weights,
-                        const channel::RxFrontend& rx) const;
   /// The noiseless CIR of one probe into cir (paths non-empty): every
   /// arrival shifted by this probe's timing jitter.
-  void synthesize_cir(const CVec& tx_weights, const channel::RxFrontend& rx,
-                      CVec& cir);
+  void synthesize_cir(const CVec& tx_weights, CVec& cir);
   /// CSI probe of a link with no traced path: estimation noise only.
   CVec noise_csi();
   /// CIR probe impairments, in place: one CFO rotation, then AWGN per
@@ -134,7 +114,6 @@ class LinkWorld {
   phy::ChannelEstimator estimator_;
   std::vector<channel::GeometricBlocker> blockers_;
   std::vector<channel::IrsPanel> irs_panels_;
-  std::unique_ptr<channel::BlockageEventProcess> events_;
   std::vector<channel::Path> paths_;
   TrialWorkspace* ws_ = nullptr;  ///< not owned; see bind_workspace
   double t_s_ = 0.0;

@@ -387,7 +387,7 @@ sim::StreamingSpec streaming_audit_spec() {
   spec.network.controller.name = "noop_frozen";
   spec.sessions = 2;
   spec.shards = 1;
-  spec.jobs = 1;  // inline shard sweep: the zero-alloc path
+  spec.jobs = 1;  // inline shard sweep
   spec.seed = 13;
   spec.snapshot_every_s = 1.0;  // no snapshot boundary inside the audit
   return spec;
@@ -413,6 +413,17 @@ TEST_F(ZeroAllocTest, SteadyStateStreamingEpochIsAllocationFree) {
   register_noop_frozen();
   EXPECT_EQ(streaming_epoch_allocations(streaming_audit_spec(), 200), 0u)
       << "the steady-state streaming tick loop allocated";
+}
+
+// The same audit over a pool: jobs=2 fans 2 shards across the workers
+// every epoch, and the pool's parallel_for dispatch allocates nothing.
+TEST_F(ZeroAllocTest, ParallelStreamingEpochIsAllocationFree) {
+  register_noop_frozen();
+  sim::StreamingSpec spec = streaming_audit_spec();
+  spec.shards = 2;
+  spec.jobs = 2;
+  EXPECT_EQ(streaming_epoch_allocations(spec, 200), 0u)
+      << "the parallel streaming tick loop allocated";
 }
 
 // Audit honesty: churn (session joins rebuild worlds/controllers) is

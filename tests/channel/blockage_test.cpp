@@ -57,105 +57,5 @@ TEST(GeometricBlocker, ReflectedPathUsesBothLegs) {
   EXPECT_EQ(b.attenuation_db(0.0, {0.0, 0.0}, {10.0, 0.0}, nullptr), 0.0);
 }
 
-TEST(ApplyBlockers, FillsPerPathAttenuation) {
-  Path los;
-  los.is_los = true;
-  Path nlos;
-  nlos.is_los = false;
-  nlos.reflection_point = {5.0, 5.0};
-  std::vector<Path> paths{los, nlos};
-  std::vector<GeometricBlocker> blockers{
-      GeometricBlocker(blocker_at({5.0, 0.0}, {0.0, 0.0}))};
-  apply_blockers(paths, blockers, 0.0, {0.0, 0.0}, {10.0, 0.0},
-                 {{0.0, 0.0}, {5.0, 5.0}});
-  EXPECT_NEAR(paths[0].blockage_db, 26.0, 1e-9);
-  EXPECT_EQ(paths[1].blockage_db, 0.0);
-}
-
-TEST(EventProcess, DeterministicForSeed) {
-  BlockageEventProcess::Config c;
-  c.event_rate_hz = 3.0;
-  BlockageEventProcess a(c, Rng(5));
-  BlockageEventProcess b(c, Rng(5));
-  a.generate(10.0, 2);
-  b.generate(10.0, 2);
-  ASSERT_EQ(a.events().size(), b.events().size());
-  for (std::size_t i = 0; i < a.events().size(); ++i) {
-    EXPECT_EQ(a.events()[i].start_s, b.events()[i].start_s);
-  }
-}
-
-TEST(EventProcess, DurationsWithinConfiguredRange) {
-  BlockageEventProcess::Config c;
-  c.event_rate_hz = 5.0;
-  c.min_duration_s = 0.1;
-  c.max_duration_s = 0.5;
-  BlockageEventProcess p(c, Rng(7));
-  p.generate(20.0, 3);
-  ASSERT_GT(p.events().size(), 10u);
-  for (const auto& ev : p.events()) {
-    EXPECT_GE(ev.duration_s, 0.1);
-    EXPECT_LE(ev.duration_s, 0.5);
-  }
-}
-
-TEST(EventProcess, AttenuationOnlyDuringEvent) {
-  BlockageEventProcess::Config c;
-  c.event_rate_hz = 1.0;
-  c.onset_s = 0.0;
-  BlockageEventProcess p(c, Rng(11));
-  p.generate(10.0, 1);
-  ASSERT_FALSE(p.events().empty());
-  // Events are generated in time order: before the first one, nothing.
-  const auto& first = p.events().front();
-  EXPECT_EQ(p.attenuation_db(first.start_s - 0.001, 0), 0.0);
-  // During an event attenuation is at least the depth (overlapping
-  // events stack, like two blockers would).
-  EXPECT_GE(p.attenuation_db(first.start_s + first.duration_s / 2.0, 0),
-            c.depth_db - 1e-9);
-  // After every event has ended: nothing.
-  double last_end = 0.0;
-  for (const auto& ev : p.events()) {
-    last_end = std::max(last_end, ev.start_s + ev.duration_s);
-  }
-  EXPECT_EQ(p.attenuation_db(last_end + 0.001, 0), 0.0);
-}
-
-TEST(EventProcess, OnsetRampsAttenuation) {
-  BlockageEventProcess::Config c;
-  c.event_rate_hz = 1.0;
-  c.onset_s = 0.01;
-  BlockageEventProcess p(c, Rng(13));
-  p.generate(10.0, 1);
-  ASSERT_FALSE(p.events().empty());
-  const auto& ev = p.events().front();
-  const double half = p.attenuation_db(ev.start_s + 0.005, 0);
-  EXPECT_GT(half, 0.0);
-  EXPECT_LT(half, c.depth_db);
-}
-
-TEST(EventProcess, TargetsOnlyListedPaths) {
-  BlockageEventProcess::Config c;
-  c.event_rate_hz = 1.0;
-  c.los_bias = 1.0;  // always path 0
-  c.correlated_prob = 0.0;
-  BlockageEventProcess p(c, Rng(17));
-  p.generate(10.0, 3);
-  ASSERT_FALSE(p.events().empty());
-  const auto& ev = p.events().front();
-  const double mid = ev.start_s + ev.duration_s / 2.0;
-  EXPECT_GT(p.attenuation_db(mid, 0), 0.0);
-  EXPECT_EQ(p.attenuation_db(mid, 1), 0.0);
-  EXPECT_EQ(p.attenuation_db(mid, 2), 0.0);
-}
-
-TEST(EventProcess, ZeroRateProducesNoEvents) {
-  BlockageEventProcess::Config c;
-  c.event_rate_hz = 0.0;
-  BlockageEventProcess p(c, Rng(19));
-  p.generate(100.0, 2);
-  EXPECT_TRUE(p.events().empty());
-}
-
 }  // namespace
 }  // namespace mmr::channel

@@ -140,92 +140,3 @@ TEST(Path, SortedByPowerUsesBlockage) {
 
 }  // namespace
 }  // namespace mmr::channel
-
-namespace mmr::channel {
-namespace {
-
-TEST(Environment, DoubleBounceInCorridor) {
-  // Two parallel metal walls: the zig-zag TX -> wall A -> wall B -> RX
-  // path exists only when max_bounces = 2.
-  Environment env(kCarrier28GHz);
-  env.add_wall({{{-5.0, 3.0}, {15.0, 3.0}}, Material::metal()});
-  env.add_wall({{{-5.0, -3.0}, {15.0, -3.0}}, Material::metal()});
-  const Pose tx{{0.0, 0.0}, 0.0};
-  const Pose rx{{10.0, 0.0}, kPi};
-
-  const auto single = env.trace(tx, rx, 60.0, 1);
-  const auto doubled = env.trace(tx, rx, 60.0, 2);
-  EXPECT_GT(doubled.size(), single.size());
-
-  // Find a two-bounce path: longer than any single-bounce reflection.
-  double longest_single = 0.0;
-  for (const auto& p : single) longest_single = std::max(longest_single, p.delay_s);
-  double longest_double = 0.0;
-  for (const auto& p : doubled) longest_double = std::max(longest_double, p.delay_s);
-  EXPECT_GT(longest_double, longest_single);
-}
-
-TEST(Environment, DoubleBounceGeometryExact) {
-  // Symmetric corridor: TX (0,0), RX (12,0), walls at y = +-3. The
-  // A(top)->B(bottom) zig-zag reflects at y=+3 then y=-3 with equal
-  // x-spacing thirds: P1 = (3, 3)... solved: total vertical unfolding is
-  // 12 (0 -> 3 -> -3 -> 0 unfolds to 12 over dx = 12), so the path length
-  // is sqrt(12^2 + 12^2) = 16.97 m.
-  Environment env(kCarrier28GHz);
-  env.add_wall({{{-5.0, 3.0}, {20.0, 3.0}}, Material::metal()});
-  env.add_wall({{{-5.0, -3.0}, {20.0, -3.0}}, Material::metal()});
-  const Pose tx{{0.0, 0.0}, 0.0};
-  const Pose rx{{12.0, 0.0}, kPi};
-  const auto paths = env.trace(tx, rx, 80.0, 2);
-  bool found = false;
-  for (const auto& p : paths) {
-    if (std::abs(p.delay_s * kSpeedOfLight - std::sqrt(2.0) * 12.0) < 0.01) {
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(Environment, DoubleBouncePaysBothReflectionLosses) {
-  Environment env(kCarrier28GHz);
-  env.add_wall({{{-5.0, 3.0}, {20.0, 3.0}}, Material::wood()});   // 11 dB
-  env.add_wall({{{-5.0, -3.0}, {20.0, -3.0}}, Material::metal()}); // 1 dB
-  const Pose tx{{0.0, 0.0}, 0.0};
-  const Pose rx{{12.0, 0.0}, kPi};
-  const auto paths = env.trace(tx, rx, 80.0, 2);
-  // The strongest double-bounce must be weaker than the strongest
-  // single bounce by at least the extra material loss.
-  double best_single = 0.0, best_double = 0.0;
-  for (const auto& p : paths) {
-    if (p.is_los) continue;
-    const double len = p.delay_s * kSpeedOfLight;
-    if (len > 15.0) {
-      best_double = std::max(best_double, p.effective_power());
-    } else {
-      best_single = std::max(best_single, p.effective_power());
-    }
-  }
-  ASSERT_GT(best_single, 0.0);
-  ASSERT_GT(best_double, 0.0);
-  EXPECT_GT(best_single, best_double);
-}
-
-TEST(Environment, DefaultTraceIsSingleBounce) {
-  Environment env(kCarrier28GHz);
-  env.add_wall({{{-5.0, 3.0}, {15.0, 3.0}}, Material::metal()});
-  env.add_wall({{{-5.0, -3.0}, {15.0, -3.0}}, Material::metal()});
-  const auto def = env.trace({{0.0, 0.0}, 0.0}, {{10.0, 0.0}, kPi}, 60.0);
-  const auto one = env.trace({{0.0, 0.0}, 0.0}, {{10.0, 0.0}, kPi}, 60.0, 1);
-  EXPECT_EQ(def.size(), one.size());
-}
-
-TEST(Environment, RejectsUnsupportedBounceCount) {
-  Environment env(kCarrier28GHz);
-  EXPECT_THROW(env.trace({{0.0, 0.0}, 0.0}, {{1.0, 0.0}, kPi}, 40.0, 3),
-               std::logic_error);
-  EXPECT_THROW(env.trace({{0.0, 0.0}, 0.0}, {{1.0, 0.0}, kPi}, 40.0, 0),
-               std::logic_error);
-}
-
-}  // namespace
-}  // namespace mmr::channel

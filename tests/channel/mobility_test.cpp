@@ -23,55 +23,12 @@ TEST(LinearTranslation, ConstantVelocity) {
   EXPECT_EQ(p.orientation_rad, 1.0);  // orientation unchanged
 }
 
-TEST(UniformRotation, RateIntegrates) {
-  const UniformRotation traj({{1.0, 1.0}, 0.0}, deg_to_rad(24.0));
-  const Pose p = traj.at(0.5);
-  EXPECT_NEAR(p.orientation_rad, deg_to_rad(12.0), 1e-12);
-  EXPECT_EQ(p.position.x, 1.0);
-}
-
-TEST(UniformRotation, WrapsOrientation) {
-  const UniformRotation traj({{0.0, 0.0}, 0.0}, deg_to_rad(360.0));
-  const Pose p = traj.at(1.5);  // 540 deg -> 180 deg
-  EXPECT_NEAR(std::abs(p.orientation_rad), kPi, 1e-9);
-}
-
 TEST(TranslateAndRotate, Combines) {
   const TranslateAndRotate traj({{0.0, 0.0}, 0.0}, {1.0, 0.0},
                                 deg_to_rad(10.0));
   const Pose p = traj.at(2.0);
   EXPECT_NEAR(p.position.x, 2.0, 1e-12);
   EXPECT_NEAR(p.orientation_rad, deg_to_rad(20.0), 1e-12);
-}
-
-TEST(WaypointPath, InterpolatesBetweenWaypoints) {
-  const WaypointPath traj({{0.0, {{0.0, 0.0}, 0.0}},
-                           {1.0, {{10.0, 0.0}, deg_to_rad(90.0)}}});
-  const Pose p = traj.at(0.5);
-  EXPECT_NEAR(p.position.x, 5.0, 1e-12);
-  EXPECT_NEAR(p.orientation_rad, deg_to_rad(45.0), 1e-9);
-}
-
-TEST(WaypointPath, ClampsOutsideRange) {
-  const WaypointPath traj({{0.0, {{0.0, 0.0}, 0.0}},
-                           {1.0, {{10.0, 0.0}, 0.0}}});
-  EXPECT_EQ(traj.at(-1.0).position.x, 0.0);
-  EXPECT_EQ(traj.at(2.0).position.x, 10.0);
-}
-
-TEST(WaypointPath, OrientationTakesShortestArc) {
-  // 170 deg to -170 deg should pass through 180, not 0.
-  const WaypointPath traj({{0.0, {{0.0, 0.0}, deg_to_rad(170.0)}},
-                           {1.0, {{0.0, 0.0}, deg_to_rad(-170.0)}}});
-  const Pose p = traj.at(0.5);
-  EXPECT_NEAR(std::abs(p.orientation_rad), kPi, 1e-9);
-}
-
-TEST(WaypointPath, RejectsTooFewOrUnsorted) {
-  EXPECT_THROW(WaypointPath({{0.0, {{0.0, 0.0}, 0.0}}}), std::logic_error);
-  EXPECT_THROW(WaypointPath({{1.0, {{0.0, 0.0}, 0.0}},
-                             {0.0, {{1.0, 0.0}, 0.0}}}),
-               std::logic_error);
 }
 
 }  // namespace

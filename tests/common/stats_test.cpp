@@ -45,24 +45,6 @@ TEST(Mean, Basic) {
   EXPECT_NEAR(mean(xs), 2.0, 1e-12);
 }
 
-TEST(Cdf, SortedAndNormalized) {
-  const std::vector<double> xs{3.0, 1.0, 2.0, 2.0};
-  const Cdf cdf = empirical_cdf(xs);
-  ASSERT_EQ(cdf.value.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(cdf.value.begin(), cdf.value.end()));
-  EXPECT_NEAR(cdf.prob.back(), 1.0, 1e-12);
-  EXPECT_NEAR(cdf.prob.front(), 0.25, 1e-12);
-}
-
-TEST(Cdf, Evaluation) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const Cdf cdf = empirical_cdf(xs);
-  EXPECT_NEAR(cdf_at(cdf, 0.5), 0.0, 1e-12);
-  EXPECT_NEAR(cdf_at(cdf, 2.5), 0.5, 1e-12);
-  EXPECT_NEAR(cdf_at(cdf, 4.0), 1.0, 1e-12);  // inclusive
-  EXPECT_NEAR(cdf_at(cdf, 99.0), 1.0, 1e-12);
-}
-
 class PercentileMonotoneTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(PercentileMonotoneTest, NonDecreasingInP) {

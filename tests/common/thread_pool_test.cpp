@@ -12,36 +12,10 @@
 namespace mmr {
 namespace {
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.submit([&count] { ++count; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, SubmitReturnsTaskValue) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
 TEST(ThreadPool, ZeroThreadsMeansHardware) {
   ThreadPool pool(0);
   EXPECT_GE(pool.size(), 1u);
   EXPECT_EQ(pool.size(), ThreadPool::hardware_jobs());
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit(
-      []() -> int { throw std::runtime_error("worker boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The pool must survive a throwing task.
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
@@ -69,69 +43,60 @@ TEST(ThreadPool, ParallelForRethrowsLowestIndexException) {
   }
   // Every non-throwing iteration still ran.
   EXPECT_EQ(completed.load(), 62);
+  // The pool survives a throwing job, and the next job starts clean.
+  std::atomic<int> again{0};
+  pool.parallel_for(10, [&](std::size_t) { ++again; });
+  EXPECT_EQ(again.load(), 10);
 }
 
 TEST(ThreadPool, ConcurrentSubmissionStress) {
+  // Many jobs of varying size back to back on one pool, from several
+  // calling threads at once: every index of every job runs exactly once.
   ThreadPool pool(4);
   std::atomic<long> sum{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 8; ++p) {
-    producers.emplace_back([&pool, &sum, p] {
-      std::vector<std::future<void>> futures;
-      for (int i = 0; i < 250; ++i) {
-        futures.push_back(pool.submit([&sum, p, i] { sum += p * 1000 + i; }));
+  std::vector<std::thread> callers;
+  for (int p = 0; p < 4; ++p) {
+    callers.emplace_back([&pool, &sum, p] {
+      for (int rep = 0; rep < 50; ++rep) {
+        const auto n = static_cast<std::size_t>(rep % 7);
+        pool.parallel_for(n, [&](std::size_t i) {
+          sum += p * 1000 + static_cast<long>(i);
+        });
       }
-      for (auto& f : futures) f.get();
     });
   }
-  for (auto& t : producers) t.join();
+  for (auto& t : callers) t.join();
   long expected = 0;
-  for (int p = 0; p < 8; ++p) {
-    for (int i = 0; i < 250; ++i) expected += p * 1000 + i;
+  for (int p = 0; p < 4; ++p) {
+    for (int rep = 0; rep < 50; ++rep) {
+      for (int i = 0; i < rep % 7; ++i) expected += p * 1000 + i;
+    }
   }
   EXPECT_EQ(sum.load(), expected);
 }
 
-TEST(ThreadPool, GracefulShutdownDrainsQueuedWork) {
-  std::atomic<int> done{0};
-  {
-    // One worker and a burst of slow-ish tasks: most are still queued
-    // when the destructor runs, and all must complete anyway.
-    ThreadPool pool(1);
-    for (int i = 0; i < 32; ++i) {
-      pool.submit([&done] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        ++done;
-      });
-    }
-  }
-  EXPECT_EQ(done.load(), 32);
-}
-
 TEST(ThreadPool, WorkIsStolenAcrossQueues) {
-  // Tasks are distributed round-robin over per-worker deques; with 4
-  // workers and one long-blocked queue, siblings must steal the blocked
-  // worker's share or this test times out.
+  // Uneven work: index 0 blocks until every other index has run. Workers
+  // claim indices from one shared counter, so the other workers must take
+  // all 40 fast indices while one worker is stuck, or this test times out.
   ThreadPool pool(4);
-  std::atomic<bool> release{false};
   std::atomic<int> fast_done{0};
-  std::vector<std::future<void>> futures;
-  futures.push_back(pool.submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  }));
-  for (int i = 0; i < 40; ++i) {
-    futures.push_back(pool.submit([&fast_done] { ++fast_done; }));
-  }
-  // The 40 fast tasks span every queue, including the blocked worker's.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (fast_done.load() < 40 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
+  bool released = false;
+  pool.parallel_for(41, [&](std::size_t i) {
+    if (i != 0) {
+      ++fast_done;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fast_done.load() < 40 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    released = fast_done.load() == 40;
+  });
+  EXPECT_TRUE(released);
   EXPECT_EQ(fast_done.load(), 40);
-  release = true;
-  for (auto& f : futures) f.get();
 }
 
 }  // namespace

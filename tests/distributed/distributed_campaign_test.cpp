@@ -355,8 +355,8 @@ TEST_F(DistributedCampaignTest, LeaseTakeoverFleetRecoversByteExactly) {
 
   // The victim claims first (lowest index: shard 0, trials {0, 3}),
   // checkpoints trial 0, then SIGKILLs itself entering trial 3 with the
-  // lease still held. SIGKILL skips destructors: no complete(), no
-  // requeue -- exactly what a powered-off machine leaves behind.
+  // lease still held. SIGKILL skips destructors: no complete() --
+  // exactly what a powered-off machine leaves behind.
   sim::ExperimentSpec dying = spec;
   const auto base_customize = spec.customize;
   dying.customize = [base_customize](const sim::TrialContext& ctx,

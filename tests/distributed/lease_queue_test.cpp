@@ -1,7 +1,7 @@
 // Lease-based shard reclamation: a claim stamps a host/pid lease,
 // heartbeats renew it, stale leases are auto-reclaimed by the next
-// claimer, fresh leases refuse requeue by naming the live holder, and
-// staleness is measured on the queue filesystem's clock (probe file), so
+// claimer while fresh ones are left to their holder, and staleness is
+// measured on the queue filesystem's clock (probe file), so
 // cross-machine wall-clock skew cannot fake a death.
 #include <gtest/gtest.h>
 
@@ -141,35 +141,7 @@ TEST_F(LeaseQueueTest, FutureDatedLeaseIsNotStale) {
   shift_lease(*plan, 3600.0);  // one hour in the future
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   EXPECT_FALSE(ShardQueue::claim(dir_, opts).has_value());
-  EXPECT_THROW(ShardQueue::requeue(dir_, *plan, opts), LeaseHeldError);
-}
-
-TEST_F(LeaseQueueTest, RequeueRefusesAFreshlyHeldShardNamingTheHolder) {
-  ShardQueue::init(dir_, 1);
-  const auto plan = ShardQueue::claim(dir_);
-  ASSERT_TRUE(plan.has_value());
-  try {
-    ShardQueue::requeue(dir_, *plan);
-    FAIL() << "expected LeaseHeldError";
-  } catch (const LeaseHeldError& e) {
-    const auto lease = ShardQueue::holder(dir_, *plan);
-    ASSERT_TRUE(lease.has_value());
-    // The error names the live holder so an operator knows what to stop.
-    EXPECT_NE(std::string(e.what()).find(lease->describe()),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST_F(LeaseQueueTest, RequeueIsIdempotentWhenAlreadyInTodo) {
-  ShardQueue::init(dir_, 2);
-  // Never claimed: both requeues are no-ops and both shards stay
-  // claimable exactly once.
-  ShardQueue::requeue(dir_, ShardPlan{0, 2});
-  ShardQueue::requeue(dir_, ShardPlan{0, 2});
-  EXPECT_TRUE(ShardQueue::claim(dir_).has_value());
-  EXPECT_TRUE(ShardQueue::claim(dir_).has_value());
-  EXPECT_FALSE(ShardQueue::claim(dir_).has_value());
+  EXPECT_EQ(ShardQueue::counts(dir_).claimed, 1u);
 }
 
 TEST_F(LeaseQueueTest, CompleteRetiresAShardForGood) {
@@ -178,10 +150,13 @@ TEST_F(LeaseQueueTest, CompleteRetiresAShardForGood) {
   ASSERT_TRUE(plan.has_value());
   ShardQueue::complete(dir_, *plan);
   ShardQueue::complete(dir_, *plan);  // idempotent
-  // A done shard is neither claimable nor requeueable back to life.
+  // A done shard is never claimable again, not even through the stale-
+  // lease reclaim of an expired TTL.
   EXPECT_FALSE(ShardQueue::claim(dir_).has_value());
-  ShardQueue::requeue(dir_, *plan);  // no-op, not an error
-  EXPECT_FALSE(ShardQueue::claim(dir_).has_value());
+  LeaseOptions expired;
+  expired.ttl_s = 0.0;
+  expired.grace_s = 0.0;
+  EXPECT_FALSE(ShardQueue::claim(dir_, expired).has_value());
   const auto c = ShardQueue::counts(dir_);
   EXPECT_EQ(c.todo, 0u);
   EXPECT_EQ(c.claimed, 0u);

@@ -5,36 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <ctime>
 #include <set>
 #include <string>
 #include <vector>
-
-#ifdef __unix__
-#include <fcntl.h>
-#include <sys/stat.h>
-#endif
 
 #include "sim/shard.h"
 
 namespace mmr::sim {
 namespace {
-
-#ifdef __unix__
-/// Backdate a claimed shard's lease file by `seconds`, simulating a
-/// worker that stopped heartbeating that long ago.
-void age_lease(const std::string& dir, const ShardPlan& plan,
-               double seconds) {
-  const std::string path = dir + "/claimed/" + plan.suffix();
-  struct stat st;
-  ASSERT_EQ(::stat(path.c_str(), &st), 0) << path;
-  struct timespec times[2];
-  times[0] = st.st_atim;
-  times[1] = st.st_mtim;
-  times[1].tv_sec -= static_cast<time_t>(seconds);
-  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
-}
-#endif
 
 TEST(ShardPlanTest, DefaultPlanIsDisabledAndOwnsEverything) {
   const ShardPlan plan;
@@ -183,43 +161,6 @@ TEST_F(ShardQueueTest, ReinitIsIdempotentButCountChangeThrows) {
   }
   EXPECT_EQ(rest.size(), 2u);
   EXPECT_THROW(ShardQueue::init(dir_, 5), std::runtime_error);
-}
-
-TEST_F(ShardQueueTest, RequeueReoffersACrashedWorkersShard) {
-  ShardQueue::init(dir_, 2);
-  const auto first = ShardQueue::claim(dir_);
-  const auto second = ShardQueue::claim(dir_);
-  ASSERT_TRUE(first.has_value());
-  ASSERT_TRUE(second.has_value());
-  EXPECT_FALSE(ShardQueue::claim(dir_).has_value());
-
-#ifdef __unix__
-  // "The worker died": its heartbeat stopped long enough ago that the
-  // lease lapsed (default TTL 300s + grace 75s). A fresh lease would be
-  // refused -- see RequeueRefusesAFreshlyHeldShard.
-  age_lease(dir_, *first, 400.0);
-#endif
-  ShardQueue::requeue(dir_, *first);
-  const auto again = ShardQueue::claim(dir_);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(*again, *first);
-  EXPECT_FALSE(ShardQueue::claim(dir_).has_value());
-}
-
-TEST_F(ShardQueueTest, RequeueOfUnclaimedShardIsANoop) {
-  ShardQueue::init(dir_, 2);
-  ShardQueue::requeue(dir_, ShardPlan{0, 2});  // still in todo/: no-op
-  std::set<std::size_t> all;
-  while (const auto plan = ShardQueue::claim(dir_)) {
-    all.insert(plan->index);
-  }
-  EXPECT_EQ(all, (std::set<std::size_t>{0u, 1u}));
-}
-
-TEST_F(ShardQueueTest, RequeueOfForeignShardThrows) {
-  ShardQueue::init(dir_, 2);
-  EXPECT_THROW(ShardQueue::requeue(dir_, ShardPlan{5, 9}),
-               std::runtime_error);
 }
 
 }  // namespace

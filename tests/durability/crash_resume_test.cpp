@@ -45,8 +45,9 @@ std::size_t count_occurrences(const std::string& haystack,
 /// Set only in the forked child: there every trial after the first two
 /// to start blocks until the SIGKILL, so the kill always lands mid-sweep
 /// with exactly two trials journaled, however the child is scheduled. (The
-/// rule counts starts, not indices: the pool's workers pop their own
-/// queues newest first, so trials 4 and 5 may be the first two to run.)
+/// rule counts starts, not indices: the pool's workers claim indices in
+/// order from one counter, but which claimed trials reach the body first
+/// is up to the OS scheduler.)
 bool g_block_late_trials = false;
 std::atomic<std::size_t> g_trials_started{0};
 

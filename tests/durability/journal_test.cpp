@@ -256,5 +256,31 @@ TEST_F(JournalTest, DuplicateIndexKeepsTheFirstRecord) {
   EXPECT_EQ(reopened.completed().at(2).label, "first");
 }
 
+TEST_F(JournalTest, FrozenCampaignJournalIsAPureFunctionOfSpecAndSeed) {
+  // Two identical frozen campaigns into fresh journals leave the same
+  // bytes: under freeze_timing the trials' measured wall and CPU time are
+  // journaled as 0.0, just as the JSON record zeroes them.
+  ExperimentSpec spec = demo_spec();
+  spec.run.duration_s = 0.05;
+  spec.trials = 3;
+  spec.jobs = 1;  // one append order
+  auto run_into = [&spec](const std::string& path) {
+    CampaignJournal journal(path, campaign_key(spec));
+    EngineOptions opts;
+    opts.freeze_timing = true;
+    opts.journal = &journal;
+    (void)Engine().run(spec, nullptr, opts);
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  };
+  const std::string first = run_into(dir_ + "/first.journal");
+  const std::string second = run_into(dir_ + "/second.journal");
+  EXPECT_NE(first.find("{\"trial\": {\"index\": 2"), std::string::npos)
+      << first;
+  EXPECT_EQ(first, second);
+}
+
 }  // namespace
 }  // namespace mmr::sim

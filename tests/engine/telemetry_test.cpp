@@ -1,6 +1,6 @@
 // Telemetry sinks and the run_experiment config validation added with the
 // experiment engine: MemorySink capture, JsonLinesSink byte-compatibility
-// with write_sweep_json, FanoutSink teeing, and the RunConfig contract.
+// with write_sweep_json, and the RunConfig contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -96,25 +96,6 @@ TEST(Telemetry, JsonLinesSinkMatchesWriteSweepJsonByteForByte) {
   EXPECT_EQ(actual.str(), expected.str());
 }
 
-TEST(Telemetry, FanoutDeliversEveryEventToEverySink) {
-  MemorySink a, b;
-  FanoutSink fanout;
-  fanout.add(&a);
-  fanout.add(&b);
-
-  ScenarioConfig cfg;
-  cfg.seed = 3;
-  LinkWorld world = make_indoor_world(cfg);
-  auto ctrl = make_mmreliable(world, cfg);
-  run_experiment(world, *ctrl, short_run(), &fanout);
-
-  ASSERT_EQ(a.runs().size(), 1u);
-  ASSERT_EQ(b.runs().size(), 1u);
-  EXPECT_EQ(a.runs()[0].size(), b.runs()[0].size());
-  EXPECT_EQ(a.summaries().size(), 1u);
-  EXPECT_EQ(b.summaries().size(), 1u);
-}
-
 TEST(Telemetry, EngineReplaysSinkEventsInTrialIndexOrder) {
   // jobs=2 must deliver the same sink stream as jobs=1 (the ordering
   // contract: per-trial events buffer and replay after the barrier).
@@ -182,16 +163,12 @@ TEST(Telemetry, JsonLinesSinkEmitsOneSnapshotLine) {
 }
 
 TEST(Telemetry, MemoryAndFanoutSinksCaptureSnapshots) {
-  MemorySink a, b;
-  FanoutSink fanout;
-  fanout.add(&a);
-  fanout.add(&b);
-  fanout.on_snapshot(sample_snapshot());
-  ASSERT_EQ(a.snapshots().size(), 1u);
-  ASSERT_EQ(b.snapshots().size(), 1u);
-  EXPECT_EQ(a.snapshots()[0].index, 3u);
-  EXPECT_EQ(a.snapshots()[0].total_ticks, 1680u);
-  EXPECT_EQ(b.snapshots()[0].availability, 0.975);
+  MemorySink sink;
+  sink.on_snapshot(sample_snapshot());
+  ASSERT_EQ(sink.snapshots().size(), 1u);
+  EXPECT_EQ(sink.snapshots()[0].index, 3u);
+  EXPECT_EQ(sink.snapshots()[0].total_ticks, 1680u);
+  EXPECT_EQ(sink.snapshots()[0].availability, 0.975);
 }
 
 /// ostringstream buffer that counts sync() (i.e. flush) calls.

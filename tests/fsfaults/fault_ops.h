@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/fs_ops.h"
@@ -28,6 +29,12 @@ struct FaultScript {
   int fsync_errno = EINTR;
   int fail_rename = 0;
   int rename_errno = EINTR;
+  int fail_mkdir = 0;
+  int mkdir_errno = EINTR;
+  int fail_stat = 0;
+  int stat_errno = EINTR;
+  int fail_touch = 0;
+  int touch_errno = EINTR;
   /// Cap every successful write at one byte (exercises the short-write
   /// resume loop in write_all).
   bool short_writes = false;
@@ -77,6 +84,25 @@ inline int unlink_fn(const char* path) {
   return fsio::real_ops()->unlink_fn(path);
 }
 
+inline int mkdir_fn(const char* path, unsigned mode) {
+  if (take(script().fail_mkdir, script().mkdir_errno)) return -1;
+  return fsio::real_ops()->mkdir_fn(path, mode);
+}
+
+inline int list_dir_fn(const char* path, std::vector<std::string>* names) {
+  return fsio::real_ops()->list_dir_fn(path, names);
+}
+
+inline int stat_fn(const char* path, struct stat* st) {
+  if (take(script().fail_stat, script().stat_errno)) return -1;
+  return fsio::real_ops()->stat_fn(path, st);
+}
+
+inline int touch_fn(const char* path) {
+  if (take(script().fail_touch, script().touch_errno)) return -1;
+  return fsio::real_ops()->touch_fn(path);
+}
+
 inline void sleep_fn(double seconds) { script().slept.push_back(seconds); }
 
 }  // namespace detail
@@ -84,9 +110,17 @@ inline void sleep_fn(double seconds) { script().slept.push_back(seconds); }
 /// The faulting table (install via ScopedFaults or fsio::ScopedOps).
 inline const fsio::OpsTable* table() {
   static const fsio::OpsTable t = {
-      &detail::open_fn,   &detail::write_fn,  &detail::fsync_fn,
-      &detail::close_fn,  &detail::rename_fn, &detail::unlink_fn,
-      &detail::sleep_fn,
+      .open_fn = &detail::open_fn,
+      .write_fn = &detail::write_fn,
+      .fsync_fn = &detail::fsync_fn,
+      .close_fn = &detail::close_fn,
+      .rename_fn = &detail::rename_fn,
+      .unlink_fn = &detail::unlink_fn,
+      .mkdir_fn = &detail::mkdir_fn,
+      .list_dir_fn = &detail::list_dir_fn,
+      .stat_fn = &detail::stat_fn,
+      .touch_fn = &detail::touch_fn,
+      .sleep_fn = &detail::sleep_fn,
   };
   return &t;
 }

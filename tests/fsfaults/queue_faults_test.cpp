@@ -1,14 +1,20 @@
-// The shard queue's ticket renames under injected faults: they go through
-// the fsio table, so a permanent rename error surfaces as a typed IoError
-// from the rename itself and the ticket stays where it was.
+// The shard queue's filesystem calls under injected faults: directory
+// creation, the lease-age stats, the pre-claim mtime refresh and the
+// ticket renames all go through the fsio table, so transient errnos are
+// retried and a permanent error surfaces as a typed IoError naming the
+// operation and path, with the ticket left where it was.
 #include "sim/shard.h"
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <cstdlib>
+#include <ctime>
 #include <optional>
 #include <string>
+
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include "common/io_error.h"
 #include "tests/fsfaults/fault_ops.h"
@@ -27,6 +33,18 @@ class QueueFaultTest : public ::testing::Test {
   void TearDown() override {
     std::string cmd = "rm -rf '" + root_ + "'";
     (void)std::system(cmd.c_str());
+  }
+
+  /// Backdate a claimed shard's lease by `seconds` (raw syscalls, before
+  /// any fault is installed): its holder stopped heartbeating that long
+  /// ago.
+  void backdate_lease(const ShardPlan& plan, double seconds) {
+    const std::string path = dir_ + "/claimed/" + plan.suffix();
+    struct stat st;
+    ASSERT_EQ(::stat(path.c_str(), &st), 0) << path;
+    struct timespec times[2] = {st.st_atim, st.st_mtim};
+    times[1].tv_sec -= static_cast<time_t>(seconds);
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
   }
 
   std::string root_, dir_;
@@ -59,6 +77,62 @@ TEST_F(QueueFaultTest, FailedClaimRenameLeavesTheTicketInTodo) {
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->index, 0u);
   EXPECT_EQ(ShardQueue::counts(dir_).claimed, 1u);
+}
+
+TEST_F(QueueFaultTest, LeaseAgeStatEintrStormIsRetried) {
+  ShardQueue::init(dir_, 1);
+  const std::optional<ShardPlan> held =
+      ShardQueue::claim(dir_, LeaseOptions{});
+  ASSERT_TRUE(held.has_value());
+  // Past the default ttl + grace (375 s): the next claimer reclaims it.
+  backdate_lease(*held, 400.0);
+  fsfaults::ScopedFaults faults;
+  fsfaults::script().fail_stat = 3;
+  const std::optional<ShardPlan> plan =
+      ShardQueue::claim(dir_, LeaseOptions{});
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(*plan, *held);
+  // Three EINTRs on the lease-age stat = three doubling backoffs.
+  EXPECT_EQ(fsfaults::script().fail_stat, 0);
+  ASSERT_EQ(fsfaults::script().slept.size(), 3u);
+  EXPECT_DOUBLE_EQ(fsfaults::script().slept[2],
+                   4.0 * fsfaults::script().slept[0]);
+  EXPECT_EQ(ShardQueue::counts(dir_).claimed, 1u);
+}
+
+TEST_F(QueueFaultTest, PermanentInitMkdirErrorThrowsIoErrorNamingTheDir) {
+  fsfaults::ScopedFaults faults;
+  fsfaults::script().fail_mkdir = 1;
+  fsfaults::script().mkdir_errno = EACCES;
+  try {
+    ShardQueue::init(dir_, 2);
+    FAIL() << "init succeeded through a failing mkdir";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.op(), "mkdir");
+    EXPECT_EQ(e.code(), EACCES);
+    EXPECT_EQ(e.path(), dir_);
+  }
+  // A permanent errno is not retried.
+  EXPECT_TRUE(fsfaults::script().slept.empty());
+}
+
+TEST_F(QueueFaultTest, FailedClaimRefreshLeavesTheTicketInTodo) {
+  ShardQueue::init(dir_, 1);
+  fsfaults::ScopedFaults faults;
+  fsfaults::script().fail_touch = 1;
+  fsfaults::script().touch_errno = EPERM;
+  try {
+    (void)ShardQueue::claim(dir_, LeaseOptions{});
+    FAIL() << "claim succeeded through a failing mtime refresh";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.op(), "utimensat");
+    EXPECT_EQ(e.code(), EPERM);
+    const std::string todo = dir_ + "/todo/" + ShardPlan{0, 1}.suffix();
+    EXPECT_EQ(e.path(), todo);
+  }
+  const ShardQueue::Counts counts = ShardQueue::counts(dir_);
+  EXPECT_EQ(counts.todo, 1u);
+  EXPECT_EQ(counts.claimed, 0u);
 }
 
 }  // namespace

@@ -76,23 +76,6 @@ TEST(World, BlockerAttenuatesLosOnly) {
   }
 }
 
-TEST(World, EventProcessAppliedByStableIndex) {
-  LinkWorld world = make_indoor_world(cfg(11));
-  channel::BlockageEventProcess::Config ec;
-  ec.event_rate_hz = 1000.0;  // force an event right away
-  ec.los_bias = 1.0;
-  ec.onset_s = 0.0;
-  channel::BlockageEventProcess events(ec, Rng(1));
-  events.generate(1.0, 3);
-  world.set_event_process(std::move(events));
-  world.set_time(0.05);
-  bool los_blocked = false;
-  for (const auto& p : world.paths()) {
-    if (p.is_los && p.blockage_db > 10.0) los_blocked = true;
-  }
-  EXPECT_TRUE(los_blocked);
-}
-
 TEST(World, SnrMatchesBudgetRoundTrip) {
   LinkWorld world = make_indoor_world(cfg(13));
   const CVec w = array::single_beam_weights(world.config().tx_ula, 0.0);

@@ -1,7 +1,7 @@
 // Per-tick path-response table (channel::PathResponse in the bound
 // sim::TrialWorkspace): a world that reads one table per tick must be
 // bit-identical to one that builds a fresh table for every evaluation (an
-// unbound world) -- for CSI, CIR and joint probes and the true SNR,
+// unbound world) -- for CSI and CIR probes and the true SNR,
 // across set_time calls, with worlds sharing one workspace, and with a
 // world rebuilt at the address of a destroyed one. The table is keyed by
 // a process-wide tick id, never by the world's address. This binary also
@@ -65,10 +65,8 @@ sim::ScenarioSpec random_scenario(Rng& rng) {
 void expect_same_evaluation(Rng& rng, sim::LinkWorld& bound,
                             sim::LinkWorld& twin, const std::string& where) {
   const std::size_t n = bound.config().tx_ula.num_elements;
-  const std::size_t m = bound.config().ue_ula.num_elements;
   const CVec w = random_weights(rng, n);
-  const CVec rw = random_weights(rng, m);
-  switch (rng.uniform_index(6)) {
+  switch (rng.uniform_index(3)) {
     case 0:
       ASSERT_TRUE(same_bits(bound.probe_interface().csi(w),
                             twin.probe_interface().csi(w)))
@@ -81,26 +79,9 @@ void expect_same_evaluation(Rng& rng, sim::LinkWorld& bound,
           << where << " cir";
       break;
     }
-    case 2:
-      ASSERT_TRUE(same_bits(bound.joint_probe_interface().csi(w, rw),
-                            twin.joint_probe_interface().csi(w, rw)))
-          << where << " joint csi";
-      break;
-    case 3: {
-      const std::size_t taps = 1 + rng.uniform_index(32);
-      ASSERT_TRUE(same_bits(bound.joint_probe_interface().cir(w, rw, taps),
-                            twin.joint_probe_interface().cir(w, rw, taps)))
-          << where << " joint cir";
-      break;
-    }
-    case 4:
+    default:
       ASSERT_TRUE(same_bits(bound.true_snr_db(w), twin.true_snr_db(w)))
           << where << " true_snr_db";
-      break;
-    default:
-      ASSERT_TRUE(same_bits(bound.true_snr_db_joint(w, rw),
-                            twin.true_snr_db_joint(w, rw)))
-          << where << " true_snr_db_joint";
       break;
   }
 }
