@@ -311,11 +311,11 @@ inline std::string shard_journal_path(const std::string& base,
 /// read_journal_file() parses, and per-path cursors keep the stderr
 /// progress down to actual changes. Files mid-append or mid-copy read as
 /// torn/short -- in-progress, wait -- but a seal footer that
-/// persistently disagrees with its records (confirmed by an immediate
-/// re-read, so a racing append cannot fake it) is transport damage and
-/// exits 2 naming the seal. Stragglers (shards unchanged across many
-/// polls while others sealed) are called out so a human can go look at
-/// that worker.
+/// persistently disagrees with its records (confirmed by a re-read that
+/// sim::check_journal_seal() judges, so a racing append cannot fake it)
+/// is transport damage and exits 2 naming the seal. Stragglers (shards
+/// unchanged across many polls while others sealed) are called out so a
+/// human can go look at that worker.
 inline std::vector<std::string> watch_shard_journals(
     const std::string& merged, const std::string& campaign,
     double poll_s = 0.2) {
@@ -357,15 +357,10 @@ inline std::vector<std::string> watch_shard_journals(
         // the records and of the footer region only on a live file, and
         // a live file re-reads differently.
         std::this_thread::sleep_for(std::chrono::duration<double>(poll_s));
-        const sim::LoadedJournal confirm = sim::read_journal_file(path);
-        if (confirm.seal.has_value() && !confirm.seal_intact()) {
-          std::fprintf(stderr,
-                       "watch: shard journal '%s' has a seal footer that "
-                       "does not match its records (seal says %zu trials, "
-                       "file holds %zu intact); the file was damaged in "
-                       "transport -- refusing to merge\n",
-                       path.c_str(), confirm.seal->trials,
-                       confirm.trials.size());
+        try {
+          sim::check_journal_seal(path, sim::read_journal_file(path));
+        } catch (const sim::JournalMismatchError& e) {
+          std::fprintf(stderr, "watch: %s -- refusing to merge\n", e.what());
           std::exit(2);
         }
         all_sealed = false;

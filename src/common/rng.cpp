@@ -136,9 +136,8 @@ bool Rng::bernoulli(double p) { return uniform() < p; }
 
 double Rng::exponential(double mean) {
   MMR_EXPECTS(mean > 0.0);
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
+  // 1 - u lies in (0, 1], so the log is finite.
+  return -mean * std::log(1.0 - uniform());
 }
 
 Rng Rng::fork() { return Rng(next_u64()); }

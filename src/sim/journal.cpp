@@ -1,11 +1,14 @@
 #include "sim/journal.h"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #ifdef __unix__
@@ -15,6 +18,7 @@
 
 #include "common/atomic_file.h"
 #include "common/error.h"
+#include "common/io_error.h"
 #ifdef __unix__
 #include "common/fs_ops.h"
 #endif
@@ -28,10 +32,15 @@ constexpr int kJournalFormat = 1;
 // Serialization helpers. Doubles round-trip as raw IEEE-754 bit patterns so
 // a replayed trial is the exact bits the original run produced.
 
-std::string bits_of(double v) {
+/// "0x%016x": the encoding of fingerprints and of double bit patterns.
+std::string hex_of(std::uint64_t v) {
   char buf[20];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, std::bit_cast<std::uint64_t>(v));
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
   return buf;
+}
+
+std::string bits_of(double v) {
+  return hex_of(std::bit_cast<std::uint64_t>(v));
 }
 
 const char* seed_policy_name(SeedPolicy policy) {
@@ -94,30 +103,13 @@ struct Cursor {
 
   /// Quoted "0x%016x" double bit pattern.
   bool bits(double& out) {
-    if (!ok || !lit("\"0x")) return false;
     std::uint64_t value = 0;
-    std::size_t digits = 0;
-    while (pos < s.size() && digits < 16) {
-      const char c = s[pos];
-      int nibble;
-      if (c >= '0' && c <= '9') {
-        nibble = c - '0';
-      } else if (c >= 'a' && c <= 'f') {
-        nibble = c - 'a' + 10;
-      } else {
-        break;
-      }
-      value = (value << 4) | static_cast<std::uint64_t>(nibble);
-      ++digits;
-      ++pos;
-    }
-    if (digits != 16) return ok = false;
-    if (!lit("\"")) return false;
+    if (!hex16(value)) return false;
     out = std::bit_cast<double>(value);
     return true;
   }
 
-  /// Quoted "0x%016x" 64-bit hex value (the fingerprint encoding).
+  /// Quoted "0x%016x" 64-bit hex value (fingerprints and double bits).
   bool hex16(std::uint64_t& out) {
     if (!ok || !lit("\"0x")) return false;
     std::uint64_t value = 0;
@@ -142,21 +134,6 @@ struct Cursor {
     return true;
   }
 
-  bool boolean(bool& out) {
-    if (!ok) return false;
-    if (s.compare(pos, 4, "true") == 0) {
-      out = true;
-      pos += 4;
-      return true;
-    }
-    if (s.compare(pos, 5, "false") == 0) {
-      out = false;
-      pos += 5;
-      return true;
-    }
-    return ok = false;
-  }
-
   bool done() const { return ok && pos == s.size(); }
 };
 
@@ -172,27 +149,6 @@ bool parse_fault_kind(const std::string& name, core::FaultEventKind& out) {
     }
   }
   return false;
-}
-
-std::string header_line(const CampaignKey& key, const ShardPlan& shard) {
-  std::ostringstream os;
-  os << "{\"campaign_header\": {\"format\": " << kJournalFormat
-     << ", \"name\": \"" << json_escape(key.name)
-     << "\", \"base_seed\": " << key.base_seed
-     << ", \"trials\": " << key.trials << ", \"seed_policy\": \""
-     << seed_policy_name(key.seed_policy) << "\", \"fingerprint\": \"";
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, key.fingerprint);
-  os << buf << "\"";
-  // The shard field exists only in shard-worker journals: an unsharded
-  // header is byte-identical to the pre-shard format, so old journals
-  // resume and the merged journal reproduces a 1-process journal exactly.
-  if (shard.enabled()) {
-    os << ", \"shard\": {\"index\": " << shard.index
-       << ", \"count\": " << shard.count << "}";
-  }
-  os << "}}\n";
-  return os.str();
 }
 
 bool parse_header_line(const std::string& line, CampaignKey& out,
@@ -239,28 +195,6 @@ bool parse_header_line(const std::string& line, CampaignKey& out,
   }
   out.fingerprint = fingerprint;
   return true;
-}
-
-std::string trial_line(const JournalTrial& t) {
-  std::ostringstream os;
-  os << "{\"trial\": {\"index\": " << t.index << ", \"wall_bits\": "
-     << "\"" << bits_of(t.wall_s) << "\", \"cpu_bits\": \""
-     << bits_of(t.cpu_s) << "\", \"label\": \"" << json_escape(t.label)
-     << "\", \"summary_bits\": [\"" << bits_of(t.summary.reliability)
-     << "\", \"" << bits_of(t.summary.mean_throughput_bps) << "\", \""
-     << bits_of(t.summary.mean_spectral_efficiency) << "\", \""
-     << bits_of(t.summary.throughput_reliability_product)
-     << "\"], \"num_samples\": " << t.summary.num_samples
-     << ", \"faults\": [";
-  for (std::size_t i = 0; i < t.faults.size(); ++i) {
-    const core::FaultEvent& ev = t.faults[i];
-    if (i > 0) os << ", ";
-    os << "{\"kind\": \"" << core::to_string(ev.kind) << "\", \"t_bits\": \""
-       << bits_of(ev.t_s) << "\", \"beam\": " << ev.beam
-       << ", \"value_bits\": \"" << bits_of(ev.value) << "\"}";
-  }
-  os << "]}}\n";
-  return os.str();
 }
 
 bool parse_trial_line(const std::string& line, JournalTrial& out) {
@@ -317,16 +251,6 @@ bool parse_trial_line(const std::string& line, JournalTrial& out) {
   return true;
 }
 
-std::string seal_line(const JournalSeal& seal) {
-  std::ostringstream os;
-  os << "{\"campaign_seal\": {\"format\": " << kJournalFormat
-     << ", \"trials\": " << seal.trials << ", \"fingerprint\": \"";
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, seal.fingerprint);
-  os << buf << "\"}}\n";
-  return os.str();
-}
-
 bool parse_seal_line(const std::string& line, JournalSeal& out) {
   Cursor c{line};
   std::uint64_t format = 0, trials = 0, fingerprint = 0;
@@ -348,13 +272,8 @@ bool parse_seal_line(const std::string& line, JournalSeal& out) {
 // declarative state (doubles as bit patterns, fields in fixed order).
 
 struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  void feed(std::string_view text) {
-    for (unsigned char c : text) {
-      h ^= c;
-      h *= 0x100000001b3ull;
-    }
-  }
+  std::uint64_t h = kJournalFnvOffset;
+  void feed(std::string_view text) { h = journal_fnv1a(text, h); }
   void u64(std::uint64_t v) {
     char buf[24];
     std::snprintf(buf, sizeof(buf), "%" PRIu64 ";", v);
@@ -363,10 +282,7 @@ struct Fnv {
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
     feed(s);
-    feed("\0;", 2);
-  }
-  void feed(const char* data, std::size_t n) {
-    feed(std::string_view(data, n));
+    feed(std::string_view("\0;", 2));
   }
 };
 
@@ -379,6 +295,56 @@ std::uint64_t journal_fnv1a(std::string_view bytes, std::uint64_t seed) {
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+std::string journal_header_line(const CampaignKey& key,
+                                const ShardPlan& shard) {
+  std::ostringstream os;
+  os << "{\"campaign_header\": {\"format\": " << kJournalFormat
+     << ", \"name\": \"" << json_escape(key.name)
+     << "\", \"base_seed\": " << key.base_seed
+     << ", \"trials\": " << key.trials << ", \"seed_policy\": \""
+     << seed_policy_name(key.seed_policy) << "\", \"fingerprint\": \""
+     << hex_of(key.fingerprint) << "\"";
+  // The shard field exists only in shard-worker journals: an unsharded
+  // header is byte-identical to the pre-shard format, so old journals
+  // resume and the merged journal reproduces a 1-process journal exactly.
+  if (shard.enabled()) {
+    os << ", \"shard\": {\"index\": " << shard.index
+       << ", \"count\": " << shard.count << "}";
+  }
+  os << "}}\n";
+  return os.str();
+}
+
+std::string journal_trial_line(const JournalTrial& t) {
+  std::ostringstream os;
+  os << "{\"trial\": {\"index\": " << t.index << ", \"wall_bits\": "
+     << "\"" << bits_of(t.wall_s) << "\", \"cpu_bits\": \""
+     << bits_of(t.cpu_s) << "\", \"label\": \"" << json_escape(t.label)
+     << "\", \"summary_bits\": [\"" << bits_of(t.summary.reliability)
+     << "\", \"" << bits_of(t.summary.mean_throughput_bps) << "\", \""
+     << bits_of(t.summary.mean_spectral_efficiency) << "\", \""
+     << bits_of(t.summary.throughput_reliability_product)
+     << "\"], \"num_samples\": " << t.summary.num_samples
+     << ", \"faults\": [";
+  for (std::size_t i = 0; i < t.faults.size(); ++i) {
+    const core::FaultEvent& ev = t.faults[i];
+    if (i > 0) os << ", ";
+    os << "{\"kind\": \"" << core::to_string(ev.kind) << "\", \"t_bits\": \""
+       << bits_of(ev.t_s) << "\", \"beam\": " << ev.beam
+       << ", \"value_bits\": \"" << bits_of(ev.value) << "\"}";
+  }
+  os << "]}}\n";
+  return os.str();
+}
+
+std::string journal_seal_line(const JournalSeal& seal) {
+  std::ostringstream os;
+  os << "{\"campaign_seal\": {\"format\": " << kJournalFormat
+     << ", \"trials\": " << seal.trials << ", \"fingerprint\": \""
+     << hex_of(seal.fingerprint) << "\"}}\n";
+  return os.str();
 }
 
 std::uint64_t fingerprint_spec(const ExperimentSpec& spec) {
@@ -443,94 +409,133 @@ CampaignKey campaign_key(const ExperimentSpec& spec) {
   return key;
 }
 
+LoadedJournal read_journal_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    throw std::runtime_error("cannot open journal: '" + path +
+                             "': " + std::strerror(errno));
+  }
+  // A line counts only with its newline: one cut off at the end of the
+  // file is torn however well it parses, so records_fnv always describes
+  // whole lines on disk. A read error throws rather than ending the scan.
+  std::string line;
+  const auto next_line = [&] {
+    if (std::getline(in, line)) return true;
+    if (in.bad()) {
+      throw std::runtime_error("cannot read journal: '" + path + "'");
+    }
+    return false;
+  };
+  LoadedJournal out;
+  if (!next_line() || in.eof() ||
+      !parse_header_line(line, out.key, out.shard)) {
+    throw JournalMismatchError("journal '" + path +
+                               "' has an unreadable header");
+  }
+  while (next_line()) {
+    if (out.seal.has_value()) {
+      if (!line.empty()) out.content_after_seal = true;
+      continue;
+    }
+    JournalSeal seal;
+    if (!in.eof() && parse_seal_line(line, seal)) {
+      out.seal = seal;
+      continue;
+    }
+    if (out.torn_tail) continue;
+    JournalTrial trial;
+    if (in.eof() || !parse_trial_line(line, trial)) {
+      // Record loading stops at the first torn line, but the scan keeps
+      // looking for a seal: a seal over records that are no longer all
+      // there is transport damage, and check_journal_seal must see it.
+      out.torn_tail = true;
+      continue;
+    }
+    // Intact records are returned even when out of range / outside the
+    // shard's ownership: each caller decides what such a record means.
+    out.records_fnv = journal_fnv1a(line, out.records_fnv);
+    out.records_fnv = journal_fnv1a("\n", out.records_fnv);
+    out.trials.push_back(std::move(trial));
+  }
+  return out;
+}
+
+void check_journal_key(const std::string& path, const LoadedJournal& found,
+                       const CampaignKey& key,
+                       const std::optional<ShardPlan>& shard) {
+  const auto differs = [&path](const char* field) {
+    throw JournalMismatchError("journal '" + path +
+                               "' belongs to a different campaign (" +
+                               field + " differs)");
+  };
+  if (found.key.name != key.name) differs("name");
+  if (found.key.base_seed != key.base_seed) differs("base seed");
+  if (found.key.trials != key.trials) differs("trial count");
+  if (found.key.seed_policy != key.seed_policy) differs("seed policy");
+  if (found.key.fingerprint != key.fingerprint) differs("config fingerprint");
+  if (!shard.has_value()) return;
+  if (found.shard.count != shard->count) differs("shard count");
+  if (found.shard.index != shard->index) differs("shard index");
+}
+
+void check_journal_seal(const std::string& path, const LoadedJournal& found) {
+  if (!found.seal.has_value() || found.seal_intact()) return;
+  std::string why = "journal '" + path +
+                    "': seal footer does not match its records (seal says " +
+                    std::to_string(found.seal->trials) +
+                    " trials, file holds " +
+                    std::to_string(found.trials.size()) + " intact";
+  if (found.torn_tail) why += ", with a damaged line";
+  if (found.content_after_seal) why += ", with content after the seal";
+  throw JournalMismatchError(
+      why + "); the file was damaged in transport, not crashed mid-write");
+}
+
 CampaignJournal::CampaignJournal(std::string path, CampaignKey key,
                                  ShardPlan shard)
-    : path_(std::move(path)), key_(std::move(key)), shard_(shard) {
+    : path_(std::move(path)), shard_(shard) {
   MMR_EXPECTS(!path_.empty());
   MMR_EXPECTS(shard_.valid());
-  bool exists = false;
-  {
-    std::ifstream in(path_);
-    std::string line;
-    if (in && std::getline(in, line) && !line.empty()) {
-      exists = true;
-      CampaignKey found;
-      ShardPlan found_shard;
-      if (!parse_header_line(line, found, found_shard)) {
-        throw JournalMismatchError("campaign journal '" + path_ +
-                                   "' has an unreadable header; refusing "
-                                   "to resume (delete it to start over)");
-      }
-      const auto mismatch = [&](const std::string& what) {
-        throw JournalMismatchError(
-            "campaign journal '" + path_ + "' belongs to a different " +
-            "campaign (" + what + " differs); refusing to resume");
-      };
-      if (found.name != key_.name) mismatch("name");
-      if (found.base_seed != key_.base_seed) mismatch("base seed");
-      if (found.trials != key_.trials) mismatch("trial count");
-      if (found.seed_policy != key_.seed_policy) mismatch("seed policy");
-      if (found.fingerprint != key_.fingerprint) {
-        mismatch("config fingerprint");
-      }
-      if (found_shard.count != shard_.count) mismatch("shard count");
-      if (found_shard.index != shard_.index) mismatch("shard index");
-      // Load completed trials, keeping the raw bytes of every intact
-      // record line (the seal fingerprints those bytes). Loading stops at
-      // the first torn/foreign line -- a crash can only tear the tail --
-      // but the scan continues so a seal footer is still found: a seal
-      // that disagrees with the surviving records means the file lost or
-      // gained bytes in transport, not that a worker crashed early.
-      std::string kept;  // intact record lines, verbatim, in file order
-      std::optional<JournalSeal> found_seal;
-      bool damaged = false;
-      bool after_seal = false;
-      while (std::getline(in, line)) {
-        if (found_seal.has_value()) {
-          if (!line.empty()) after_seal = true;
-          continue;
-        }
-        JournalSeal seal;
-        if (parse_seal_line(line, seal)) {
-          found_seal = seal;
-          continue;
-        }
-        if (damaged) continue;
-        JournalTrial trial;
-        if (!parse_trial_line(line, trial) || trial.index >= key_.trials ||
-            (shard_.enabled() && !shard_.owns(trial.index))) {
-          damaged = true;
-          continue;
-        }
-        kept += line;
-        kept += '\n';
-        records_fnv_ = journal_fnv1a(line, records_fnv_);
-        records_fnv_ = journal_fnv1a("\n", records_fnv_);
-        ++record_count_;
-        completed_.emplace(trial.index, std::move(trial));
-      }
-      if (found_seal.has_value() &&
-          (damaged || after_seal || found_seal->trials != record_count_ ||
-           found_seal->fingerprint != records_fnv_)) {
-        throw JournalMismatchError(
-            "campaign journal '" + path_ + "' has a seal footer that does " +
-            "not match its records (seal says " +
-            std::to_string(found_seal->trials) + " trials, file holds " +
-            std::to_string(record_count_) +
-            " intact); the file was damaged in transport, not crashed "
-            "mid-write -- refusing to resume");
-      }
-      // Re-opening for append must never concatenate onto torn bytes or a
-      // seal footer: atomically rewrite the file back to header + intact
-      // records (the seal, if any, was just proven honest and is
-      // re-stamped when this pass completes).
-      if (damaged || found_seal.has_value()) {
-        AtomicFile::write(path_, header_line(key_, shard_) + kept);
-      }
-    }
+  // Only a missing or 0-byte file starts a fresh journal. Any other file
+  // is read, and one that cannot be read throws with its bytes untouched.
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
+  if (ec && ec != std::errc::no_such_file_or_directory) {
+    throw IoError("stat", path_, ec.value());
   }
-  if (!exists) {
-    AtomicFile::write(path_, header_line(key_, shard_));
+  if (ec || size == 0) {
+    AtomicFile::write(path_, journal_header_line(key, shard_));
+  } else {
+    LoadedJournal found = read_journal_file(path_);
+    check_journal_key(path_, found, key, shard_);
+    // Keep records up to the first one this campaign cannot own: a crash
+    // only tears the tail, so a foreign record is damage like a torn one.
+    const auto foreign =
+        std::find_if(found.trials.begin(), found.trials.end(),
+                     [&](const JournalTrial& t) {
+                       return t.index >= key.trials || !shard_.owns(t.index);
+                     });
+    if (foreign != found.trials.end()) {
+      found.trials.erase(foreign, found.trials.end());
+      found.torn_tail = true;
+    }
+    check_journal_seal(path_, found);
+    record_count_ = found.trials.size();
+    records_fnv_ = found.records_fnv;
+    // Appends must never land on torn bytes or after a seal: rewrite the
+    // file as the header plus the kept records (an honest seal is
+    // re-stamped when this pass completes).
+    if (found.torn_tail || found.seal.has_value()) {
+      std::string records;
+      for (const JournalTrial& t : found.trials) {
+        records += journal_trial_line(t);
+      }
+      records_fnv_ = journal_fnv1a(records);
+      AtomicFile::write(path_, journal_header_line(key, shard_) + records);
+    }
+    for (JournalTrial& t : found.trials) {
+      completed_.emplace(t.index, std::move(t));
+    }
   }
 #ifdef __unix__
   out_fd_ = fsio::open_retry(path_, O_WRONLY | O_APPEND, 0644);
@@ -551,18 +556,10 @@ CampaignJournal::~CampaignJournal() {
 #endif
 }
 
-void CampaignJournal::record(const JournalTrial& trial) {
-  // A shard journal must never hold a trial its shard does not own --
-  // the merge validator would (rightly) reject the whole journal.
-  MMR_EXPECTS(!shard_.enabled() || shard_.owns(trial.index));
-  const std::string line = trial_line(trial);
-  std::lock_guard<std::mutex> lock(mutex_);
-  // The seal is the "nothing more will be written" promise; recording
-  // past it would silently invalidate the fingerprint.
-  MMR_EXPECTS(!sealed_);
+void CampaignJournal::append(const std::string& line) {
 #ifdef __unix__
   fsio::write_all(out_fd_, line.data(), line.size(), path_);
-  // One fsync per completed trial: the durability point of the journal.
+  // One fsync per line: the durability point of the journal.
   fsio::fsync_retry(out_fd_, path_);
 #else
   if (std::fwrite(line.data(), 1, line.size(), out_) != line.size() ||
@@ -571,6 +568,18 @@ void CampaignJournal::record(const JournalTrial& trial) {
                              "': " + std::strerror(errno));
   }
 #endif
+}
+
+void CampaignJournal::record(const JournalTrial& trial) {
+  // A shard journal must never hold a trial its shard does not own --
+  // the merge validator would (rightly) reject the whole journal.
+  MMR_EXPECTS(!shard_.enabled() || shard_.owns(trial.index));
+  const std::string line = journal_trial_line(trial);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // The seal is the "nothing more will be written" promise; recording
+  // past it would silently invalidate the fingerprint.
+  MMR_EXPECTS(!sealed_);
+  append(line);
   records_fnv_ = journal_fnv1a(line, records_fnv_);
   ++record_count_;
 }
@@ -578,74 +587,8 @@ void CampaignJournal::record(const JournalTrial& trial) {
 void CampaignJournal::seal() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (sealed_) return;
-  const std::string line =
-      seal_line(JournalSeal{record_count_, records_fnv_});
-#ifdef __unix__
-  fsio::write_all(out_fd_, line.data(), line.size(), path_);
-  fsio::fsync_retry(out_fd_, path_);
-#else
-  if (std::fwrite(line.data(), 1, line.size(), out_) != line.size() ||
-      std::fflush(out_) != 0) {
-    throw std::runtime_error("campaign journal seal failed: '" + path_ +
-                             "': " + std::strerror(errno));
-  }
-#endif
+  append(journal_seal_line(JournalSeal{record_count_, records_fnv_}));
   sealed_ = true;
-}
-
-LoadedJournal read_journal_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("cannot open journal: '" + path +
-                             "': " + std::strerror(errno));
-  }
-  LoadedJournal out;
-  std::string line;
-  if (!std::getline(in, line) || line.empty() ||
-      !parse_header_line(line, out.key, out.shard)) {
-    throw JournalMismatchError("journal '" + path +
-                               "' has an unreadable header");
-  }
-  while (std::getline(in, line)) {
-    if (out.seal.has_value()) {
-      if (!line.empty()) out.content_after_seal = true;
-      continue;
-    }
-    JournalSeal seal;
-    if (parse_seal_line(line, seal)) {
-      out.seal = seal;
-      continue;
-    }
-    if (out.torn_tail) continue;
-    JournalTrial trial;
-    if (!parse_trial_line(line, trial)) {
-      // Record loading stops at the first torn line, but the scan keeps
-      // looking for a seal: a seal over records that are no longer all
-      // there is transport damage, and seal_intact() must see it.
-      out.torn_tail = true;
-      continue;
-    }
-    // Intact records are returned even when out of range / outside the
-    // shard's ownership: the merge validator rejects those loudly, which
-    // beats silently treating a corrupt journal's trials as missing.
-    out.records_fnv = journal_fnv1a(line, out.records_fnv);
-    out.records_fnv = journal_fnv1a("\n", out.records_fnv);
-    out.trials.push_back(std::move(trial));
-  }
-  return out;
-}
-
-std::string journal_header_line(const CampaignKey& key,
-                                const ShardPlan& shard) {
-  return header_line(key, shard);
-}
-
-std::string journal_trial_line(const JournalTrial& trial) {
-  return trial_line(trial);
-}
-
-std::string journal_seal_line(const JournalSeal& seal) {
-  return seal_line(seal);
 }
 
 }  // namespace mmr::sim

@@ -14,15 +14,23 @@
 //   * the header is written via common::AtomicFile (write-temp + fsync +
 //     rename), so a journal either exists with a complete header or not
 //     at all;
-//   * each trial record is one line, flushed and fsync'd before record()
+//   * each trial record is one line, written and fsync'd before record()
 //     returns -- a SIGKILL loses at most the trial(s) still in flight;
 //   * a torn trailing line (killed mid-append) is tolerated on load: the
 //     damaged record and anything after it are ignored, the file is
-//     truncated back to its intact prefix (atomically rewritten) so new
+//     rewritten (atomically) as its header plus the records kept, so new
 //     appends never concatenate onto torn bytes, and those trials simply
 //     re-run;
+//   * only a missing or 0-byte journal counts as absent: one that exists
+//     but cannot be opened or read throws and keeps its bytes;
 //   * all doubles are serialized as raw IEEE-754 bit patterns (hex), so a
 //     replayed value is the exact bits the original run produced.
+//
+// One reader, two checks: read_journal_file() is the only code that
+// parses a journal file. Resume, merge and the --merge --watch poll read
+// through it and judge what they read with the same check_journal_key()
+// and check_journal_seal(), so the campaign-key and seal rules are each
+// written once.
 //
 // Seal footer (the multi-machine transport convention): a shard worker
 // that finishes its pass over the owned trials writes one fsync'd seal
@@ -101,8 +109,6 @@ class JournalMismatchError : public std::runtime_error {
 struct JournalSeal {
   std::size_t trials = 0;
   std::uint64_t fingerprint = 0;
-
-  friend bool operator==(const JournalSeal&, const JournalSeal&) = default;
 };
 
 /// FNV-1a-64 offset basis / running fold used by the seal fingerprint
@@ -114,10 +120,12 @@ std::uint64_t journal_fnv1a(std::string_view bytes,
 
 class CampaignJournal {
  public:
-  /// Open-or-create `path` for `key`. An existing journal is validated
-  /// against `key` (JournalMismatchError on mismatch) and its completed
-  /// trials loaded; a missing/empty one is created with an atomically
-  /// written header. Throws std::runtime_error on I/O failure.
+  /// Open-or-create `path` for `key`. A missing or 0-byte file gets an
+  /// atomically written header; any other file is read, key- and
+  /// seal-checked (JournalMismatchError), and its records kept up to the
+  /// first torn, out-of-range or unowned one -- rewriting the file only
+  /// when records were dropped or a seal is stripped. A file that cannot
+  /// be read throws std::runtime_error and keeps its bytes.
   ///
   /// `shard` (default: not sharded) stamps the shard spec into the header
   /// and validates it on resume: a shard worker's journal can only be
@@ -131,8 +139,6 @@ class CampaignJournal {
   CampaignJournal(const CampaignJournal&) = delete;
   CampaignJournal& operator=(const CampaignJournal&) = delete;
 
-  const std::string& path() const { return path_; }
-  const CampaignKey& key() const { return key_; }
   const ShardPlan& shard() const { return shard_; }
 
   /// Trials already completed by previous runs, keyed by index (the state
@@ -158,8 +164,10 @@ class CampaignJournal {
   bool sealed() const { return sealed_; }
 
  private:
+  /// Write `line` and make it durable (the caller holds mutex_).
+  void append(const std::string& line);
+
   std::string path_;
-  CampaignKey key_;
   ShardPlan shard_;
   std::map<std::size_t, JournalTrial> completed_;
 #ifdef __unix__
@@ -167,8 +175,9 @@ class CampaignJournal {
 #else
   std::FILE* out_ = nullptr;
 #endif
-  /// Running FNV-1a over the raw bytes of every intact record line (loaded
-  /// prefix + everything record() appended), i.e. what seal() will stamp.
+  /// Running FNV-1a over the bytes of every record line in the file (the
+  /// kept records + everything record() appended), i.e. what seal() will
+  /// stamp.
   std::uint64_t records_fnv_ = kJournalFnvOffset;
   std::size_t record_count_ = 0;
   bool sealed_ = false;
@@ -197,7 +206,8 @@ struct LoadedJournal {
   /// True when a seal is present and vouches exactly for the records
   /// read: matching count, matching fingerprint, nothing torn, nothing
   /// after it. A sealed-looking journal failing this is NOT an early
-  /// crash -- it lost or gained bytes in transport.
+  /// crash -- it lost or gained bytes in transport (check_journal_seal()
+  /// throws for it).
   bool seal_intact() const {
     return seal.has_value() && !torn_tail && !content_after_seal &&
            seal->trials == trials.size() && seal->fingerprint == records_fnv;
@@ -205,12 +215,27 @@ struct LoadedJournal {
 };
 
 /// Read `path` as a journal: throws std::runtime_error when the file
-/// cannot be opened and JournalMismatchError when the header is
-/// unreadable; trial loading stops at the first torn line. Unlike the
-/// resume path, intact records outside the trial range or the shard's
-/// ownership ARE returned -- merge validation rejects them by name
-/// instead of silently re-running "missing" trials.
+/// cannot be opened or read and JournalMismatchError when the header is
+/// unreadable; trial loading stops at the first torn line (a line without
+/// its newline is torn too). Intact records outside the trial range or
+/// the shard's ownership ARE returned: the resume drops them and
+/// everything after them, and the merge rejects them by name instead of
+/// silently re-running "missing" trials.
 LoadedJournal read_journal_file(const std::string& path);
+
+/// The key check: throws JournalMismatchError naming the first field in
+/// which `found`'s header differs from `key` -- name, base seed, trial
+/// count, seed policy, config fingerprint, and, when the caller holds a
+/// plan, shard count and shard index.
+void check_journal_key(const std::string& path, const LoadedJournal& found,
+                       const CampaignKey& key,
+                       const std::optional<ShardPlan>& shard = std::nullopt);
+
+/// The seal check: a seal, when present, must vouch for exactly the
+/// records `found` holds (count and FNV, no torn line, nothing after it);
+/// otherwise throws JournalMismatchError naming the seal's count and the
+/// file's.
+void check_journal_seal(const std::string& path, const LoadedJournal& found);
 
 /// The exact line bytes the journal writes (exposed for the shard merge
 /// writer, which must reproduce a 1-process journal byte-for-byte, and

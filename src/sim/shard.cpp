@@ -99,32 +99,13 @@ MergeStats merge_journals(const std::vector<std::string>& shard_paths,
       mismatch("not a shard journal: its header carries no shard field",
                path);
     }
-    if (lj.key.name != key.name) mismatch("name differs", path);
-    if (lj.key.base_seed != key.base_seed) mismatch("base seed differs", path);
-    if (lj.key.trials != key.trials) mismatch("trial count differs", path);
-    if (lj.key.seed_policy != key.seed_policy) {
-      mismatch("seed policy differs", path);
-    }
-    if (lj.key.fingerprint != key.fingerprint) {
-      mismatch("config fingerprint differs", path);
-    }
-    if (!lj.shard.valid()) mismatch("shard index out of range", path);
-    // A seal footer, when present, must vouch exactly for the records in
-    // the file. A mismatch is transport damage (e.g. the file was
-    // truncated at a record boundary, which record parsing alone cannot
-    // see) -- merging it as "crashed early" would silently re-run trials
-    // the worker in fact completed. Unsealed journals (in-progress,
-    // crashed, or pre-seal-format) merge exactly as before.
-    if (lj.seal.has_value() && !lj.seal_intact()) {
-      std::string why = "seal footer does not match its records: seal says " +
-                        std::to_string(lj.seal->trials) +
-                        " trials, file holds " +
-                        std::to_string(lj.trials.size()) + " intact";
-      if (lj.torn_tail) why += ", with a torn line";
-      if (lj.content_after_seal) why += ", with content after the seal";
-      mismatch(why, path);
-    }
-    if (lj.seal_intact()) ++sealed_shards;
+    check_journal_key(path, lj, key);
+    // A seal that disowns its records is transport damage (e.g. a file
+    // truncated at a record boundary): merging it as "crashed early" would
+    // silently re-run trials the worker in fact completed. Unsealed
+    // journals (in-progress, crashed, or pre-seal-format) merge as they are.
+    check_journal_seal(path, lj);
+    if (lj.seal.has_value()) ++sealed_shards;
     if (count == 0) {
       count = lj.shard.count;
       count_origin = path;
@@ -142,8 +123,6 @@ MergeStats merge_journals(const std::vector<std::string>& shard_paths,
           " is claimed by both '" + it->second + "' and '" + path + "'");
     }
     for (JournalTrial& t : lj.trials) {
-      // read_journal_file already stops at foreign lines; these guards are
-      // belt-and-braces against a hand-edited journal.
       if (t.index >= key.trials || !lj.shard.owns(t.index)) {
         mismatch("trial index " + std::to_string(t.index) +
                      " is outside the shard's ownership",

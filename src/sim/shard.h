@@ -109,8 +109,9 @@ struct MergeStats {
 /// Validate `shard_paths` as a complete shard set for `key` and write the
 /// merged UNSHARDED journal to `merged_path` (atomically; an existing file
 /// is replaced). Throws JournalMismatchError naming the offending field
-/// and file when a journal is unsharded, belongs to a different campaign
-/// (name / base seed / trial count / seed policy / config fingerprint),
+/// and file when a journal is unsharded, fails check_journal_key() (name /
+/// base seed / trial count / seed policy / config fingerprint) or
+/// check_journal_seal(), holds a trial outside its shard's ownership,
 /// disagrees on the shard count, duplicates a shard index (overlap), or
 /// leaves a shard index uncovered (missing); throws std::runtime_error on
 /// I/O failure.

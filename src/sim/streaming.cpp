@@ -1,12 +1,8 @@
 #include "sim/streaming.h"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -54,7 +50,6 @@ void StreamingSpec::validate() const {
   MMR_EXPECTS(std::isfinite(duration_s) && duration_s > 0.0);
   MMR_EXPECTS(std::isfinite(snapshot_every_s) &&
               snapshot_every_s >= network.run.tick_s);
-  MMR_EXPECTS(queue_capacity >= 1);
 }
 
 /// One shard: a session table (its own interference/handover domain), a
@@ -82,72 +77,6 @@ struct StreamingService::Shard {
   AvailabilityCounter avail;
 };
 
-/// Bounded drop-oldest snapshot queue with a single drain thread. push()
-/// never blocks: a full ring sheds its OLDEST entry and bumps the
-/// dropped-count watermark. The drain thread is the only caller of the
-/// sink, preserving the one-thread-at-a-time sink contract.
-struct StreamingService::SnapshotQueue {
-  SnapshotQueue(TelemetrySink* sink, std::size_t capacity)
-      : sink_(sink), ring_(capacity) {
-    thread_ = std::thread([this] { drain_loop(); });
-  }
-  ~SnapshotQueue() { stop(); }
-
-  void push(const StreamSnapshot& snapshot) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (count_ == ring_.size()) {
-        head_ = (head_ + 1) % ring_.size();
-        --count_;
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-      }
-      ring_[(head_ + count_) % ring_.size()] = snapshot;
-      ++count_;
-    }
-    cv_.notify_one();
-  }
-
-  /// Drain everything still queued, then join the thread. Idempotent.
-  void stop() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void drain_loop() {
-    for (;;) {
-      StreamSnapshot snapshot;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [this] { return count_ > 0 || done_; });
-        if (count_ == 0) return;  // done_ and drained
-        snapshot = ring_[head_];
-        head_ = (head_ + 1) % ring_.size();
-        --count_;
-      }
-      sink_->on_snapshot(snapshot);
-    }
-  }
-
-  TelemetrySink* sink_;
-  std::vector<StreamSnapshot> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::atomic<std::uint64_t> dropped_{0};
-  bool done_ = false;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::thread thread_;
-};
-
 StreamingService::StreamingService(const StreamingSpec& spec,
                                    TelemetrySink* sink)
     : spec_(spec), sink_(sink) {
@@ -160,10 +89,6 @@ std::size_t StreamingService::live_sessions() const {
   std::size_t live = 0;
   for (const auto& sh : shards_) live += sh->network->live_count();
   return live;
-}
-
-std::uint64_t StreamingService::dropped_snapshots() const {
-  return queue_ != nullptr ? queue_->dropped() : 0;
 }
 
 void StreamingService::begin() {
@@ -185,9 +110,6 @@ void StreamingService::begin() {
   const std::size_t jobs =
       spec_.jobs == 0 ? ThreadPool::hardware_jobs() : spec_.jobs;
   if (jobs > 1) pool_ = std::make_unique<ThreadPool>(jobs);
-  if (spec_.async_snapshots && sink_ != nullptr) {
-    queue_ = std::make_unique<SnapshotQueue>(sink_, spec_.queue_capacity);
-  }
 
   shards_.reserve(spec_.shards);
   for (std::size_t k = 0; k < spec_.shards; ++k) {
@@ -218,8 +140,8 @@ void StreamingService::begin() {
                         std::numeric_limits<double>::infinity());
     }
     sh.death_s[slot] =
-        spec_.churn.enabled() && spec_.churn.mean_lifetime_s > 0.0
-            ? -spec_.churn.mean_lifetime_s * std::log(1.0 - sh.churn_rng.uniform())
+        spec_.churn.mean_lifetime_s > 0.0
+            ? sh.churn_rng.exponential(spec_.churn.mean_lifetime_s)
             : std::numeric_limits<double>::infinity();
     ++sh.joined;
   }
@@ -254,8 +176,7 @@ void StreamingService::process_churn(Shard& sh, double t_s) {
     }
     sh.death_s[slot] =
         spec_.churn.mean_lifetime_s > 0.0
-            ? t_s - spec_.churn.mean_lifetime_s *
-                        std::log(1.0 - sh.churn_rng.uniform())
+            ? t_s + sh.churn_rng.exponential(spec_.churn.mean_lifetime_s)
             : std::numeric_limits<double>::infinity();
     ++sh.joined;
   }
@@ -357,20 +278,10 @@ void StreamingService::emit_snapshot(double t_s) {
     s.tput_p99_bps = tput_p99.quantile();
     s.tput_p999_bps = tput_p999.quantile();
   }
-  s.dropped = dropped_snapshots();
 
   for (auto& shp : shards_) shp->avail.reset_window();
   last_snapshot_ = s;
-  deliver(s);
-}
-
-void StreamingService::deliver(const StreamSnapshot& snapshot) {
-  if (sink_ == nullptr) return;
-  if (queue_ != nullptr) {
-    queue_->push(snapshot);
-  } else {
-    sink_->on_snapshot(snapshot);
-  }
+  if (sink_ != nullptr) sink_->on_snapshot(s);
 }
 
 StreamingResult StreamingService::run() {
@@ -392,12 +303,10 @@ StreamingResult StreamingService::finish() {
   if (pending) {
     emit_snapshot(static_cast<double>(epoch_) * spec_.network.run.tick_s);
   }
-  if (queue_ != nullptr) queue_->stop();
 
   StreamingResult result;
   result.epochs = epoch_;
   result.snapshots_emitted = snapshot_index_;
-  result.snapshots_dropped = dropped_snapshots();
   for (const auto& sh : shards_) {
     result.total_joined += sh->joined;
     result.total_left += sh->left;

@@ -32,11 +32,8 @@
 // scaling -- the same trade Terragraph-style deployments make at cluster
 // boundaries.
 //
-// Telemetry backpressure: snapshots deliver inline by default (fully
-// deterministic). With async_snapshots a bounded ring queue decouples the
-// service from a slow sink; when the queue is full the OLDEST snapshot is
-// shed and a cumulative dropped-count watermark rides every later
-// snapshot, so a consumer can always tell how much it missed.
+// Telemetry: each snapshot goes straight to the sink on the orchestrator
+// thread, in snapshot order (fully deterministic; nothing is ever shed).
 #pragma once
 
 #include <cstddef>
@@ -91,20 +88,18 @@ struct StreamingSpec {
   /// Zero the wall-clock-derived snapshot fields (session_ticks_per_s)
   /// so output is byte-stable across machines and thread counts.
   bool freeze_timing = false;
-  /// Deliver snapshots through a bounded queue + drain thread instead of
-  /// inline (drop-oldest load shedding; see header comment).
-  bool async_snapshots = false;
-  /// Ring capacity of the async snapshot queue.
-  std::size_t queue_capacity = 64;
 
   void validate() const;
 };
 
 /// Final state of a streaming run: the last cumulative snapshot plus
-/// queue/churn totals.
+/// snapshot/churn totals.
 struct StreamingResult {
   std::uint64_t epochs = 0;
   std::uint64_t snapshots_emitted = 0;
+  /// Always 0: snapshots are delivered inline and never shed. Kept
+  /// because bench_streaming's JSON (bench/results_streaming.json too)
+  /// prints it as "dropped" and perfbench's stream_churn checks it.
   std::uint64_t snapshots_dropped = 0;
   std::uint64_t total_joined = 0;
   std::uint64_t total_left = 0;
@@ -140,33 +135,28 @@ class StreamingService {
   /// loop is allocation-free (no churn, no snapshot boundary, slot
   /// capacities plateaued -- pinned by the alloc tier at jobs 1 and 2).
   void step_epoch();
-  /// Emit a final snapshot if the last window is non-empty, drain the
-  /// async queue, and return the totals.
+  /// Emit a final snapshot if the last window is non-empty and return the
+  /// totals.
   StreamingResult finish();
 
   std::uint64_t epoch() const { return epoch_; }
   /// Live sessions across all shards (valid between epochs).
   std::size_t live_sessions() const;
-  /// Snapshots shed by the async queue so far.
-  std::uint64_t dropped_snapshots() const;
 
  private:
   struct Shard;
-  struct SnapshotQueue;
 
   void process_churn(Shard& shard, double t_s);
   void accumulate(Shard& shard, double t_s);
   /// Fold every shard's accumulators (shard-index order) into a snapshot
-  /// and deliver it (inline or queued). Resets the shard windows.
+  /// and hand it to the sink. Resets the shard windows.
   void emit_snapshot(double t_s);
-  void deliver(const StreamSnapshot& snapshot);
 
   StreamingSpec spec_;
   TelemetrySink* sink_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Null when the effective jobs count is 1 (inline shard sweep).
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<SnapshotQueue> queue_;
   bool begun_ = false;
   std::uint64_t epoch_ = 0;
   std::uint64_t snapshot_index_ = 0;

@@ -30,13 +30,12 @@ struct RunConfig;
 
 /// One periodic snapshot of a live streaming run (sim/streaming.h), as
 /// delivered to TelemetrySink::on_snapshot: the merged shard accumulators
-/// projected to scalars at a snapshot boundary. POD by design -- snapshots
-/// queue by value through the backpressure buffer without allocating.
+/// projected to scalars at a snapshot boundary. POD by design -- a
+/// snapshot is copied by value without allocating.
 struct StreamSnapshot {
   /// Shared-timeline time of the snapshot boundary [s].
   double t_s = 0.0;
-  /// Snapshot ordinal (0-based, monotonically increasing as emitted;
-  /// gaps appear only through `dropped`).
+  /// Snapshot ordinal (0-based, monotonically increasing as emitted).
   std::uint64_t index = 0;
   /// Live sessions at the boundary and cumulative joins/leaves.
   std::uint64_t live_sessions = 0;
@@ -64,8 +63,9 @@ struct StreamSnapshot {
   double tput_p50_bps = 0.0;
   double tput_p99_bps = 0.0;
   double tput_p999_bps = 0.0;
-  /// Snapshots shed by the bounded telemetry queue so far (drop-oldest
-  /// watermark; 0 unless a sink fell behind).
+  /// Always 0: the service delivers every snapshot inline and sheds none.
+  /// Kept because the snapshot JSON prints it as "dropped" and perfbench's
+  /// stream_churn compares it.
   std::uint64_t dropped = 0;
 };
 
@@ -102,10 +102,8 @@ class TelemetrySink {
     (void)failure;
   }
   /// A periodic snapshot of a live streaming run (sim/streaming.h). Like
-  /// every other event, delivered from ONE thread; under the service's
-  /// async telemetry queue that thread is the drain thread, still one at
-  /// a time and in emission order (minus shed snapshots -- see
-  /// StreamSnapshot::dropped).
+  /// every other event, delivered from ONE thread -- the service's
+  /// orchestrator thread -- in emission order.
   virtual void on_snapshot(const StreamSnapshot& snapshot) {
     (void)snapshot;
   }

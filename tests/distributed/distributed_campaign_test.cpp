@@ -529,5 +529,41 @@ TEST_F(DistributedCampaignTest, WatchMergeWaitsOutAHalfCopiedJournal) {
   EXPECT_EQ(read_all(dir_ + "/land.json"), reference);
 }
 
+TEST_F(DistributedCampaignTest, WatchMergeRejectsASealThatDisownsItsRecords) {
+  // A sealed shard journal lost one whole record line in transport but
+  // kept its seal: every surviving line parses, so only the seal can tell.
+  // The watcher must confirm the disagreement on a re-read, then exit 2
+  // naming the seal -- never wait forever, never merge the short file.
+  const sim::ExperimentSpec spec = fig16_like_spec();
+  const std::string base = dir_ + "/ws";
+  for (std::size_t i = 0; i < 2; ++i) {
+    bench::SweepCliOptions opts;
+    opts.resume = base;
+    opts.shard = sim::ShardPlan{i, 2};
+    opts.freeze_timing = true;
+    (void)bench::run_campaign(spec, opts);
+  }
+  const std::string shard0 =
+      base + "." + spec.name + ".shard-0-of-2.journal";
+  const std::string full = read_all(shard0);
+  const std::size_t seal_start = full.rfind("{\"campaign_seal\"");
+  ASSERT_NE(seal_start, std::string::npos);
+  const std::size_t last_record_start = full.rfind('\n', seal_start - 2) + 1;
+  {
+    std::ofstream out(shard0, std::ios::binary | std::ios::trunc);
+    out << full.substr(0, last_record_start) << full.substr(seal_start);
+  }
+
+  bench::SweepCliOptions opts;
+  opts.merge = base;
+  opts.watch = true;
+  opts.json_out = dir_ + "/ws.json";
+  opts.freeze_timing = true;
+  // Shard 0 of 2 owns trials 0, 2 and 4; one of the three lines is gone.
+  EXPECT_EXIT((void)bench::run_campaign(spec, opts),
+              ::testing::ExitedWithCode(2),
+              "seal footer.*seal says 3 trials, file holds 2 intact");
+}
+
 }  // namespace
 }  // namespace mmr

@@ -1,5 +1,6 @@
 // sim::CampaignJournal: checkpoint round-trip, fingerprint-keyed
-// mismatch rejection, and torn-tail tolerance.
+// mismatch rejection, torn-tail tolerance, and the refusal to replace a
+// journal it cannot read.
 #include "sim/journal.h"
 
 #include <gtest/gtest.h>
@@ -13,10 +14,20 @@
 #include <sstream>
 #include <string>
 
+#include <grp.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace mmr::sim {
 namespace {
+
+std::string read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
 
 class JournalTest : public ::testing::Test {
  protected:
@@ -236,8 +247,86 @@ TEST_F(JournalTest, TornTrailingLineIsDroppedNotFatal) {
   EXPECT_EQ(reopened.completed().size(), 1u);
   EXPECT_TRUE(reopened.completed().count(0));
   EXPECT_FALSE(reopened.completed().count(1));
+  // The reopen rewrote the file as the header plus the intact record,
+  // re-serialized to exactly the bytes the writer produces.
+  EXPECT_EQ(read_all(path_),
+            journal_header_line(key) + journal_trial_line(demo_trial(0)));
   // And the journal still accepts new records after the torn tail.
   reopened.record(demo_trial(1));
+}
+
+TEST_F(JournalTest, RecordCutBeforeItsNewlineIsTorn) {
+  // A tear can stop one byte short: the last record parses, but its
+  // newline never reached the disk. Appending after it would glue the
+  // next record onto the same line, so it counts as torn.
+  const CampaignKey key = campaign_key(demo_spec());
+  {
+    CampaignJournal journal(path_, key);
+    journal.record(demo_trial(0));
+    journal.record(demo_trial(1));
+  }
+  std::string content = read_all(path_);
+  content.pop_back();
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << content;
+  }
+  {
+    CampaignJournal reopened(path_, key);
+    EXPECT_EQ(reopened.completed().size(), 1u);
+    EXPECT_EQ(read_all(path_),
+              journal_header_line(key) + journal_trial_line(demo_trial(0)));
+    reopened.record(demo_trial(1));
+  }
+  CampaignJournal again(path_, key);
+  EXPECT_EQ(again.completed().size(), 2u);
+}
+
+TEST_F(JournalTest, UnreadableJournalIsNeverReplaced) {
+  // A journal that exists but cannot be read is not a fresh one: opening
+  // it must throw, naming the path, and leave every byte where it was.
+  const CampaignKey key = campaign_key(demo_spec());
+  {
+    CampaignJournal journal(path_, key);
+    for (std::size_t t = 0; t < 3; ++t) journal.record(demo_trial(t));
+  }
+  const std::string before = read_all(path_);
+  const auto reopen_throws = [&] {
+    try {
+      CampaignJournal reopened(path_, key);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what()).find(path_) != std::string::npos;
+    }
+    return false;
+  };
+  if (::geteuid() != 0) {
+    ASSERT_EQ(::chmod(path_.c_str(), 0200), 0);
+    EXPECT_TRUE(reopen_throws());
+  } else {
+    // Root reads any file: hand the journal and its directory to an
+    // unprivileged owner and reopen from a child running as that owner.
+    const uid_t nobody = 65534;
+    ASSERT_EQ(::chown(dir_.c_str(), nobody, nobody), 0);
+    ASSERT_EQ(::chown(path_.c_str(), nobody, nobody), 0);
+    ASSERT_EQ(::chmod(path_.c_str(), 0200), 0);
+    const pid_t pid = ::fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+      if (::setgroups(0, nullptr) != 0 || ::setgid(nobody) != 0 ||
+          ::setuid(nobody) != 0) {
+        ::_exit(3);
+      }
+      ::_exit(reopen_throws() ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    ASSERT_NE(WEXITSTATUS(status), 3) << "could not drop to uid 65534";
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "reopening an unreadable journal did not throw naming its path";
+  }
+  ASSERT_EQ(::chmod(path_.c_str(), 0600), 0);
+  EXPECT_EQ(read_all(path_), before);
 }
 
 TEST_F(JournalTest, DuplicateIndexKeepsTheFirstRecord) {

@@ -1,17 +1,14 @@
 // Integration tests of the streaming service (sim/streaming.h): the
 // 1-session/1-shard collapse onto the engine's run_experiment path, the
 // jobs=K byte-identity of snapshot telemetry, bounded session tables
-// under churn, drop-oldest backpressure with the dropped-count watermark,
-// snapshot cadence, and spec validation.
+// under churn, snapshot cadence, and spec validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -219,52 +216,6 @@ TEST(StreamingService, ChurnIsDeterministicAcrossJobs) {
   EXPECT_EQ(a.final_snapshot.total_ticks, b.final_snapshot.total_ticks);
   EXPECT_EQ(a.final_snapshot.availability, b.final_snapshot.availability);
   EXPECT_EQ(a.final_snapshot.snr_mean_db, b.final_snapshot.snr_mean_db);
-}
-
-/// A sink that cannot keep up: sleeps on every snapshot and records what
-/// it actually received.
-class SlowSink final : public sim::TelemetrySink {
- public:
-  void on_snapshot(const sim::StreamSnapshot& snapshot) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    received_.push_back(snapshot);
-  }
-  const std::vector<sim::StreamSnapshot>& received() const {
-    return received_;
-  }
-
- private:
-  std::vector<sim::StreamSnapshot> received_;
-};
-
-TEST(StreamingService, BackpressureShedsOldestAndWatermarksTheDrops) {
-  net::register_net_builtins();
-  sim::StreamingSpec spec = base_spec();
-  spec.duration_s = 0.25;
-  spec.network.run.duration_s = 0.25;
-  spec.snapshot_every_s = spec.network.run.tick_s;  // one per epoch
-  spec.async_snapshots = true;
-  spec.queue_capacity = 2;
-  SlowSink sink;
-  sim::StreamingService service(spec, &sink);
-  const sim::StreamingResult result = service.run();
-
-  ASSERT_GT(result.snapshots_emitted, 10u);
-  // The sink fell behind: snapshots were shed, never blocking the run.
-  EXPECT_GT(result.snapshots_dropped, 0u);
-  EXPECT_EQ(sink.received().size() + result.snapshots_dropped,
-            result.snapshots_emitted);
-  // Delivery preserves emission order (oldest-first shedding only makes
-  // index gaps, never reordering), and the final snapshot -- the newest
-  // push -- always survives, carrying a positive dropped watermark.
-  const auto& got = sink.received();
-  ASSERT_FALSE(got.empty());
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LT(got[i - 1].index, got[i].index);
-  }
-  EXPECT_EQ(got.back().index, result.snapshots_emitted - 1);
-  EXPECT_GT(got.back().dropped, 0u);
-  EXPECT_LE(got.back().dropped, result.snapshots_dropped);
 }
 
 TEST(StreamingService, SnapshotCadenceAndPartialFinalWindow) {
