@@ -19,25 +19,22 @@
 // the cost of more heartbeat writes (interval ttl/4).
 //
 // One JSON line per TTL, styled after the other bench records.
+#include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "sim/engine.h"
 #include "sim/journal.h"
 #include "sim/shard.h"
 #include "sweep_cli.h"
-
-#ifdef __unix__
-
-#include <csignal>
-#include <chrono>
-#include <cstdlib>
-#include <thread>
-
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 using namespace mmr;
 
@@ -215,13 +212,3 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
-
-#else  // !__unix__
-
-int main() {
-  std::fprintf(stderr,
-               "fleet_recovery: requires POSIX fork/queues; skipping\n");
-  return 0;
-}
-
-#endif

@@ -25,13 +25,12 @@
 // (default indoor_crowd). The campaign keeps no journal: --resume,
 // --trial-retries, --trial-timeout-s and the distributed roles exit 2.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/atomic_file.h"
 #include "common/constants.h"
 #include "common/table.h"
 #include "net/campaign.h"
@@ -108,6 +107,12 @@ int main(int argc, char** argv) {
       argc, argv, extra,
       "          [--cells N] [--ues-per-cell N] [--cell-spacing-m X]\n"
       "          [--network-json-out FILE]");
+  // Opened before the campaigns run: an unwritable FILE exits 2 first.
+  std::optional<bench::JsonOutFile> sweep_file, network_file;
+  if (!opts.json_out.empty()) sweep_file.emplace(opts.json_out);
+  if (!net_opts.network_json_out.empty()) {
+    network_file.emplace(net_opts.network_json_out, "--network-json-out");
+  }
   const std::size_t trials = opts.trials > 0 ? opts.trials : 10;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 21;
   const std::vector<std::string> schemes =
@@ -144,20 +149,16 @@ int main(int argc, char** argv) {
 
   Table table({"scheme", "availability", "reliability", "tput [Mb/s]",
                "handovers"});
-  std::vector<std::string> sweep_lines;
-  std::vector<std::string> network_lines;
+  std::ostringstream sweep_os;
+  std::ostringstream network_os;
   for (const std::string& scheme : schemes) {
     net::NetworkCampaignSpec spec = base;
     spec.name = "network_" + scheme;
     spec.network.controller.name = scheme;
-    std::ostringstream sweep_os;
     sim::JsonLinesSink sink(sweep_os);
     const net::NetworkCampaignResult result =
         net::run_network_campaign(spec, &sink);
-    sweep_lines.push_back(sweep_os.str());
-    std::ostringstream network_os;
     net::write_network_json(network_os, spec, result);
-    network_lines.push_back(network_os.str());
 
     const double avail =
         mean_availability(result, spec.network.run.duration_s);
@@ -168,26 +169,15 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::printf("\n");
-  for (const std::string& line : network_lines) std::fputs(line.c_str(), stdout);
+  std::fputs(network_os.str().c_str(), stdout);
 
-  auto commit = [&](const std::string& path,
-                    const std::vector<std::string>& lines) {
-    if (path.empty()) return;
-    AtomicFile file(path);
-    {
-      std::ifstream existing(path, std::ios::binary);
-      if (existing && existing.peek() != std::ifstream::traits_type::eof()) {
-        file.stream() << existing.rdbuf();
-      }
-    }
-    for (const std::string& line : lines) file.stream() << line;
-    if (!file.stream()) {
-      std::fprintf(stderr, "%s: cannot write %s\n", argv[0], path.c_str());
-      std::exit(2);
-    }
-    file.commit();
-  };
-  commit(opts.json_out, sweep_lines);
-  commit(net_opts.network_json_out, network_lines);
+  if (sweep_file) {
+    sweep_file->stream() << sweep_os.str();
+    sweep_file->commit();
+  }
+  if (network_file) {
+    network_file->stream() << network_os.str();
+    network_file->commit();
+  }
   return 0;
 }

@@ -39,11 +39,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/atomic_file.h"
 #include "common/table.h"
 #include "net/network.h"
 #include "sim/streaming.h"
@@ -195,6 +195,9 @@ int main(int argc, char** argv) {
       "          [--max-sessions N] [--tick-s X] [--cells N]\n"
       "          [--ues-per-cell N] [--interference 0|1] "
       "[--flush-every-n N]");
+  // Opened before the service runs: an unwritable FILE exits 2 first.
+  std::optional<bench::JsonOutFile> json_file;
+  if (!opts.json_out.empty()) json_file.emplace(opts.json_out);
   sim::StreamingSpec spec;
   spec.name = "streaming";
   spec.sessions = st.sessions;
@@ -310,15 +313,9 @@ int main(int argc, char** argv) {
             << ", \"rss_last_kb\": " << rss_last << "}}\n";
   }
 
-  if (!opts.json_out.empty()) {
-    AtomicFile file(opts.json_out);
-    file.stream() << json_os.str();
-    if (!file.stream()) {
-      std::fprintf(stderr, "%s: cannot write %s\n", argv[0],
-                   opts.json_out.c_str());
-      return 2;
-    }
-    file.commit();
+  if (json_file) {
+    json_file->stream() << json_os.str();
+    json_file->commit();
   } else {
     std::fputs(json_os.str().c_str(), stdout);
   }

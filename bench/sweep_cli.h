@@ -21,10 +21,11 @@
 //                      use). Goldens are scalar-backend; figure outputs
 //                      on fast backends agree within the declared kernel
 //                      tolerances (see DESIGN.md).
-//   --json-out FILE    additionally write the JSON record(s) to FILE,
+//   --json-out FILE    additionally append the JSON record(s) to FILE,
 //                      atomically (write-temp + fsync + rename): a crash
 //                      leaves either the previous FILE or the complete new
-//                      one, never a truncated record.
+//                      one, never a truncated record. A FILE that cannot
+//                      be opened exits(2) before the run (JsonOutFile).
 //   --resume BASE      durable execution: checkpoint every completed trial
 //                      to the journal BASE.<campaign>.journal and, when
 //                      that journal already exists (from an interrupted
@@ -130,6 +131,7 @@
 #include <vector>
 
 #include "common/atomic_file.h"
+#include "common/io_error.h"
 #include "common/parse.h"
 #include "dsp/backend.h"
 #include "sim/engine.h"
@@ -645,13 +647,52 @@ inline void apply_cli(const SweepCliOptions& opts, sim::ExperimentSpec& spec) {
   if (!opts.faults.empty()) spec.run.faults = sim::fault_preset(opts.faults);
 }
 
+/// The one --json-out writer, shared by every bench, which constructs it
+/// before its work runs. The constructor exits(2) when FILE cannot be
+/// opened for append (which creates it when missing) and for reading,
+/// then stages FILE's bytes in an AtomicFile, so what a run writes to
+/// stream() lands after them. commit() replaces FILE atomically (fsync +
+/// rename) and exits(2) naming FILE when that fails; a run that dies
+/// before commit() leaves FILE as it was.
+class JsonOutFile {
+ public:
+  explicit JsonOutFile(const std::string& path,
+                       const char* flag = "--json-out")
+      : file_(path), flag_(flag) {
+    std::ofstream probe(path, std::ios::app);
+    std::ifstream existing(path, std::ios::binary);
+    if (!probe || !existing) {
+      std::fprintf(stderr, "cannot open %s file: %s\n", flag_,
+                   path.c_str());
+      std::exit(2);
+    }
+    if (existing.peek() != std::ifstream::traits_type::eof()) {
+      file_.stream() << existing.rdbuf();
+    }
+  }
+
+  std::ostream& stream() { return file_.stream(); }
+
+  void commit() {
+    try {
+      file_.commit();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "cannot write %s file %s: %s\n", flag_,
+                   file_.path().c_str(), e.what());
+      std::exit(2);
+    }
+  }
+
+ private:
+  AtomicFile file_;
+  const char* flag_;
+};
+
 /// Run one engine campaign under the CLI's durability options.
 ///
-/// --json-out: the record is staged in an AtomicFile during the run
-/// (preserving any content the file already holds, so several campaigns
-/// in one process keep appending) and committed -- fsync + rename -- when
-/// the campaign completes. An unwritable path exits(2) BEFORE the sweep
-/// runs; a crash mid-campaign leaves the previous file intact.
+/// --json-out: the record goes through a JsonOutFile, so several
+/// campaigns in one process keep appending and a crash mid-campaign
+/// leaves the previous file intact.
 ///
 /// --resume: opens (or creates) the campaign's fingerprint-keyed journal,
 /// replays completed trials, runs only the missing ones, and checkpoints
@@ -688,12 +729,16 @@ inline sim::EngineResult run_campaign(sim::ExperimentSpec spec,
   if (!opts.merge.empty()) {
     const std::string merged = detail::journal_path(opts.merge, spec.name);
     std::vector<std::string> shard_paths;
-    if (opts.watch) {
-      // Wait for the fleet: poll until every shard journal exists and
-      // carries an intact seal, then merge the finished set.
-      shard_paths = detail::watch_shard_journals(merged, spec.name);
-    } else {
-      shard_paths = sim::discover_shard_journals(merged);
+    try {
+      // --watch waits for the fleet: poll until every shard journal exists
+      // and carries an intact seal, then merge the finished set.
+      shard_paths = opts.watch ? detail::watch_shard_journals(merged, spec.name)
+                               : sim::discover_shard_journals(merged);
+    } catch (const IoError& e) {
+      std::fprintf(stderr,
+                   "cannot list the shard journals of campaign '%s': %s\n",
+                   spec.name.c_str(), e.what());
+      std::exit(2);
     }
     if (shard_paths.empty()) {
       std::fprintf(stderr,
@@ -747,33 +792,10 @@ inline sim::EngineResult run_campaign(sim::ExperimentSpec spec,
   }
   sim::Engine engine;
   if (opts.json_out.empty()) return engine.run(spec, nullptr, eng_opts);
-  // Stage previous content + the new record; committed atomically below.
-  AtomicFile file(opts.json_out);
-  {
-    std::ifstream existing(opts.json_out, std::ios::binary);
-    if (existing && existing.peek() != std::ifstream::traits_type::eof()) {
-      file.stream() << existing.rdbuf();
-    }
-  }
-  // Fail fast (exit 2, like the numeric-parse errors) if the destination
-  // is not writable, BEFORE burning a sweep: probe with an append-mode
-  // open that touches nothing on success.
-  {
-    std::ofstream probe(opts.json_out, std::ios::app);
-    if (!probe) {
-      std::fprintf(stderr, "cannot open --json-out file: %s\n",
-                   opts.json_out.c_str());
-      std::exit(2);
-    }
-  }
+  JsonOutFile file(opts.json_out);
   sim::JsonLinesSink file_sink(file.stream());
   sim::EngineResult result = engine.run(spec, &file_sink, eng_opts);
-  try {
-    file.commit();
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "cannot write --json-out file: %s\n", e.what());
-    std::exit(2);
-  }
+  file.commit();
   return result;
 }
 

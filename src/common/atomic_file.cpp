@@ -1,30 +1,15 @@
 #include "common/atomic_file.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <stdexcept>
 #include <utility>
 
-#ifdef __unix__
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "common/error.h"
-#ifdef __unix__
 #include "common/fs_ops.h"
-#endif
 
 namespace mmr {
 namespace {
-
-#ifndef __unix__
-[[noreturn]] void throw_io(const std::string& what, const std::string& path) {
-  throw std::runtime_error("AtomicFile: " + what + " '" + path +
-                           "': " + std::strerror(errno));
-}
-#endif
 
 /// Directory part of `path` ("." when the path has no separator), for the
 /// post-rename directory fsync.
@@ -42,18 +27,15 @@ AtomicFile::AtomicFile(std::string path) : path_(std::move(path)) {
 }
 
 AtomicFile::~AtomicFile() {
-#ifdef __unix__
   // A temp file can only survive here if commit() died between creating
   // it and its own cleanup (e.g. a foreign exception); the destination is
   // intact, so just drop the stage.
   if (!temp_path_.empty()) fsio::unlink_quiet(temp_path_);
-#endif
 }
 
 void AtomicFile::commit() {
   MMR_EXPECTS(!committed_);
   const std::string content = buffer_.str();
-#ifdef __unix__
   // Every syscall routes through fsio: transient failures (EINTR,
   // momentary EBUSY) are retried with bounded backoff, permanent ones
   // surface as typed IoError naming the operation and path. Whatever
@@ -87,17 +69,6 @@ void AtomicFile::commit() {
     (void)fsio::ops().fsync_fn(dir_fd);
     (void)fsio::ops().close_fn(dir_fd);
   }
-#else
-  // Non-POSIX fallback: plain stdio replace (no durability guarantee).
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (f == nullptr) throw_io("cannot open", path_);
-  if (content.size() > 0 &&
-      std::fwrite(content.data(), 1, content.size(), f) != content.size()) {
-    std::fclose(f);
-    throw_io("write failed for", path_);
-  }
-  std::fclose(f);
-#endif
   committed_ = true;
 }
 

@@ -1,7 +1,5 @@
 #include "common/fs_ops.h"
 
-#ifdef __unix__
-
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -218,5 +216,3 @@ void unlink_quiet(const std::string& path) {
 }
 
 }  // namespace mmr::fsio
-
-#endif  // __unix__

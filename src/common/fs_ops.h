@@ -20,8 +20,9 @@
 // count and backoff schedule are fixed, and the sleeper is part of the
 // hook table so tests observe the exact schedule without real delays.
 //
-// POSIX-only, like the shard queue: non-POSIX builds keep their stdio
-// fallbacks and never reference this layer.
+// The wrappers call POSIX.1-2008 directly (mtimes come from st_mtim), the
+// one platform the build accepts: CMakeLists.txt refuses to configure
+// where `struct stat` lacks st_mtim.
 #pragma once
 
 #include <cstddef>

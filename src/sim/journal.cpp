@@ -4,6 +4,7 @@
 #include <bit>
 #include <cerrno>
 #include <cinttypes>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -11,17 +12,12 @@
 #include <system_error>
 #include <utility>
 
-#ifdef __unix__
 #include <fcntl.h>
-#include <unistd.h>
-#endif
 
 #include "common/atomic_file.h"
 #include "common/error.h"
-#include "common/io_error.h"
-#ifdef __unix__
 #include "common/fs_ops.h"
-#endif
+#include "common/io_error.h"
 
 namespace mmr::sim {
 namespace {
@@ -537,37 +533,17 @@ CampaignJournal::CampaignJournal(std::string path, CampaignKey key,
       completed_.emplace(t.index, std::move(t));
     }
   }
-#ifdef __unix__
   out_fd_ = fsio::open_retry(path_, O_WRONLY | O_APPEND, 0644);
-#else
-  out_ = std::fopen(path_.c_str(), "ab");
-  if (out_ == nullptr) {
-    throw std::runtime_error("cannot open campaign journal for append: '" +
-                             path_ + "': " + std::strerror(errno));
-  }
-#endif
 }
 
 CampaignJournal::~CampaignJournal() {
-#ifdef __unix__
   if (out_fd_ >= 0) (void)fsio::ops().close_fn(out_fd_);
-#else
-  if (out_ != nullptr) std::fclose(out_);
-#endif
 }
 
 void CampaignJournal::append(const std::string& line) {
-#ifdef __unix__
   fsio::write_all(out_fd_, line.data(), line.size(), path_);
   // One fsync per line: the durability point of the journal.
   fsio::fsync_retry(out_fd_, path_);
-#else
-  if (std::fwrite(line.data(), 1, line.size(), out_) != line.size() ||
-      std::fflush(out_) != 0) {
-    throw std::runtime_error("campaign journal append failed: '" + path_ +
-                             "': " + std::strerror(errno));
-  }
-#endif
 }
 
 void CampaignJournal::record(const JournalTrial& trial) {

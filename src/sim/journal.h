@@ -50,7 +50,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -170,11 +169,7 @@ class CampaignJournal {
   std::string path_;
   ShardPlan shard_;
   std::map<std::size_t, JournalTrial> completed_;
-#ifdef __unix__
   int out_fd_ = -1;
-#else
-  std::FILE* out_ = nullptr;
-#endif
   /// Running FNV-1a over the bytes of every record line in the file (the
   /// kept records + everything record() appended), i.e. what seal() will
   /// stamp.

@@ -11,10 +11,8 @@
 #include <stdexcept>
 #include <utility>
 
-#ifdef __unix__
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "common/atomic_file.h"
 #include "common/error.h"
@@ -34,6 +32,17 @@ bool order_by_plan(const std::pair<ShardPlan, std::string>& a,
   if (a.first.count != b.first.count) return a.first.count < b.first.count;
   if (a.first.index != b.first.index) return a.first.index < b.first.index;
   return a.second < b.second;
+}
+
+/// Entry names of directory `dir`; one that does not exist (yet) reads
+/// as empty. Any other failure throws IoError naming `dir`.
+std::vector<std::string> list_dir_if_exists(const std::string& dir) {
+  try {
+    return fsio::list_dir(dir);
+  } catch (const IoError& e) {
+    if (e.code() == ENOENT) return {};
+    throw;
+  }
 }
 
 }  // namespace
@@ -169,9 +178,9 @@ std::vector<std::string> discover_shard_journals(
       stem_path.has_parent_path() ? stem_path.parent_path() : fs::path(".");
   const std::string base = stem_path.filename().string() + ".";
   std::vector<std::pair<ShardPlan, std::string>> found;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
+  // The fleet may not have made the directory yet: a missing one holds
+  // no journals, but one that cannot be listed is an error, never "none".
+  for (const std::string& name : list_dir_if_exists(dir.string())) {
     if (name.size() <= base.size() + suffix_len) continue;
     if (name.compare(0, base.size(), base) != 0) continue;
     if (name.compare(name.size() - suffix_len, suffix_len, kJournalSuffix) !=
@@ -192,9 +201,7 @@ std::vector<std::string> discover_shard_journals(
 }
 
 // ---------------------------------------------------------------------------
-// Work queue (POSIX).
-
-#ifdef __unix__
+// Work queue.
 
 namespace {
 
@@ -217,7 +224,7 @@ bool create_exclusive(const std::string& path) {
 }
 
 bool path_exists(const std::string& path) {
-  return ::access(path.c_str(), F_OK) == 0;
+  return fsio::mtime_if_exists(path).has_value();
 }
 
 /// Ticket names under `dir`, sorted by (count, index). With
@@ -225,13 +232,8 @@ bool path_exists(const std::string& path) {
 /// before the done/ directory existed).
 std::vector<std::string> list_tickets(const std::string& dir,
                                       bool allow_missing = false) {
-  std::vector<std::string> entries;
-  try {
-    entries = fsio::list_dir(dir);
-  } catch (const IoError& e) {
-    if (allow_missing && e.code() == ENOENT) return {};
-    throw;
-  }
+  std::vector<std::string> entries =
+      allow_missing ? list_dir_if_exists(dir) : fsio::list_dir(dir);
   std::vector<std::pair<ShardPlan, std::string>> found;
   for (std::string& name : entries) {
     const std::optional<ShardPlan> plan = ShardPlan::parse_suffix(name);
@@ -424,46 +426,8 @@ ShardQueue::Counts ShardQueue::counts(const std::string& dir) {
   return c;
 }
 
-#else  // !__unix__
-
-namespace {
-
-[[noreturn]] void throw_posix_only() {
-  throw std::runtime_error(
-      "ShardQueue requires a POSIX filesystem (O_EXCL create + atomic "
-      "rename); use explicit --shard i/N on this platform");
-}
-
-}  // namespace
-
-void ShardQueue::init(const std::string&, std::size_t) { throw_posix_only(); }
-
-std::optional<ShardPlan> ShardQueue::claim(const std::string&,
-                                           const LeaseOptions&) {
-  throw_posix_only();
-}
-
-bool ShardQueue::renew(const std::string&, const ShardPlan&) {
-  throw_posix_only();
-}
-
-void ShardQueue::complete(const std::string&, const ShardPlan&) {
-  throw_posix_only();
-}
-
-std::optional<LeaseInfo> ShardQueue::holder(const std::string&,
-                                            const ShardPlan&) {
-  throw_posix_only();
-}
-
-ShardQueue::Counts ShardQueue::counts(const std::string&) {
-  throw_posix_only();
-}
-
-#endif  // __unix__
-
 // ---------------------------------------------------------------------------
-// Lease keeper (platform-agnostic: built on the queue calls above).
+// Lease keeper (built on the queue calls above).
 
 ShardLeaseKeeper::ShardLeaseKeeper(std::string dir, ShardPlan plan,
                                    LeaseOptions opts)

@@ -122,7 +122,9 @@ MergeStats merge_journals(const std::vector<std::string>& shard_paths,
 /// Discover the shard journals next to an unsharded journal path
 /// ("<stem>.journal" -> every "<stem>.shard-<i>-of-<N>.journal" in the
 /// same directory), sorted by (count, index). Purely lexical + directory
-/// scan; merge_journals() does the real validation.
+/// scan; merge_journals() does the real validation. A directory that does
+/// not exist holds no journals; one that cannot be listed throws IoError
+/// naming it.
 std::vector<std::string> discover_shard_journals(
     const std::string& merged_path);
 
@@ -146,8 +148,9 @@ struct LeaseInfo {
 
 };
 
-/// File-based shard work queue (see the header comment). POSIX-only:
-/// on platforms without O_EXCL open + atomic rename the calls throw.
+/// File-based shard work queue (see the header comment). Its filesystem
+/// calls go through common/fs_ops.h: transient errnos retry, anything
+/// else throws IoError naming the operation and path.
 class ShardQueue {
  public:
   /// Queue population counts (for fleet progress reporting).

@@ -132,20 +132,23 @@ void StreamingService::begin() {
   // in shard g % shards with local ordinal g / shards, so its id is
   // exactly g (id = ordinal * shards + shard).
   for (std::size_t g = 0; g < spec_.sessions; ++g) {
-    Shard& sh = *shards_[g % spec_.shards];
-    const std::uint64_t id = sh.next_local_id++ * spec_.shards + sh.index;
-    const std::size_t slot = sh.network->join(id, 0.0);
-    if (sh.death_s.size() < sh.network->slot_count()) {
-      sh.death_s.resize(sh.network->slot_count(),
-                        std::numeric_limits<double>::infinity());
-    }
-    sh.death_s[slot] =
-        spec_.churn.mean_lifetime_s > 0.0
-            ? sh.churn_rng.exponential(spec_.churn.mean_lifetime_s)
-            : std::numeric_limits<double>::infinity();
-    ++sh.joined;
+    join_session(*shards_[g % spec_.shards], 0.0);
   }
   last_snapshot_wall_s_ = wall_now_s();
+}
+
+void StreamingService::join_session(Shard& sh, double t_s) {
+  const std::uint64_t id = sh.next_local_id++ * spec_.shards + sh.index;
+  const std::size_t slot = sh.network->join(id, t_s);
+  if (sh.death_s.size() < sh.network->slot_count()) {
+    sh.death_s.resize(sh.network->slot_count(),
+                      std::numeric_limits<double>::infinity());
+  }
+  sh.death_s[slot] =
+      spec_.churn.mean_lifetime_s > 0.0
+          ? t_s + sh.churn_rng.exponential(spec_.churn.mean_lifetime_s)
+          : std::numeric_limits<double>::infinity();
+  ++sh.joined;
 }
 
 void StreamingService::process_churn(Shard& sh, double t_s) {
@@ -168,17 +171,7 @@ void StreamingService::process_churn(Shard& sh, double t_s) {
   const std::uint64_t arrivals = poisson_draw(sh.churn_rng, lambda);
   for (std::uint64_t a = 0; a < arrivals; ++a) {
     if (sh.network->live_count() >= cap) break;
-    const std::uint64_t id = sh.next_local_id++ * spec_.shards + sh.index;
-    const std::size_t slot = sh.network->join(id, t_s);
-    if (sh.death_s.size() < sh.network->slot_count()) {
-      sh.death_s.resize(sh.network->slot_count(),
-                        std::numeric_limits<double>::infinity());
-    }
-    sh.death_s[slot] =
-        spec_.churn.mean_lifetime_s > 0.0
-            ? t_s + sh.churn_rng.exponential(spec_.churn.mean_lifetime_s)
-            : std::numeric_limits<double>::infinity();
-    ++sh.joined;
+    join_session(sh, t_s);
   }
 }
 

@@ -146,6 +146,9 @@ class StreamingService {
  private:
   struct Shard;
 
+  /// Join one session to `shard` at `t_s`: the next id of the shard's
+  /// global stride, a slot, and a lifetime drawn from its churn stream.
+  void join_session(Shard& shard, double t_s);
   void process_churn(Shard& shard, double t_s);
   void accumulate(Shard& shard, double t_s);
   /// Fold every shard's accumulators (shard-index order) into a snapshot

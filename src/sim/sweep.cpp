@@ -1,11 +1,8 @@
 #include "sim/sweep.h"
 
 #include <algorithm>
-#include <chrono>
 
-#ifdef __unix__
 #include <time.h>
-#endif
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -13,15 +10,10 @@
 namespace mmr::sim {
 
 double thread_cpu_now_s() {
-#ifdef __unix__
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
-  }
-#endif
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+  timespec ts{};
+  const int rc = clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  MMR_EXPECTS(rc == 0);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
 }
 
 SweepRunner::SweepRunner(SweepConfig config) : config_(config) {

@@ -71,8 +71,8 @@ struct SweepTiming {
   }
 };
 
-/// CPU time consumed so far by the calling thread [s] (falls back to
-/// wall-clock where no thread CPU clock exists).
+/// CPU time consumed so far by the calling thread [s], from
+/// CLOCK_THREAD_CPUTIME_ID: time the thread sleeps or waits is not in it.
 double thread_cpu_now_s();
 
 class SweepRunner {

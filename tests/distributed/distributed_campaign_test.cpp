@@ -95,6 +95,15 @@ pid_t fork_worker(const sim::ExperimentSpec& spec, const std::string& base,
   return pid;
 }
 
+/// Death-test body for a merge that must end on its own: the alarm kills
+/// a merge that waits forever, which fails the test instead of hanging
+/// ctest.
+void merge_within_10s(const sim::ExperimentSpec& spec,
+                      const bench::SweepCliOptions& opts) {
+  ::alarm(10);
+  (void)bench::run_campaign(spec, opts);
+}
+
 void wait_ok(pid_t pid) {
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
@@ -563,6 +572,24 @@ TEST_F(DistributedCampaignTest, WatchMergeRejectsASealThatDisownsItsRecords) {
   EXPECT_EXIT((void)bench::run_campaign(spec, opts),
               ::testing::ExitedWithCode(2),
               "seal footer.*seal says 3 trials, file holds 2 intact");
+}
+
+TEST_F(DistributedCampaignTest, MergeOfAnUnlistableBaseExits2NamingTheDir) {
+  // A base under a regular file: its directory cannot be listed
+  // (ENOTDIR). That is an error, not "no shard journals yet" -- neither
+  // --merge nor --merge --watch may report none or wait for the fleet.
+  const std::string plain = dir_ + "/plain";
+  std::ofstream(plain) << "not a directory\n";
+  const sim::ExperimentSpec spec = fig16_like_spec();
+  for (const bool watch : {false, true}) {
+    bench::SweepCliOptions opts;
+    opts.merge = plain + "/base";
+    opts.watch = watch;
+    opts.freeze_timing = true;
+    EXPECT_EXIT(merge_within_10s(spec, opts), ::testing::ExitedWithCode(2),
+                "opendir failed for '" + plain + "'")
+        << (watch ? "--merge --watch" : "--merge");
+  }
 }
 
 }  // namespace

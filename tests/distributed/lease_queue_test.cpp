@@ -12,11 +12,9 @@
 #include <string>
 #include <thread>
 
-#ifdef __unix__
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 #include "sim/shard.h"
 
@@ -26,9 +24,6 @@ namespace {
 class LeaseQueueTest : public ::testing::Test {
  protected:
   void SetUp() override {
-#ifndef __unix__
-    GTEST_SKIP() << "ShardQueue requires a POSIX filesystem";
-#endif
     char tmpl[] = "/tmp/mmr_lease_XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
     root_ = tmpl;
@@ -39,7 +34,6 @@ class LeaseQueueTest : public ::testing::Test {
     (void)std::system(cmd.c_str());
   }
 
-#ifdef __unix__
   /// Shift a claimed shard's lease mtime by `seconds` (negative =
   /// backdate, positive = future-date for the clock-skew tests).
   void shift_lease(const ShardPlan& plan, double seconds) {
@@ -52,7 +46,6 @@ class LeaseQueueTest : public ::testing::Test {
     times[1].tv_sec += static_cast<time_t>(seconds);
     ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0) << path;
   }
-#endif
 
   std::string root_, dir_;
 };
@@ -63,9 +56,7 @@ TEST_F(LeaseQueueTest, ClaimStampsThisProcessAsHolder) {
   ASSERT_TRUE(plan.has_value());
   const auto lease = ShardQueue::holder(dir_, *plan);
   ASSERT_TRUE(lease.has_value());
-#ifdef __unix__
   EXPECT_EQ(lease->pid, static_cast<long>(::getpid()));
-#endif
   EXPECT_FALSE(lease->host.empty());
   EXPECT_EQ(lease->renewals, 0u);
 }

@@ -112,18 +112,16 @@ TEST(ShardPlanTest, ParseSuffixRejectsForeignNames) {
 class ShardQueueTest : public ::testing::Test {
  protected:
   void SetUp() override {
-#ifndef __unix__
-    GTEST_SKIP() << "ShardQueue requires a POSIX filesystem";
-#endif
     char tmpl[] = "/tmp/mmr_shardq_XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    dir_ = std::string(tmpl) + "/queue";
+    root_ = tmpl;
+    dir_ = root_ + "/queue";
   }
   void TearDown() override {
-    std::string cmd = "rm -rf '" + dir_ + "'";
+    std::string cmd = "rm -rf '" + root_ + "'";
     (void)std::system(cmd.c_str());
   }
-  std::string dir_;
+  std::string root_, dir_;
 };
 
 TEST_F(ShardQueueTest, ClaimsEachShardExactlyOnce) {

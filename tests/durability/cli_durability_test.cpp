@@ -1,10 +1,18 @@
 // The durability-facing half of the bench CLI: strict parse_f64, the
 // --resume / --trial-retries / --trial-timeout-s / --freeze-timing flags,
-// and the exit(2) error paths the flags add.
+// the exit(2) error paths the flags add, and the one --json-out writer.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include <grp.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/parse.h"
 #include "sim/engine.h"
@@ -144,6 +152,107 @@ int campaign_to_unwritable_json() {
 TEST(SweepCliDurabilityDeathTest, UnwritableJsonOutExits2BeforeSweeping) {
   EXPECT_EXIT(campaign_to_unwritable_json(), ::testing::ExitedWithCode(2),
               "cannot open --json-out file");
+}
+
+/// The work a bench would run after opening its --json-out file; an
+/// open that let an unwritable FILE through reaches it and exits 0.
+int work_after_opening(const char* path, const char* flag) {
+  bench::JsonOutFile file(path, flag);
+  std::exit(0);
+}
+
+TEST(SweepCliDurabilityDeathTest, JsonOutFileExits2BeforeTheWork) {
+  EXPECT_EXIT(work_after_opening("/no/such/dir/out.json", "--json-out"),
+              ::testing::ExitedWithCode(2),
+              "cannot open --json-out file: /no/such/dir/out.json");
+  EXPECT_EXIT(
+      work_after_opening("/no/such/dir/net.json", "--network-json-out"),
+      ::testing::ExitedWithCode(2),
+      "cannot open --network-json-out file: /no/such/dir/net.json");
+}
+
+class JsonOutFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/mmr_json_out_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    dir_ = tmpl;
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  static std::string read_all(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  }
+
+  std::string dir_;
+};
+
+TEST_F(JsonOutFileTest, CommitsAppendByteForByte) {
+  const std::string path = dir_ + "/out.json";
+  const std::string first = "{\"run\": 1}\n";
+  const std::string second = "{\"run\": 2, \"bytes\": \"\\u0000\\t\"}\n";
+  {
+    bench::JsonOutFile file(path);
+    file.stream() << first;
+    // Nothing reaches FILE before the commit.
+    EXPECT_EQ(read_all(path), "");
+    file.commit();
+  }
+  EXPECT_EQ(read_all(path), first);
+  {
+    bench::JsonOutFile file(path);
+    file.stream() << second;
+    file.commit();
+  }
+  EXPECT_EQ(read_all(path), first + second);
+}
+
+/// Opens FILE; a root test run first drops to uid `owner`, since root
+/// reads any file. Reaching the work exits 0.
+int open_as(const std::string& path, uid_t owner) {
+  if (::geteuid() == 0 && (::setgroups(0, nullptr) != 0 ||
+                           ::setgid(owner) != 0 || ::setuid(owner) != 0)) {
+    std::exit(3);
+  }
+  bench::JsonOutFile file(path);
+  std::exit(0);
+}
+
+TEST_F(JsonOutFileTest, UnreadableFileExits2AndKeepsItsBytes) {
+  // FILE's records are kept by reading them: one that can be appended to
+  // but not read must not be replaced by the new run's records alone.
+  const std::string path = dir_ + "/out.json";
+  std::ofstream(path) << "{\"kept\": 1}\n";
+  const uid_t owner = 65534;
+  if (::geteuid() == 0) {
+    ASSERT_EQ(::chown(dir_.c_str(), owner, owner), 0);
+    ASSERT_EQ(::chown(path.c_str(), owner, owner), 0);
+  }
+  ASSERT_EQ(::chmod(path.c_str(), 0200), 0);
+  EXPECT_EXIT(open_as(path, owner), ::testing::ExitedWithCode(2),
+              "cannot open --json-out file: " + path);
+  ASSERT_EQ(::chmod(path.c_str(), 0600), 0);
+  EXPECT_EQ(read_all(path), "{\"kept\": 1}\n");
+}
+
+/// Opens FILE, then removes its directory, so the commit cannot stage.
+int commit_after_removing_the_directory(const std::string& dir) {
+  bench::JsonOutFile file(dir + "/out.json");
+  file.stream() << "{}\n";
+  std::filesystem::remove_all(dir);
+  file.commit();
+  return 0;
+}
+
+TEST_F(JsonOutFileTest, FailedCommitExits2NamingTheFile) {
+  const std::string sub = dir_ + "/gone";
+  std::filesystem::create_directory(sub);
+  EXPECT_EXIT(commit_after_removing_the_directory(sub),
+              ::testing::ExitedWithCode(2),
+              "cannot write --json-out file " + sub + "/out.json");
 }
 
 }  // namespace

@@ -263,9 +263,6 @@ int run_refusing_cli(std::vector<std::string> args) {
 }
 
 TEST(SweepCliDeathTest, RefusedShardQueueLeavesEveryTicketInTodo) {
-#ifndef __unix__
-  GTEST_SKIP() << "ShardQueue requires a POSIX filesystem";
-#else
   char tmpl[] = "/tmp/mmr_refuse_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   const std::string root = tmpl;
@@ -280,7 +277,6 @@ TEST(SweepCliDeathTest, RefusedShardQueueLeavesEveryTicketInTodo) {
   EXPECT_EQ(counts.claimed, 0u);
   EXPECT_EQ(counts.done, 0u);
   std::filesystem::remove_all(root);
-#endif
 }
 
 TEST(SweepCliDeathTest, RefusedJournalFlagsExit2) {

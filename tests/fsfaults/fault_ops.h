@@ -31,6 +31,8 @@ struct FaultScript {
   int rename_errno = EINTR;
   int fail_mkdir = 0;
   int mkdir_errno = EINTR;
+  int fail_list_dir = 0;
+  int list_dir_errno = EINTR;
   int fail_stat = 0;
   int stat_errno = EINTR;
   int fail_touch = 0;
@@ -90,6 +92,7 @@ inline int mkdir_fn(const char* path, unsigned mode) {
 }
 
 inline int list_dir_fn(const char* path, std::vector<std::string>* names) {
+  if (take(script().fail_list_dir, script().list_dir_errno)) return -1;
   return fsio::real_ops()->list_dir_fn(path, names);
 }
 

@@ -1,8 +1,9 @@
-// The shard queue's filesystem calls under injected faults: directory
-// creation, the lease-age stats, the pre-claim mtime refresh and the
-// ticket renames all go through the fsio table, so transient errnos are
-// retried and a permanent error surfaces as a typed IoError naming the
-// operation and path, with the ticket left where it was.
+// The shard module's filesystem calls under injected faults: the queue's
+// directory creation, ticket and lease-age stats, pre-claim mtime refresh
+// and ticket renames, and the shard-journal listing, all go through the
+// fsio table, so transient errnos are retried and a permanent error
+// surfaces as a typed IoError naming the operation and path, with the
+// ticket left where it was.
 #include "sim/shard.h"
 
 #include <gtest/gtest.h>
@@ -133,6 +134,58 @@ TEST_F(QueueFaultTest, FailedClaimRefreshLeavesTheTicketInTodo) {
   const ShardQueue::Counts counts = ShardQueue::counts(dir_);
   EXPECT_EQ(counts.todo, 1u);
   EXPECT_EQ(counts.claimed, 0u);
+}
+
+TEST_F(QueueFaultTest, PermanentCompleteStatErrorThrowsIoError) {
+  ShardQueue::init(dir_, 1);
+  const std::optional<ShardPlan> plan =
+      ShardQueue::claim(dir_, LeaseOptions{});
+  ASSERT_TRUE(plan.has_value());
+  fsfaults::ScopedFaults faults;
+  fsfaults::script().fail_stat = 1;
+  fsfaults::script().stat_errno = EACCES;
+  try {
+    ShardQueue::complete(dir_, *plan);
+    FAIL() << "complete succeeded through a failing ticket stat";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.op(), "stat");
+    EXPECT_EQ(e.code(), EACCES);
+    EXPECT_EQ(e.path(), dir_ + "/tickets/" + plan->suffix());
+  }
+  EXPECT_TRUE(fsfaults::script().slept.empty());
+  const ShardQueue::Counts counts = ShardQueue::counts(dir_);
+  EXPECT_EQ(counts.claimed, 1u);
+  EXPECT_EQ(counts.done, 0u);
+}
+
+TEST_F(QueueFaultTest, CompleteStatEintrStormIsRetried) {
+  ShardQueue::init(dir_, 1);
+  const std::optional<ShardPlan> plan =
+      ShardQueue::claim(dir_, LeaseOptions{});
+  ASSERT_TRUE(plan.has_value());
+  fsfaults::ScopedFaults faults;
+  fsfaults::script().fail_stat = 2;
+  ShardQueue::complete(dir_, *plan);
+  EXPECT_EQ(fsfaults::script().fail_stat, 0);
+  EXPECT_EQ(fsfaults::script().slept.size(), 2u);
+  EXPECT_EQ(ShardQueue::counts(dir_).done, 1u);
+}
+
+TEST_F(QueueFaultTest, UnlistableJournalDirectoryThrowsIoErrorNamingIt) {
+  // A directory that cannot be listed must never read as "no shard
+  // journals": --merge would report none, --merge --watch wait forever.
+  fsfaults::ScopedFaults faults;
+  fsfaults::script().fail_list_dir = 1;
+  fsfaults::script().list_dir_errno = EACCES;
+  try {
+    (void)discover_shard_journals(root_ + "/base.demo.journal");
+    FAIL() << "an unlistable directory read as holding no journals";
+  } catch (const IoError& e) {
+    EXPECT_EQ(e.op(), "opendir");
+    EXPECT_EQ(e.code(), EACCES);
+    EXPECT_EQ(e.path(), root_);
+  }
+  EXPECT_TRUE(fsfaults::script().slept.empty());
 }
 
 }  // namespace

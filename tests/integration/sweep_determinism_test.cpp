@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <random>
+#include <thread>
 
 #include "sim/runner.h"
 #include "sim/scenario.h"
@@ -126,6 +128,22 @@ TEST(SweepDeterminism, TimingIsPopulated) {
   EXPECT_GT(runner.timing().wall_s, 0.0);
   EXPECT_GT(runner.timing().serial_equivalent_s, 0.0);
   EXPECT_EQ(runner.timing().jobs, 2u);
+}
+
+TEST(SweepDeterminism, CpuTimeExcludesSleep) {
+  // A trial's cpu_s is its thread's CPU time, not wall time: sleeping
+  // costs wall time only, so the JSON speedup (sum of cpu_s / wall_s)
+  // cannot count waiting as work.
+  SweepConfig sc;
+  sc.num_trials = 1;
+  SweepRunner runner(sc);
+  const auto trials = runner.run([](TrialContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return 0;
+  });
+  ASSERT_EQ(trials.size(), 1u);
+  EXPECT_GE(trials[0].wall_s, 0.05);
+  EXPECT_LT(trials[0].cpu_s, 0.01);
 }
 
 }  // namespace
