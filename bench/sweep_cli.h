@@ -25,7 +25,8 @@
 //                      atomically (write-temp + fsync + rename): a crash
 //                      leaves either the previous FILE or the complete new
 //                      one, never a truncated record. A FILE that cannot
-//                      be opened exits(2) before the run (JsonOutFile).
+//                      be opened exits(2) as the flag is parsed
+//                      (JsonOutFile::check).
 //   --resume BASE      durable execution: checkpoint every completed trial
 //                      to the journal BASE.<campaign>.journal and, when
 //                      that journal already exists (from an interrupted
@@ -173,6 +174,54 @@ struct SweepCliOptions {
 inline bool distributed_mode(const SweepCliOptions& opts) {
   return opts.shard.enabled() || !opts.merge.empty();
 }
+
+/// The one --json-out writer, shared by every bench, which constructs it
+/// before its work runs. The constructor exits(2) when FILE cannot be
+/// opened (check()), then stages FILE's bytes in an AtomicFile, so what a
+/// run writes to stream() lands after them. commit() replaces FILE
+/// atomically (fsync + rename) and exits(2) naming FILE when that fails; a
+/// run that dies before commit() leaves FILE as it was.
+class JsonOutFile {
+ public:
+  /// Exit(2) naming FILE unless it opens for append (which creates it
+  /// when missing) and for reading. parse_sweep_cli runs it as it parses
+  /// --json-out, so a bench exits before it prints or runs anything.
+  static void check(const std::string& path,
+                    const char* flag = "--json-out") {
+    std::ofstream probe(path, std::ios::app);
+    std::ifstream existing(path, std::ios::binary);
+    if (!probe || !existing) {
+      std::fprintf(stderr, "cannot open %s file: %s\n", flag, path.c_str());
+      std::exit(2);
+    }
+  }
+
+  explicit JsonOutFile(const std::string& path,
+                       const char* flag = "--json-out")
+      : file_(path), flag_(flag) {
+    check(path, flag);
+    std::ifstream existing(path, std::ios::binary);
+    if (existing.peek() != std::ifstream::traits_type::eof()) {
+      file_.stream() << existing.rdbuf();
+    }
+  }
+
+  std::ostream& stream() { return file_.stream(); }
+
+  void commit() {
+    try {
+      file_.commit();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "cannot write %s file %s: %s\n", flag_,
+                   file_.path().c_str(), e.what());
+      std::exit(2);
+    }
+  }
+
+ private:
+  AtomicFile file_;
+  const char* flag_;
+};
 
 namespace detail {
 
@@ -481,6 +530,7 @@ inline SweepCliOptions parse_sweep_cli(int argc, char** argv,
       detail::require_fault_preset(opts.faults, argv[0]);
     } else if (const char* v7 = value_of(i, "--json-out")) {
       opts.json_out = v7;
+      JsonOutFile::check(opts.json_out);
     } else if (const char* v8 = value_of(i, "--resume")) {
       opts.resume = v8;
       if (opts.resume.empty()) {
@@ -646,47 +696,6 @@ inline void apply_cli(const SweepCliOptions& opts, sim::ExperimentSpec& spec) {
   if (!opts.controller.empty()) spec.controller.name = opts.controller;
   if (!opts.faults.empty()) spec.run.faults = sim::fault_preset(opts.faults);
 }
-
-/// The one --json-out writer, shared by every bench, which constructs it
-/// before its work runs. The constructor exits(2) when FILE cannot be
-/// opened for append (which creates it when missing) and for reading,
-/// then stages FILE's bytes in an AtomicFile, so what a run writes to
-/// stream() lands after them. commit() replaces FILE atomically (fsync +
-/// rename) and exits(2) naming FILE when that fails; a run that dies
-/// before commit() leaves FILE as it was.
-class JsonOutFile {
- public:
-  explicit JsonOutFile(const std::string& path,
-                       const char* flag = "--json-out")
-      : file_(path), flag_(flag) {
-    std::ofstream probe(path, std::ios::app);
-    std::ifstream existing(path, std::ios::binary);
-    if (!probe || !existing) {
-      std::fprintf(stderr, "cannot open %s file: %s\n", flag_,
-                   path.c_str());
-      std::exit(2);
-    }
-    if (existing.peek() != std::ifstream::traits_type::eof()) {
-      file_.stream() << existing.rdbuf();
-    }
-  }
-
-  std::ostream& stream() { return file_.stream(); }
-
-  void commit() {
-    try {
-      file_.commit();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cannot write %s file %s: %s\n", flag_,
-                   file_.path().c_str(), e.what());
-      std::exit(2);
-    }
-  }
-
- private:
-  AtomicFile file_;
-  const char* flag_;
-};
 
 /// Run one engine campaign under the CLI's durability options.
 ///

@@ -200,6 +200,31 @@ std::optional<double> mtime_if_exists(const std::string& path,
          static_cast<double>(st.st_mtim.tv_nsec) * 1e-9;
 }
 
+std::optional<std::string> read_file_if_exists(const std::string& path,
+                                               const RetryPolicy& policy) {
+  int fd = -1;
+  if (!retry([&] {
+        fd = ops().open_fn(path.c_str(), O_RDONLY, 0);
+        return fd >= 0 ? 0 : -1;
+      }, "open", path, policy, ENOENT)) {
+    return std::nullopt;
+  }
+  std::string bytes;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::read(fd, buf, sizeof(buf))) != 0) {
+    if (n > 0) {
+      bytes.append(buf, static_cast<std::size_t>(n));
+    } else if (errno != EINTR) {
+      const int err = errno;
+      (void)ops().close_fn(fd);
+      throw IoError("read", path, err);
+    }
+  }
+  close_or_throw(fd, path);
+  return bytes;
+}
+
 bool touch_if_exists(const std::string& path, const RetryPolicy& policy) {
   return retry([&] { return ops().touch_fn(path.c_str()); }, "utimensat",
                path, policy, ENOENT);

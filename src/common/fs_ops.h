@@ -2,9 +2,10 @@
 //
 // Every syscall the durability layer depends on (AtomicFile's staged
 // commit, the campaign journal's fsync'd append, and the shard queue's
-// directory creation and listing, O_EXCL ticket creation, lease-age
-// stats, pre-claim mtime refresh and claim, reclaim and complete
-// renames) routes through a per-process fn-pointer table -- the
+// directory creation and listing, shard-count and lease reads, O_EXCL
+// ticket creation, lease-age stats, pre-claim mtime refresh and claim,
+// reclaim and complete renames) routes through a per-process fn-pointer
+// table -- the
 // same pattern as dsp::backend -- so tests can install a faulting table
 // that deterministically injects EINTR storms, short writes, ENOSPC, and
 // delays into every recovery path. Production always runs the real
@@ -134,6 +135,13 @@ std::vector<std::string> list_dir(const std::string& path,
 /// errno) on anything else.
 std::optional<double> mtime_if_exists(const std::string& path,
                                       const RetryPolicy& policy = {});
+
+/// The bytes of `path`, opened through the table with transient retry;
+/// nullopt when `path` does not exist (ENOENT). Any other failure throws
+/// IoError("open" or "read", path, errno): a file that exists but cannot
+/// be read is never mistaken for a missing one.
+std::optional<std::string> read_file_if_exists(const std::string& path,
+                                               const RetryPolicy& policy = {});
 
 /// Set `path`'s timestamps to now, with transient retry; false when
 /// `path` does not exist (ENOENT). Throws IoError("utimensat", path,

@@ -56,7 +56,6 @@ class DelayMultibeamController final : public BeamController {
   const char* name() const override { return "delay-multibeam"; }
 
   std::size_t num_beams() const { return angles_.size(); }
-  const std::vector<double>& beam_delays_s() const { return delays_; }
 
  private:
   array::Ula ula_;

@@ -90,8 +90,6 @@ class LinkStateMachine {
   explicit LinkStateMachine(LinkStateConfig config = {}, double t0_s = 0.0);
 
   LinkState state() const { return state_; }
-  /// Time the current state was entered.
-  double entered_at() const { return entered_at_; }
   /// Time spent in the current state as of t_s.
   double dwell_s(double t_s) const { return t_s - entered_at_; }
 

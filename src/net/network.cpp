@@ -13,7 +13,6 @@
 #include "common/units.h"
 #include "net/terragraph.h"
 #include "sim/scenario.h"
-#include "sim/telemetry.h"
 #include "sim/workspace.h"
 #include "sim/world.h"
 
@@ -77,7 +76,7 @@ void HandoverConfig::validate() const {
   MMR_EXPECTS(std::isfinite(min_interval_s) && min_interval_s >= 0.0);
 }
 
-void NetworkSpec::validate() const {
+void NetworkLayout::validate() const {
   MMR_EXPECTS(num_cells >= 1);
   MMR_EXPECTS(ues_per_cell >= 1);
   MMR_EXPECTS(std::isfinite(cell_spacing_m) && cell_spacing_m > 0.0);
@@ -86,6 +85,10 @@ void NetworkSpec::validate() const {
   link_state.validate();
   handover.validate();
   interference.validate();
+}
+
+void NetworkSpec::validate() const {
+  NetworkLayout::validate();
   run.validate();
 }
 
@@ -450,17 +453,17 @@ void Network::step_tick(double t_s) {
   if (spec_.handover.enabled && spec_.num_cells > 1) handover_pass(t_s);
 }
 
-NetworkResult Network::run(sim::TelemetrySink* sink) {
+NetworkResult Network::run() {
   begin();
   const sim::RunConfig& rc = spec_.run;
   const auto num_ticks = static_cast<std::size_t>(rc.duration_s / rc.tick_s);
   for (std::size_t i = 0; i < num_ticks; ++i) {
     step_tick(static_cast<double>(i) * rc.tick_s);
   }
-  return finish(sink);
+  return finish();
 }
 
-NetworkResult Network::finish(sim::TelemetrySink* sink) {
+NetworkResult Network::finish() {
   const sim::RunConfig& rc = spec_.run;
   NetworkResult result;
   result.links.reserve(live_count_);
@@ -504,12 +507,6 @@ NetworkResult Network::finish(sim::TelemetrySink* sink) {
       agg.num_samples += r.summary.num_samples;
     }
     result.network = agg;
-  }
-
-  if (sink != nullptr) {
-    for (const core::HandoverEvent& ev : result.handovers) {
-      sink->on_handover(ev);
-    }
   }
   return result;
 }

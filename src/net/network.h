@@ -15,8 +15,8 @@
 // co-cell session's) beam choice degrades my SINR. Handover: per-tick
 // sync-beam RSRP toward every cell; a neighbor sustaining
 // hysteresis_db above the serving cell for time_to_trigger_s takes the
-// session (HandoverEvent through TelemetrySink::on_handover), which
-// rebuilds the cell-local world and restarts the controller.
+// session (a HandoverEvent in the result, which the engine replays to its
+// sink), which rebuilds the cell-local world and restarts the controller.
 //
 // Single-link collapse contract (pinned by tests/net): a 1-cell/1-UE
 // network with interference/handover degenerate runs BYTE-IDENTICAL to
@@ -35,11 +35,10 @@
 #include "core/link_state.h"
 #include "core/metrics.h"
 #include "net/interference.h"
-#include "sim/engine.h"
+#include "sim/registry.h"
 #include "sim/runner.h"
 
 namespace mmr::sim {
-class TelemetrySink;
 class TrialWorkspace;
 }  // namespace mmr::sim
 
@@ -63,19 +62,14 @@ struct HandoverConfig {
   void validate() const;
 };
 
-/// Declarative network: cells on a line, `ues_per_cell` sessions each,
-/// every link instantiated from the same registered scenario template.
-struct NetworkSpec {
+/// The network's shape: cells on a line, `ues_per_cell` sessions each,
+/// and the link-state, handover and interference models they share. An
+/// engine campaign (sim::ExperimentSpec::network) carries one.
+struct NetworkLayout {
   std::size_t num_cells = 1;
   std::size_t ues_per_cell = 1;
   /// Distance between neighboring cell origins [m].
   double cell_spacing_m = 40.0;
-  /// Per-link template. Link 0 keeps it verbatim (single-link collapse);
-  /// links k > 0 derive their world seed and jitter their UE placement
-  /// from their own Rng streams.
-  sim::ScenarioSpec link_scenario;
-  sim::ControllerSpec controller;
-  sim::RunConfig run;
   core::LinkStateConfig link_state;
   HandoverConfig handover;
   InterferenceConfig interference;
@@ -84,6 +78,18 @@ struct NetworkSpec {
   double ue_placement_jitter_m = 2.0;
 
   std::size_t num_links() const { return num_cells * ues_per_cell; }
+  void validate() const;
+};
+
+/// Declarative network: a layout plus the per-link template every link is
+/// instantiated from. Link 0 keeps the template verbatim (single-link
+/// collapse); links k > 0 derive their world seed and jitter their UE
+/// placement from their own Rng streams.
+struct NetworkSpec : NetworkLayout {
+  sim::ScenarioSpec link_scenario;
+  sim::ControllerSpec controller;
+  sim::RunConfig run;
+
   void validate() const;
 };
 
@@ -123,8 +129,8 @@ struct NetworkResult {
 /// the tick loop and scores every link with interference folded into its
 /// SINR.
 ///
-/// Resumable-step contract (PR-8): run() is now a thin wrapper over
-///   begin();  step_tick(t) for each tick;  finish(sink);
+/// Resumable-step contract: run() is a thin wrapper over
+///   begin();  step_tick(t) for each tick;  finish();
 /// and the step path is BYTE-IDENTICAL to the historical monolithic loop
 /// (pinned by tests/net). Callers that own the timeline -- the streaming
 /// service -- drive step_tick directly, join()/leave() sessions between
@@ -145,10 +151,8 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// Run the shared timeline. When `sink` is non-null, handover events
-  /// stream to sink->on_handover (in time order, after the run -- one
-  /// thread, deterministic).
-  NetworkResult run(sim::TelemetrySink* sink = nullptr);
+  /// Run the shared timeline; the result's handovers are in time order.
+  NetworkResult run();
 
   // --- Resumable-step interface -------------------------------------
   /// Reset per-run state (link tallies, handover events) and size the
@@ -162,7 +166,7 @@ class Network {
   void step_tick(double t_s);
   /// Close every live session's availability ledger at the configured
   /// duration and aggregate reports. run() == begin + ticks + finish.
-  NetworkResult finish(sim::TelemetrySink* sink = nullptr);
+  NetworkResult finish();
 
   // --- Streaming session table --------------------------------------
   /// Add a session between ticks. `session_id` seeds its world/placement
@@ -227,7 +231,8 @@ class Network {
 /// scenarios "indoor_crowd" / "indoor_crowd_dense" (sparse indoor room
 /// plus a seed-derived crowd of crossing walkers). Idempotent; call it
 /// before parsing CLI flags or building NetworkSpecs that use them (the
-/// engine's builtin registration cannot see this library's statics).
+/// link layer's builtin registration cannot see this library's statics).
+/// sim::Engine::run calls it for every network campaign.
 void register_net_builtins();
 
 }  // namespace mmr::net

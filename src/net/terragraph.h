@@ -70,7 +70,6 @@ class TerragraphController final : public core::BeamController {
   int trainings() const { return trainings_; }
   int refinements() const { return refinements_; }
   int beam_switches() const { return switches_; }
-  std::size_t serving_index() const { return serving_index_; }
   const core::LinkStateMachine& machine() const { return sm_; }
   /// Airtime the link has spent unavailable to data so far [s].
   double training_airtime_s() const;

@@ -6,159 +6,20 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <set>
-#include <sstream>
-#include <stdexcept>
+#include <span>
 #include <thread>
 #include <utility>
 
-#include "baselines/oracle.h"
-#include "common/constants.h"
 #include "common/error.h"
-#include "core/delay_multibeam.h"
+#include "common/stats.h"
 #include "sim/journal.h"
 #include "sim/telemetry.h"
 #include "sim/workspace.h"
 
 namespace mmr::sim {
 namespace {
-
-[[noreturn]] void throw_unknown(const char* kind, const std::string& name,
-                                const std::vector<std::string>& registered) {
-  std::ostringstream msg;
-  msg << "unknown " << kind << " '" << name << "'; registered " << kind
-      << "s: ";
-  for (std::size_t i = 0; i < registered.size(); ++i) {
-    if (i > 0) msg << ", ";
-    msg << registered[i];
-  }
-  throw std::invalid_argument(msg.str());
-}
-
-void add_link_blockers(LinkWorld& world, channel::Vec2 link_tx,
-                       channel::Vec2 link_ue,
-                       const std::vector<BlockerSpec>& blockers) {
-  for (const BlockerSpec& b : blockers) {
-    world.add_blocker(crossing_blocker(link_tx, link_ue, b.crossing_time_s,
-                                       b.speed_mps, b.depth_db));
-  }
-}
-
-LinkWorld make_indoor(const ScenarioSpec& spec, bool force_sparse) {
-  ScenarioConfig config = spec.config;
-  if (force_sparse) config.sparse_room = true;
-  LinkWorld world = make_indoor_world(config, spec.ue_velocity,
-                                      spec.ue_rotation_rate_rad_s,
-                                      spec.ue_start);
-  add_link_blockers(world, kIndoorGnbPosition, spec.ue_start, spec.blockers);
-  return world;
-}
-
-// Reflection-poor space (Section 8 / IRS future work): the only surface is
-// a distant wooden wall whose reflection arrives too weak for training, so
-// the link is effectively single-path until an IRS panel is deployed.
-LinkWorld make_indoor_poor(const ScenarioSpec& spec) {
-  channel::Environment env(kCarrier28GHz);
-  env.add_wall({{{0.0, 0.0}, {10.0, 0.0}}, channel::Material::wood()});
-  const channel::Pose tx{kIndoorGnbPosition, 0.0};
-  auto traj = std::make_shared<channel::StaticPose>(
-      channel::Pose{spec.ue_start, kPi});
-  WorldConfig wc;
-  wc.spec = {kCarrier28GHz, kBandwidth400MHz, 64};
-  wc.budget = phy::LinkBudget::paper_indoor();
-  wc.budget.tx_power_dbm = spec.config.tx_power_dbm;
-  wc.tx_ula = {spec.config.tx_elements, 0.5};
-  LinkWorld world(std::move(env), tx, std::move(traj), wc,
-                  Rng(spec.config.seed));
-  if (spec.irs_gain_db > 0.0) {
-    channel::IrsPanel panel;
-    panel.position = spec.irs_position;
-    panel.gain_db = spec.irs_gain_db;
-    world.add_irs(panel);
-  }
-  add_link_blockers(world, kIndoorGnbPosition, spec.ue_start, spec.blockers);
-  return world;
-}
-
-LinkWorld make_outdoor(const ScenarioSpec& spec) {
-  LinkWorld world =
-      make_outdoor_world(spec.config, spec.link_distance_m, spec.ue_velocity);
-  add_link_blockers(world, {0.0, 0.0}, {spec.link_distance_m, 0.0},
-                    spec.blockers);
-  return world;
-}
-
-void register_builtin_scenarios(ScenarioRegistry& reg) {
-  reg.add("indoor",
-          [](const ScenarioSpec& s) { return make_indoor(s, false); });
-  reg.add("indoor_sparse",
-          [](const ScenarioSpec& s) { return make_indoor(s, true); });
-  reg.add("indoor_poor",
-          [](const ScenarioSpec& s) { return make_indoor_poor(s); });
-  reg.add("outdoor",
-          [](const ScenarioSpec& s) { return make_outdoor(s); });
-}
-
-void register_builtin_controllers(ControllerRegistry& reg) {
-  using Ptr = std::unique_ptr<core::BeamController>;
-  reg.add("mmreliable", [](const LinkWorld& w, const ScenarioConfig& c,
-                           const ControllerSpec& s) -> Ptr {
-    return make_mmreliable(w, c, s.max_beams);
-  });
-  // Fig. 17c's ablated controller: default maintenance training (not the
-  // scenario factory's widened separation) with the tracking and
-  // constructive-combining stages individually toggleable.
-  reg.add("mmreliable_ablation",
-          [](const LinkWorld& w, const ScenarioConfig& /*c*/,
-             const ControllerSpec& s) -> Ptr {
-            const array::Ula ula = w.config().tx_ula;
-            core::MaintenanceConfig mc;
-            mc.max_beams = s.max_beams;
-            mc.bandwidth_hz = w.config().spec.bandwidth_hz;
-            mc.outage_power_linear = w.power_for_snr(kOutageSnrDb);
-            mc.enable_tracking = s.enable_tracking;
-            mc.enable_cc_refresh = s.enable_cc_refresh;
-            return std::make_unique<core::MmReliableController>(
-                ula, sector_codebook(ula), mc);
-          });
-  reg.add("delay_multibeam", [](const LinkWorld& w, const ScenarioConfig& c,
-                                const ControllerSpec& s) -> Ptr {
-    const array::Ula ula = w.config().tx_ula;
-    core::DelayMultibeamConfig dc;
-    dc.carrier_hz = w.config().spec.carrier_hz;
-    dc.bandwidth_hz = w.config().spec.bandwidth_hz;
-    dc.max_beams = s.max_beams;
-    return std::make_unique<core::DelayMultibeamController>(
-        ula, sector_codebook(ula, c.codebook_size), dc);
-  });
-  reg.add("reactive", [](const LinkWorld& w, const ScenarioConfig& c,
-                         const ControllerSpec& /*s*/) -> Ptr {
-    return make_reactive(w, c);
-  });
-  // The paper's frozen single-beam comparison (Fig. 16): trains once and
-  // never reacts (outage threshold 0 disables retraining).
-  reg.add("single_frozen", [](const LinkWorld& w, const ScenarioConfig& /*c*/,
-                              const ControllerSpec& /*s*/) -> Ptr {
-    const array::Ula ula = w.config().tx_ula;
-    baselines::ReactiveConfig rc;
-    rc.outage_power_linear = 0.0;
-    return std::make_unique<baselines::ReactiveSingleBeam>(
-        ula, sector_codebook(ula), rc);
-  });
-  reg.add("beamspy", [](const LinkWorld& w, const ScenarioConfig& c,
-                        const ControllerSpec& /*s*/) -> Ptr {
-    return make_beamspy(w, c);
-  });
-  reg.add("widebeam", [](const LinkWorld& w, const ScenarioConfig& c,
-                         const ControllerSpec& /*s*/) -> Ptr {
-    return make_widebeam(w, c);
-  });
-  reg.add("oracle", [](const LinkWorld& w, const ScenarioConfig& /*c*/,
-                       const ControllerSpec& /*s*/) -> Ptr {
-    return std::make_unique<baselines::Oracle>(
-        [&w] { return w.true_per_antenna_channel(); });
-  });
-}
 
 // Wall-clock watchdog for --trial-timeout-s. Trials register a deadline
 // when they start and deregister on completion; a monitor thread warns on
@@ -242,60 +103,6 @@ class TrialWatchdog {
 
 }  // namespace
 
-template <>
-ScenarioRegistry& ScenarioRegistry::instance() {
-  static ScenarioRegistry* reg = [] {
-    auto* r = new ScenarioRegistry("scenario");
-    register_builtin_scenarios(*r);
-    return r;
-  }();
-  return *reg;
-}
-
-template <>
-ControllerRegistry& ControllerRegistry::instance() {
-  static ControllerRegistry* reg = [] {
-    auto* r = new ControllerRegistry("controller");
-    register_builtin_controllers(*r);
-    return r;
-  }();
-  return *reg;
-}
-
-template <typename Product, typename Spec, typename... Context>
-void Registry<Product, Spec, Context...>::add(const std::string& name,
-                                              Factory factory) {
-  MMR_EXPECTS(!name.empty());
-  MMR_EXPECTS(factory != nullptr);
-  factories_[name] = std::move(factory);
-}
-
-template <typename Product, typename Spec, typename... Context>
-bool Registry<Product, Spec, Context...>::contains(
-    const std::string& name) const {
-  return factories_.count(name) != 0;
-}
-
-template <typename Product, typename Spec, typename... Context>
-std::vector<std::string> Registry<Product, Spec, Context...>::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [name, factory] : factories_) out.push_back(name);
-  return out;
-}
-
-template <typename Product, typename Spec, typename... Context>
-auto Registry<Product, Spec, Context...>::at(const std::string& name) const
-    -> const Factory& {
-  const auto it = factories_.find(name);
-  if (it == factories_.end()) throw_unknown(kind_, name, names());
-  return it->second;
-}
-
-template class Registry<LinkWorld, ScenarioSpec>;
-template class Registry<std::unique_ptr<core::BeamController>, ControllerSpec,
-                        LinkWorld, ScenarioConfig>;
-
 EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink) {
   return run(spec, sink, EngineOptions{});
 }
@@ -313,6 +120,12 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
   // A shard worker may only checkpoint into its own shard's journal.
   MMR_EXPECTS(options.journal == nullptr ||
               options.journal->shard() == options.shard);
+  // A network trial yields per-link reports, not one tick series.
+  MMR_EXPECTS(!spec.network || !spec.record_samples);
+  if (spec.network) {
+    net::register_net_builtins();
+    spec.network->validate();
+  }
   const ScenarioRegistry& scenarios = ScenarioRegistry::instance();
   const ControllerRegistry& controllers = ControllerRegistry::instance();
   // Fail fast on the authored names; `customize` may rewrite them per
@@ -324,6 +137,7 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
   if (spec.label) result.labels.assign(spec.trials, "");
   if (spec.record_samples) result.samples.resize(spec.trials);
   result.fault_events.resize(spec.trials);
+  if (spec.network) result.networks.resize(spec.trials);
   // Per-trial RunConfigs survive the sweep so the sink replay can emit
   // faithful on_run_begin events (customize may vary them per trial).
   std::vector<RunConfig> run_configs(spec.trials);
@@ -351,8 +165,11 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
         // barrier; the runner would otherwise overwrite it with the
         // near-zero replay cost.)
         const JournalTrial& jt = it->second;
+        // The fingerprint keys network campaigns apart from link ones.
+        MMR_EXPECTS(jt.network.has_value() == spec.network.has_value());
         if (spec.label) result.labels[ctx.index] = jt.label;
         result.fault_events[ctx.index] = jt.faults;
+        if (spec.network) result.networks[ctx.index] = *jt.network;
         run_configs[ctx.index] = spec.run;
         return jt.summary;
       }
@@ -384,8 +201,9 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
         if (spec.customize) spec.customize(ctx, scenario, controller, rc);
         if (spec.label) result.labels[ctx.index] = spec.label(ctx);
         // A live plan with seed 0 gets a per-trial stream decoupled from
-        // the world seed, so jobs=K stays bit-identical to jobs=1.
-        if (rc.faults.enabled() && rc.faults.seed == 0) {
+        // the world seed, so jobs=K stays bit-identical to jobs=1. (A
+        // network seeds its links' plans itself.)
+        if (!spec.network && rc.faults.enabled() && rc.faults.seed == 0) {
           rc.faults.seed =
               Rng::derive_stream_seed(ctx.stream_seed, kFaultSeedStream);
         }
@@ -393,20 +211,29 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
 
         const auto start = std::chrono::steady_clock::now();
         const double cpu_start = thread_cpu_now_s();
-        LinkWorld world = scenarios.make(scenario);
-        world.bind_workspace(&workspace);
-        const std::unique_ptr<core::BeamController> ctrl =
-            controllers.make(world, scenario.config, controller);
-        RunResult rr = run_experiment(world, *ctrl, rc);
+        if (spec.network) {
+          net::NetworkSpec network_spec{*spec.network, scenario, controller,
+                                        rc};
+          net::Network network(network_spec, scenario.config.seed,
+                               &workspace);
+          result.networks[ctx.index] = network.run();
+          summary = result.networks[ctx.index].network;
+        } else {
+          LinkWorld world = scenarios.make(scenario);
+          world.bind_workspace(&workspace);
+          const std::unique_ptr<core::BeamController> ctrl =
+              controllers.make(world, scenario.config, controller);
+          RunResult rr = run_experiment(world, *ctrl, rc);
+          if (spec.record_samples) {
+            result.samples[ctx.index] = std::move(rr.samples);
+          }
+          result.fault_events[ctx.index] = std::move(rr.fault_events);
+          summary = rr.summary;
+        }
         cpu_s = thread_cpu_now_s() - cpu_start;
         wall_s = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - start)
                      .count();
-        if (spec.record_samples) {
-          result.samples[ctx.index] = std::move(rr.samples);
-        }
-        result.fault_events[ctx.index] = std::move(rr.fault_events);
-        summary = rr.summary;
         succeeded = true;
       } catch (const std::exception& e) {
         last_error = e.what();
@@ -439,6 +266,7 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
       if (spec.label) jt.label = result.labels[ctx.index];
       jt.summary = summary;
       jt.faults = result.fault_events[ctx.index];
+      if (spec.network) jt.network = result.networks[ctx.index];
       options.journal->record(jt);
     }
     return summary;
@@ -508,6 +336,14 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
       for (const core::FaultEvent& ev : result.fault_events[i]) {
         sink->on_fault(ev);
       }
+      if (spec.network) {
+        for (const net::LinkReport& link : result.networks[i].links) {
+          for (const core::FaultEvent& ev : link.faults) sink->on_fault(ev);
+        }
+        for (const core::HandoverEvent& ev : result.networks[i].handovers) {
+          sink->on_handover(ev);
+        }
+      }
       if (next_failure < result.failures.size() &&
           result.failures[next_failure].index == i) {
         sink->on_trial_failure(result.failures[next_failure]);
@@ -524,6 +360,73 @@ EngineResult Engine::run(const ExperimentSpec& spec, TelemetrySink* sink,
     sink->on_sweep(record);
   }
   return result;
+}
+
+namespace {
+
+void write_cdf(std::ostream& os, const char* key,
+               std::span<const double> values) {
+  os << "\"" << key << "\": [";
+  for (int p = 0; p <= 100; p += 5) {
+    if (p != 0) os << ", ";
+    os << percentile(values, static_cast<double>(p));
+  }
+  os << "]";
+}
+
+}  // namespace
+
+void write_network_json(std::ostream& os, const ExperimentSpec& spec,
+                        const EngineResult& result) {
+  MMR_EXPECTS(spec.network.has_value());
+  MMR_EXPECTS(!result.networks.empty());
+  const net::NetworkLayout& layout = *spec.network;
+  const double duration_s = spec.run.duration_s;
+  std::vector<double> availability;
+  std::vector<double> reliability;
+  std::vector<double> throughput;
+  availability.reserve(result.networks.size() * layout.num_links());
+  reliability.reserve(availability.capacity());
+  throughput.reserve(availability.capacity());
+  double mean_availability = 0.0;
+  std::size_t handovers_total = 0;
+  for (const net::NetworkResult& detail : result.networks) {
+    for (const net::LinkReport& link : detail.links) {
+      availability.push_back(link.availability(duration_s));
+      reliability.push_back(link.summary.reliability);
+      throughput.push_back(link.summary.mean_throughput_bps);
+      handovers_total += link.handovers;
+    }
+  }
+  for (const double a : availability) {
+    mean_availability += a / static_cast<double>(availability.size());
+  }
+
+  const auto flags = os.flags();
+  const auto precision = os.precision();
+  os.precision(10);
+  os << "{\"bench\": \"" << spec.name << "\", \"network\": {"
+     << "\"cells\": " << layout.num_cells
+     << ", \"ues_per_cell\": " << layout.ues_per_cell
+     << ", \"links\": " << layout.num_links()
+     << ", \"trials\": " << spec.trials << ", \"jobs\": " << spec.jobs
+     << ", \"seed\": " << spec.seed << ", \"controller\": \""
+     << spec.controller.name << "\", \"scenario\": \""
+     << spec.scenario.name << "\", \"duration_s\": " << duration_s
+     << "}, \"aggregate\": {"
+     << "\"mean_availability\": " << mean_availability
+     << ", \"mean_reliability\": " << result.aggregate.mean_reliability
+     << ", \"mean_throughput_bps\": "
+     << result.aggregate.mean_throughput_bps
+     << ", \"handovers_total\": " << handovers_total << "}, \"cdf\": {";
+  write_cdf(os, "availability", availability);
+  os << ", ";
+  write_cdf(os, "reliability", reliability);
+  os << ", ";
+  write_cdf(os, "throughput_bps", throughput);
+  os << "}}\n";
+  os.precision(precision);
+  os.flags(flags);
 }
 
 }  // namespace mmr::sim

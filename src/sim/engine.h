@@ -3,16 +3,13 @@
 // The benches all share one shape -- build a world from a named scenario,
 // build a controller from a named scheme, sweep trials deterministically,
 // aggregate, emit one JSON record -- but each used to hand-roll it. The
-// engine makes that shape declarative:
-//
-//   * ScenarioRegistry maps a name ("indoor", "indoor_sparse", "outdoor",
-//     "indoor_poor") + a ScenarioSpec to a LinkWorld;
-//   * ControllerRegistry maps a name ("mmreliable", "delay_multibeam",
-//     "reactive", "single_frozen", "beamspy", "widebeam", "oracle",
-//     "mmreliable_ablation") + a ControllerSpec to a BeamController;
-//   * ExperimentSpec names both, adds the RunConfig and sweep shape
-//     (trials/jobs/seed), and Engine::run() evaluates it on the
-//     deterministic SweepRunner, streaming results to a TelemetrySink.
+// engine makes that shape declarative: an ExperimentSpec names a
+// registered scenario and controller (sim/registry.h), adds the RunConfig
+// and sweep shape (trials/jobs/seed), and Engine::run() evaluates it on
+// the deterministic SweepRunner, streaming results to a TelemetrySink.
+// A spec with a `network` layout runs each trial as a multi-cell
+// net::Network built from the same scenario, controller and run, through
+// the same sweep, journal, retry, watchdog and shard machinery.
 //
 // Determinism contract (inherited from sim/sweep.h): for a fixed
 // ExperimentSpec, jobs=K is bit-identical to jobs=1; sink events are
@@ -21,107 +18,22 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/controller_base.h"
+#include "net/network.h"
+#include "sim/registry.h"
 #include "sim/runner.h"
-#include "sim/scenario.h"
 #include "sim/shard.h"
 #include "sim/sweep.h"
-#include "sim/world.h"
 
 namespace mmr::sim {
 
 class CampaignJournal;
 class TelemetrySink;
-
-/// A walking blocker crossing the scenario's link line.
-struct BlockerSpec {
-  double crossing_time_s = 0.5;
-  double speed_mps = 1.0;
-  double depth_db = 26.0;
-};
-
-/// Declarative scenario: a registered name plus every knob the built-in
-/// world factories expose. Fields a given scenario does not use are
-/// ignored (e.g. link_distance_m indoors, ue_rotation outdoors).
-struct ScenarioSpec {
-  std::string name = "indoor";
-  ScenarioConfig config;
-
-  // Indoor knobs (make_indoor_world).
-  channel::Vec2 ue_velocity{0.0, 0.0};
-  double ue_rotation_rate_rad_s = 0.0;
-  channel::Vec2 ue_start{7.0, 6.2};
-
-  // Outdoor knobs (make_outdoor_world).
-  double link_distance_m = 40.0;
-
-  // indoor_poor knobs: a reflection-poor wooden room; an IRS panel is
-  // deployed when irs_gain_db > 0 (Section 8 future work).
-  double irs_gain_db = 0.0;
-  channel::Vec2 irs_position{3.75, 5.0};
-
-  /// Crossing blockers added after world construction, in order.
-  std::vector<BlockerSpec> blockers;
-};
-
-/// Declarative controller: a registered name plus the shared knobs the
-/// built-in factories consume.
-struct ControllerSpec {
-  std::string name = "mmreliable";
-  std::size_t max_beams = 2;
-  // mmreliable_ablation only (Fig. 17c): stage toggles.
-  bool enable_tracking = true;
-  bool enable_cc_refresh = true;
-};
-
-/// String-keyed factory registry: make() builds a Product from the
-/// factory registered under spec.name, passing it the Context arguments
-/// and the spec. Unknown names throw std::invalid_argument whose message
-/// lists every registered name.
-template <typename Product, typename Spec, typename... Context>
-class Registry {
- public:
-  using Factory = std::function<Product(const Context&..., const Spec&)>;
-
-  /// Process-wide registry, pre-populated with the built-in factories.
-  static Registry& instance();
-
-  void add(const std::string& name, Factory factory);
-  bool contains(const std::string& name) const;
-  /// Registered names in lexicographic order.
-  std::vector<std::string> names() const;
-  /// The factory registered under `name` (throws if there is none).
-  const Factory& at(const std::string& name) const;
-  Product make(const Context&... context, const Spec& spec) const {
-    return at(spec.name)(context..., spec);
-  }
-
- private:
-  /// What the registry builds ("scenario", "controller"): the error text.
-  explicit Registry(const char* kind) : kind_(kind) {}
-
-  const char* kind_;
-  std::map<std::string, Factory> factories_;
-};
-
-/// Scenario name -> LinkWorld.
-using ScenarioRegistry = Registry<LinkWorld, ScenarioSpec>;
-/// Controller name -> BeamController. The world reference passed to make()
-/// must outlive the returned controller (factories derive outage
-/// thresholds from it, and the oracle holds a reference).
-using ControllerRegistry =
-    Registry<std::unique_ptr<core::BeamController>, ControllerSpec,
-             LinkWorld, ScenarioConfig>;
-
-template <>
-ScenarioRegistry& ScenarioRegistry::instance();
-template <>
-ControllerRegistry& ControllerRegistry::instance();
 
 /// How each trial's world seed is derived.
 enum class SeedPolicy {
@@ -157,6 +69,13 @@ struct ExperimentSpec {
       customize;
   /// Optional per-trial label for the JSON record.
   std::function<std::string(const TrialContext& ctx)> label;
+
+  /// When set, every trial is a multi-cell network: this layout plus the
+  /// trial's scenario, controller and run (after the seed policy and
+  /// `customize`) as the per-link template, seeded from
+  /// scenario.config.seed. The trial's summary is the network aggregate.
+  /// Cannot record per-tick samples.
+  std::optional<net::NetworkLayout> network;
 };
 
 /// Durable-execution knobs for Engine::run. The defaults reproduce the
@@ -165,7 +84,8 @@ struct ExperimentSpec {
 struct EngineOptions {
   /// Checkpoint journal (sim/journal.h). Trials found in
   /// journal->completed() are REPLAYED -- summary, wall/cpu time, label,
-  /// and fault events restored bit-exactly, the trial body never runs --
+  /// fault events and a network trial's links and handovers restored
+  /// bit-exactly, the trial body never runs --
   /// and every freshly completed trial is appended + fsync'd. Replay of
   /// per-tick samples is not supported: combining a journal with
   /// spec.record_samples throws (MMR_EXPECTS).
@@ -206,8 +126,12 @@ struct EngineResult {
   /// Per-trial sample series; empty unless spec.record_samples.
   std::vector<std::vector<core::LinkSample>> samples;
   /// Per-trial fault events (empty vectors when the trial's FaultPlan is
-  /// disabled); one entry per trial.
+  /// disabled); one entry per trial. A network trial keeps its faults per
+  /// link in `networks` and leaves its entry here empty.
   std::vector<std::vector<core::FaultEvent>> fault_events;
+  /// Per-trial network outcomes (per-link reports and handovers); empty
+  /// unless spec.network is set.
+  std::vector<net::NetworkResult> networks;
   /// Per-trial labels; empty unless spec.label is set.
   std::vector<std::string> labels;
   /// Quarantined / watchdog-flagged trials in index order (durable mode
@@ -228,14 +152,16 @@ class Engine {
   /// Run the campaign. When `sink` is non-null it receives, after the
   /// sweep barrier and in trial-index order: per-trial run events
   /// (on_run_begin/on_sample... when record_samples, then any on_fault
-  /// events, then on_trial_failure for a quarantined/flagged trial, then
-  /// on_run_end) followed by one on_sweep record.
+  /// events -- a network trial's link by link -- then a network trial's
+  /// on_handover events, then on_trial_failure for a quarantined/flagged
+  /// trial, then on_run_end) followed by one on_sweep record.
   ///
   /// Fault seeding: when spec.run.faults is enabled and its seed is left
-  /// at 0 after `customize`, each trial derives an independent fault
+  /// at 0 after `customize`, each link trial derives an independent fault
   /// stream via Rng::derive_stream_seed(ctx.stream_seed, kFaultSeedStream)
   /// so fault draws are decoupled from the world's randomness and stable
-  /// across jobs counts.
+  /// across jobs counts. A network trial leaves the seed to the network,
+  /// whose link 0 derives the same stream and links k > 0 their own.
   EngineResult run(const ExperimentSpec& spec, TelemetrySink* sink = nullptr);
 
   /// Durable variant: checkpoint/resume via options.journal, per-trial
@@ -244,5 +170,15 @@ class Engine {
   EngineResult run(const ExperimentSpec& spec, TelemetrySink* sink,
                    const EngineOptions& options);
 };
+
+/// Emit a network campaign's record as one JSON line (fixed precision 10,
+/// keys in fixed order -- byte-stable for identical results): campaign
+/// shape, aggregate means (availability from the state-machine ledger,
+/// reliability/throughput from the sweep aggregate, total handovers), and
+/// 21-point percentile CDFs (p0, p5, ..., p100) over every (trial, link)
+/// pair for availability, reliability, and throughput. Requires
+/// spec.network and one network outcome per trial.
+void write_network_json(std::ostream& os, const ExperimentSpec& spec,
+                        const EngineResult& result);
 
 }  // namespace mmr::sim

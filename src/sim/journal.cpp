@@ -39,6 +39,28 @@ std::string bits_of(double v) {
   return hex_of(std::bit_cast<std::uint64_t>(v));
 }
 
+/// `"summary_bits": [...], "num_samples": N` (get_summary reads it).
+void put_summary(std::ostream& os, const core::LinkSummary& s) {
+  os << "\"summary_bits\": [\"" << bits_of(s.reliability) << "\", \""
+     << bits_of(s.mean_throughput_bps) << "\", \""
+     << bits_of(s.mean_spectral_efficiency) << "\", \""
+     << bits_of(s.throughput_reliability_product)
+     << "\"], \"num_samples\": " << s.num_samples;
+}
+
+/// `"faults": [...]` (get_faults reads it).
+void put_faults(std::ostream& os, const std::vector<core::FaultEvent>& faults) {
+  os << "\"faults\": [";
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const core::FaultEvent& ev = faults[i];
+    if (i > 0) os << ", ";
+    os << "{\"kind\": \"" << core::to_string(ev.kind) << "\", \"t_bits\": \""
+       << bits_of(ev.t_s) << "\", \"beam\": " << ev.beam
+       << ", \"value_bits\": \"" << bits_of(ev.value) << "\"}";
+  }
+  os << "]";
+}
+
 const char* seed_policy_name(SeedPolicy policy) {
   return policy == SeedPolicy::kFixed ? "fixed" : "per_trial_stream";
 }
@@ -147,6 +169,129 @@ bool parse_fault_kind(const std::string& name, core::FaultEventKind& out) {
   return false;
 }
 
+bool parse_link_state(const std::string& name, core::LinkState& out) {
+  using S = core::LinkState;
+  for (S state : {S::kDown, S::kAcquisition, S::kUp, S::kUnstable}) {
+    if (name == core::to_string(state)) {
+      out = state;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// `"summary_bits": [...], "num_samples": N` -- a trial's and a network
+/// link's summary alike.
+bool get_summary(Cursor& c, core::LinkSummary& out) {
+  std::uint64_t num_samples = 0;
+  c.lit("\"summary_bits\": [");
+  c.bits(out.reliability);
+  c.lit(", ");
+  c.bits(out.mean_throughput_bps);
+  c.lit(", ");
+  c.bits(out.mean_spectral_efficiency);
+  c.lit(", ");
+  c.bits(out.throughput_reliability_product);
+  c.lit("], \"num_samples\": ");
+  c.u64(num_samples);
+  out.num_samples = static_cast<std::size_t>(num_samples);
+  return c.ok;
+}
+
+/// `"faults": [...]` -- a trial's and a network link's fault events.
+bool get_faults(Cursor& c, std::vector<core::FaultEvent>& out) {
+  c.lit("\"faults\": [");
+  out.clear();
+  if (c.ok && c.pos < c.s.size() && c.s[c.pos] != ']') {
+    while (c.ok) {
+      core::FaultEvent ev;
+      std::string kind;
+      std::uint64_t beam = 0;
+      c.lit("{\"kind\": ");
+      c.quoted(kind);
+      c.lit(", \"t_bits\": ");
+      c.bits(ev.t_s);
+      c.lit(", \"beam\": ");
+      c.u64(beam);
+      c.lit(", \"value_bits\": ");
+      c.bits(ev.value);
+      c.lit("}");
+      if (!c.ok || !parse_fault_kind(kind, ev.kind)) return c.ok = false;
+      ev.beam = static_cast<std::size_t>(beam);
+      out.push_back(ev);
+      if (c.pos < c.s.size() && c.s[c.pos] == ',') {
+        c.lit(", ");
+        continue;
+      }
+      break;
+    }
+  }
+  return c.lit("]");
+}
+
+/// `"network": {"links": [...], "handovers": [...]}` of a network trial.
+bool get_network(Cursor& c, net::NetworkResult& out) {
+  c.lit("\"network\": {\"links\": [");
+  while (c.ok && c.pos < c.s.size() && c.s[c.pos] != ']') {
+    if (!out.links.empty()) c.lit(", ");
+    net::LinkReport link;
+    std::uint64_t index = 0, serving_cell = 0, handovers = 0;
+    std::string state;
+    c.lit("{\"link\": ");
+    c.u64(index);
+    c.lit(", \"serving_cell\": ");
+    c.u64(serving_cell);
+    c.lit(", \"handovers\": ");
+    c.u64(handovers);
+    c.lit(", \"state_time_bits\": [");
+    c.bits(link.time_down_s);
+    c.lit(", ");
+    c.bits(link.time_acquisition_s);
+    c.lit(", ");
+    c.bits(link.time_up_s);
+    c.lit(", ");
+    c.bits(link.time_unstable_s);
+    c.lit("], \"final_state\": ");
+    c.quoted(state);
+    c.lit(", ");
+    get_summary(c, link.summary);
+    c.lit(", ");
+    get_faults(c, link.faults);
+    c.lit("}");
+    if (!c.ok || !parse_link_state(state, link.final_state)) {
+      return c.ok = false;
+    }
+    link.link = static_cast<std::size_t>(index);
+    link.serving_cell = static_cast<std::size_t>(serving_cell);
+    link.handovers = static_cast<std::size_t>(handovers);
+    out.links.push_back(std::move(link));
+  }
+  c.lit("], \"handovers\": [");
+  while (c.ok && c.pos < c.s.size() && c.s[c.pos] != ']') {
+    if (!out.handovers.empty()) c.lit(", ");
+    core::HandoverEvent ev;
+    std::uint64_t link = 0, from_cell = 0, to_cell = 0;
+    c.lit("{\"t_bits\": ");
+    c.bits(ev.t_s);
+    c.lit(", \"link\": ");
+    c.u64(link);
+    c.lit(", \"from_cell\": ");
+    c.u64(from_cell);
+    c.lit(", \"to_cell\": ");
+    c.u64(to_cell);
+    c.lit(", \"rsrp_from_bits\": ");
+    c.bits(ev.rsrp_from_db);
+    c.lit(", \"rsrp_to_bits\": ");
+    c.bits(ev.rsrp_to_db);
+    c.lit("}");
+    ev.link = static_cast<std::size_t>(link);
+    ev.from_cell = static_cast<std::size_t>(from_cell);
+    ev.to_cell = static_cast<std::size_t>(to_cell);
+    out.handovers.push_back(ev);
+  }
+  return c.lit("]}");
+}
+
 bool parse_header_line(const std::string& line, CampaignKey& out,
                        ShardPlan& shard) {
   Cursor c{line};
@@ -195,7 +340,7 @@ bool parse_header_line(const std::string& line, CampaignKey& out,
 
 bool parse_trial_line(const std::string& line, JournalTrial& out) {
   Cursor c{line};
-  std::uint64_t index = 0, num_samples = 0;
+  std::uint64_t index = 0;
   c.lit("{\"trial\": {\"index\": ");
   c.u64(index);
   c.lit(", \"wall_bits\": ");
@@ -204,46 +349,20 @@ bool parse_trial_line(const std::string& line, JournalTrial& out) {
   c.bits(out.cpu_s);
   c.lit(", \"label\": ");
   c.quoted(out.label);
-  c.lit(", \"summary_bits\": [");
-  c.bits(out.summary.reliability);
   c.lit(", ");
-  c.bits(out.summary.mean_throughput_bps);
+  get_summary(c, out.summary);
   c.lit(", ");
-  c.bits(out.summary.mean_spectral_efficiency);
-  c.lit(", ");
-  c.bits(out.summary.throughput_reliability_product);
-  c.lit("], \"num_samples\": ");
-  c.u64(num_samples);
-  c.lit(", \"faults\": [");
-  out.faults.clear();
-  if (c.ok && c.pos < line.size() && line[c.pos] != ']') {
-    while (c.ok) {
-      core::FaultEvent ev;
-      std::string kind;
-      std::uint64_t beam = 0;
-      c.lit("{\"kind\": ");
-      c.quoted(kind);
-      c.lit(", \"t_bits\": ");
-      c.bits(ev.t_s);
-      c.lit(", \"beam\": ");
-      c.u64(beam);
-      c.lit(", \"value_bits\": ");
-      c.bits(ev.value);
-      c.lit("}");
-      if (!c.ok || !parse_fault_kind(kind, ev.kind)) return false;
-      ev.beam = static_cast<std::size_t>(beam);
-      out.faults.push_back(ev);
-      if (c.pos < line.size() && line[c.pos] == ',') {
-        c.lit(", ");
-        continue;
-      }
-      break;
-    }
+  get_faults(c, out.faults);
+  out.network.reset();
+  if (c.ok && c.pos < line.size() && line[c.pos] == ',') {
+    // A network trial: its aggregate is the trial summary.
+    c.lit(", ");
+    get_network(c, out.network.emplace());
+    out.network->network = out.summary;
   }
-  c.lit("]}}");
+  c.lit("}}");
   if (!c.done()) return false;
   out.index = static_cast<std::size_t>(index);
-  out.summary.num_samples = static_cast<std::size_t>(num_samples);
   return true;
 }
 
@@ -318,20 +437,41 @@ std::string journal_trial_line(const JournalTrial& t) {
   os << "{\"trial\": {\"index\": " << t.index << ", \"wall_bits\": "
      << "\"" << bits_of(t.wall_s) << "\", \"cpu_bits\": \""
      << bits_of(t.cpu_s) << "\", \"label\": \"" << json_escape(t.label)
-     << "\", \"summary_bits\": [\"" << bits_of(t.summary.reliability)
-     << "\", \"" << bits_of(t.summary.mean_throughput_bps) << "\", \""
-     << bits_of(t.summary.mean_spectral_efficiency) << "\", \""
-     << bits_of(t.summary.throughput_reliability_product)
-     << "\"], \"num_samples\": " << t.summary.num_samples
-     << ", \"faults\": [";
-  for (std::size_t i = 0; i < t.faults.size(); ++i) {
-    const core::FaultEvent& ev = t.faults[i];
-    if (i > 0) os << ", ";
-    os << "{\"kind\": \"" << core::to_string(ev.kind) << "\", \"t_bits\": \""
-       << bits_of(ev.t_s) << "\", \"beam\": " << ev.beam
-       << ", \"value_bits\": \"" << bits_of(ev.value) << "\"}";
+     << "\", ";
+  put_summary(os, t.summary);
+  os << ", ";
+  put_faults(os, t.faults);
+  if (t.network.has_value()) {
+    os << ", \"network\": {\"links\": [";
+    for (std::size_t i = 0; i < t.network->links.size(); ++i) {
+      const net::LinkReport& link = t.network->links[i];
+      if (i > 0) os << ", ";
+      os << "{\"link\": " << link.link
+         << ", \"serving_cell\": " << link.serving_cell
+         << ", \"handovers\": " << link.handovers
+         << ", \"state_time_bits\": [\"" << bits_of(link.time_down_s)
+         << "\", \"" << bits_of(link.time_acquisition_s) << "\", \""
+         << bits_of(link.time_up_s) << "\", \""
+         << bits_of(link.time_unstable_s) << "\"], \"final_state\": \""
+         << core::to_string(link.final_state) << "\", ";
+      put_summary(os, link.summary);
+      os << ", ";
+      put_faults(os, link.faults);
+      os << "}";
+    }
+    os << "], \"handovers\": [";
+    for (std::size_t i = 0; i < t.network->handovers.size(); ++i) {
+      const core::HandoverEvent& ev = t.network->handovers[i];
+      if (i > 0) os << ", ";
+      os << "{\"t_bits\": \"" << bits_of(ev.t_s) << "\", \"link\": "
+         << ev.link << ", \"from_cell\": " << ev.from_cell
+         << ", \"to_cell\": " << ev.to_cell << ", \"rsrp_from_bits\": \""
+         << bits_of(ev.rsrp_from_db) << "\", \"rsrp_to_bits\": \""
+         << bits_of(ev.rsrp_to_db) << "\"}";
+    }
+    os << "]}";
   }
-  os << "]}}\n";
+  os << "}}\n";
   return os.str();
 }
 
@@ -392,6 +532,23 @@ std::uint64_t fingerprint_spec(const ExperimentSpec& spec) {
   f.u64(spec.seed);
   f.u64(spec.seed_policy == SeedPolicy::kFixed ? 1 : 0);
   f.u64(spec.record_samples ? 1 : 0);
+  if (spec.network.has_value()) {
+    const net::NetworkLayout& n = *spec.network;
+    f.str("network");
+    f.u64(n.num_cells);
+    f.u64(n.ues_per_cell);
+    f.f64(n.cell_spacing_m);
+    f.f64(n.link_state.min_up_dwell_s);
+    f.f64(n.link_state.max_unstable_s);
+    f.f64(n.link_state.max_acquisition_s);
+    f.u64(n.handover.enabled ? 1 : 0);
+    f.f64(n.handover.hysteresis_db);
+    f.f64(n.handover.time_to_trigger_s);
+    f.f64(n.handover.min_interval_s);
+    f.u64(n.interference.enabled ? 1 : 0);
+    f.f64(n.interference.coupling_loss_db);
+    f.f64(n.ue_placement_jitter_m);
+  }
   return f.h;
 }
 

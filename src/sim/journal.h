@@ -5,8 +5,9 @@
 // policy, and a fingerprint of every config scalar), followed by one line
 // per COMPLETED trial, appended and fsync'd as trials finish. Because
 // every trial's randomness derives purely from (base_seed, index), a
-// journaled trial can be replayed -- summary, timing, label, and fault
-// events restored bit-exactly -- instead of re-run, so a campaign killed
+// journaled trial can be replayed -- summary, timing, label, fault events
+// and, for a network trial, every link's report and every handover
+// restored bit-exactly -- instead of re-run, so a campaign killed
 // at any point resumes by re-running only the missing indices and emits
 // output byte-identical to an uninterrupted run.
 //
@@ -66,6 +67,9 @@
 namespace mmr::sim {
 
 /// One completed trial as persisted in (and replayed from) the journal.
+/// A network trial's record also carries its per-link reports and
+/// handovers (`network`, whose aggregate is `summary`); its faults live
+/// with its links, so its own `faults` stay empty.
 struct JournalTrial {
   std::size_t index = 0;
   double wall_s = 0.0;
@@ -73,6 +77,7 @@ struct JournalTrial {
   std::string label;
   core::LinkSummary summary;
   std::vector<core::FaultEvent> faults;
+  std::optional<net::NetworkResult> network;
 };
 
 /// Identity of a campaign: the journal refuses to resume under any other.
@@ -87,7 +92,9 @@ struct CampaignKey {
 
 /// FNV-1a over a canonical serialization of the spec's declarative state:
 /// scenario (name + every knob), controller (name + knobs), RunConfig
-/// (incl. the full FaultPlan), trials/seed/seed_policy/record_samples.
+/// (incl. the full FaultPlan), trials/seed/seed_policy/record_samples,
+/// and, for a network campaign only, every NetworkLayout field (so a link
+/// campaign's fingerprint is the one it had before networks existed).
 /// The `customize`/`label` hooks cannot be fingerprinted -- they are
 /// assumed stable for the same binary and flags (documented in DESIGN.md).
 std::uint64_t fingerprint_spec(const ExperimentSpec& spec);

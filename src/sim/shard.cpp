@@ -6,8 +6,8 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -261,9 +261,10 @@ std::string lease_content(const std::string& host, long pid,
          std::to_string(renewals) + "\n";
 }
 
+/// The lease at `path`; nullopt when it is gone or does not parse. A
+/// lease that exists but cannot be read throws IoError naming it.
 std::optional<LeaseInfo> read_lease(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
+  std::istringstream in(fsio::read_file_if_exists(path).value_or(""));
   LeaseInfo info;
   std::string key;
   if (!(in >> key) || key != "host" || !(in >> info.host)) return std::nullopt;
@@ -300,21 +301,20 @@ void ShardQueue::init(const std::string& dir, std::size_t count) {
     fsio::make_dir(dir + sub, 0777);
   }
   // A queue is permanently bound to its shard count: mixing counts would
-  // mix ownership partitions.
+  // mix ownership partitions. Only a missing (or empty) count is stamped:
+  // one that cannot be read throws IoError rather than being replaced.
   const std::string meta = join(dir, "shard-count");
-  {
-    std::ifstream in(meta);
-    std::string text;
-    if (in >> text) {
-      std::size_t existing = 0;
-      if (!mmr::parse_size(text.c_str(), existing) || existing != count) {
-        throw std::runtime_error(
-            "shard queue '" + dir + "' was initialized for " + text +
-            " shards; refusing to re-initialize for " +
-            std::to_string(count));
-      }
-    } else {
-      AtomicFile::write(meta, std::to_string(count) + "\n");
+  std::string text;
+  std::istringstream(fsio::read_file_if_exists(meta).value_or("")) >> text;
+  if (text.empty()) {
+    AtomicFile::write(meta, std::to_string(count) + "\n");
+  } else {
+    std::size_t existing = 0;
+    if (!mmr::parse_size(text.c_str(), existing) || existing != count) {
+      throw std::runtime_error("shard queue '" + dir +
+                               "' was initialized for " + text +
+                               " shards; refusing to re-initialize for " +
+                               std::to_string(count));
     }
   }
   for (std::size_t i = 0; i < count; ++i) {

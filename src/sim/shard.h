@@ -163,7 +163,8 @@ class ShardQueue {
   /// Create the queue layout under `dir` (made if missing) and offer one
   /// ticket per shard of `count`. Idempotent and concurrency-safe: any
   /// number of workers may race init() with the same count; a different
-  /// count for an existing queue throws.
+  /// count for an existing queue throws, and so does a count file that
+  /// exists but cannot be read (IoError), which is never re-stamped.
   static void init(const std::string& dir, std::size_t count);
 
   /// Claim the lowest-numbered claimable shard ticket, or std::nullopt

@@ -1,10 +1,11 @@
 // The distributed contract, proven with real processes: N forked shard
 // workers each run their slice of a campaign through the bench CLI
 // helpers, the parent merges the shard journals, and the merged
-// --json-out bytes must be IDENTICAL to the 1-process run -- including
-// after a worker is SIGKILLed mid-shard and its shard resumed, and when
-// a trial deterministically quarantines inside one shard. Timing is
-// frozen everywhere (wall-clock can never reproduce).
+// --json-out bytes (and a network campaign's network record) must be
+// IDENTICAL to the 1-process run -- including after a worker is
+// SIGKILLed mid-shard and its shard resumed, and when a trial
+// deterministically quarantines inside one shard. Timing is frozen
+// everywhere (wall-clock can never reproduce).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -80,6 +81,40 @@ sim::ExperimentSpec fig18_like_spec() {
   return spec;
 }
 
+/// A small network campaign: 2 cells x 2 UEs with faults on, and cells
+/// close enough that a UE hands over, so the merge has to carry every
+/// link's report and fault stream and the handovers.
+sim::ExperimentSpec network_spec() {
+  sim::ExperimentSpec spec;
+  spec.name = "dist_network_demo";
+  spec.scenario.name = "indoor_crowd";
+  spec.scenario.config.tx_power_dbm = 14.0;
+  spec.scenario.ue_velocity = {1.0, 0.0};
+  spec.controller.name = "mmreliable";
+  spec.run.duration_s = 0.08;
+  spec.run.faults.probe_drop_prob = 0.2;
+  spec.trials = 6;
+  spec.jobs = 1;
+  spec.seed = 26;
+  net::NetworkLayout layout;
+  layout.num_cells = 2;
+  layout.ues_per_cell = 2;
+  layout.cell_spacing_m = 12.0;
+  spec.network = layout;
+  return spec;
+}
+
+/// A finished campaign's outputs: its --json-out bytes, then its network
+/// record for a network campaign.
+std::string outputs(const sim::ExperimentSpec& spec,
+                    const sim::EngineResult& result,
+                    const std::string& json_out) {
+  std::ostringstream os;
+  os << read_all(json_out);
+  if (spec.network) sim::write_network_json(os, spec, result);
+  return os.str();
+}
+
 /// Run one shard worker in a forked child; returns its pid.
 pid_t fork_worker(const sim::ExperimentSpec& spec, const std::string& base,
                   const sim::ShardPlan& plan) {
@@ -123,52 +158,59 @@ class DistributedCampaignTest : public ::testing::Test {
     (void)std::system(cmd.c_str());
   }
 
-  /// 1-process journaled reference run; returns its --json-out bytes.
+  /// 1-process journaled reference run; returns its outputs.
   std::string reference_json(const sim::ExperimentSpec& spec) {
     bench::SweepCliOptions opts;
     opts.resume = dir_ + "/ref";
-    opts.json_out = dir_ + "/ref.json";
+    opts.json_out = dir_ + "/" + spec.name + ".ref.json";
     opts.freeze_timing = true;
-    (void)bench::run_campaign(spec, opts);
-    return read_all(dir_ + "/ref.json");
+    const sim::EngineResult r = bench::run_campaign(spec, opts);
+    return outputs(spec, r, opts.json_out);
   }
 
-  /// Merge the shard journals under `base` and return the --json-out
-  /// bytes of the merged replay.
+  /// Merge the shard journals under `base` and return the outputs of the
+  /// merged replay.
   std::string merge_json(const sim::ExperimentSpec& spec,
-                         const std::string& base, const char* out_name) {
+                         const std::string& base,
+                         const std::string& out_name) {
     bench::SweepCliOptions opts;
     opts.merge = base;
     opts.json_out = dir_ + "/" + out_name;
     opts.freeze_timing = true;
     const sim::EngineResult r = bench::run_campaign(spec, opts);
     EXPECT_EQ(r.trials.size(), spec.trials);
-    return read_all(dir_ + "/" + out_name);
+    return outputs(spec, r, opts.json_out);
   }
 
   std::string dir_;
 };
 
 TEST_F(DistributedCampaignTest, ShardedMergeIsByteIdenticalAcrossCounts) {
-  const sim::ExperimentSpec spec = fig16_like_spec();
-  const std::string reference = reference_json(spec);
-  ASSERT_FALSE(reference.empty());
-
-  // 8 > trials: shards 6 and 7 own nothing and must still merge cleanly.
-  for (const std::size_t count : {2u, 3u, 8u}) {
-    const std::string base =
-        dir_ + "/n" + std::to_string(count);
-    std::vector<pid_t> workers;
-    for (std::size_t i = 0; i < count; ++i) {
-      workers.push_back(fork_worker(spec, base, {i, count}));
-      ASSERT_NE(workers.back(), -1);
+  for (const sim::ExperimentSpec& spec : {fig16_like_spec(), network_spec()}) {
+    SCOPED_TRACE(spec.name);
+    const std::string reference = reference_json(spec);
+    ASSERT_FALSE(reference.empty());
+    if (spec.network) {
+      EXPECT_NE(reference.find("{\"handover\": "), std::string::npos);
+      EXPECT_NE(reference.find("{\"fault\": "), std::string::npos);
     }
-    for (const pid_t pid : workers) wait_ok(pid);
 
-    const std::string merged = merge_json(
-        spec, base, ("merged" + std::to_string(count) + ".json").c_str());
-    EXPECT_EQ(merged, reference)
-        << count << "-shard merge differs from the 1-process run";
+    // 8 > trials: shards 6 and 7 own nothing and must still merge cleanly.
+    for (const std::size_t count : {2u, 3u, 8u}) {
+      const std::string base = dir_ + "/n" + std::to_string(count);
+      std::vector<pid_t> workers;
+      for (std::size_t i = 0; i < count; ++i) {
+        workers.push_back(fork_worker(spec, base, {i, count}));
+        ASSERT_NE(workers.back(), -1);
+      }
+      for (const pid_t pid : workers) wait_ok(pid);
+
+      const std::string merged = merge_json(
+          spec, base,
+          spec.name + ".merged" + std::to_string(count) + ".json");
+      EXPECT_EQ(merged, reference)
+          << count << "-shard merge differs from the 1-process run";
+    }
   }
 }
 
@@ -188,55 +230,59 @@ TEST_F(DistributedCampaignTest, Fig18StyleFaultCampaignMergesByteExactly) {
 }
 
 TEST_F(DistributedCampaignTest, SigkilledShardResumesAndMergesByteExactly) {
-  const sim::ExperimentSpec spec = fig16_like_spec();
-  const std::string reference = reference_json(spec);
-  const std::string base = dir_ + "/kill";
+  for (const sim::ExperimentSpec& spec : {fig16_like_spec(), network_spec()}) {
+    SCOPED_TRACE(spec.name);
+    const std::string reference = reference_json(spec);
+    const std::string base = dir_ + "/kill";
 
-  // Shards 0 and 2 complete normally.
-  const pid_t w0 = fork_worker(spec, base, {0, 3});
-  ASSERT_NE(w0, -1);
-  wait_ok(w0);
-  const pid_t w2 = fork_worker(spec, base, {2, 3});
-  ASSERT_NE(w2, -1);
-  wait_ok(w2);
+    // Shards 0 and 2 complete normally.
+    const pid_t w0 = fork_worker(spec, base, {0, 3});
+    ASSERT_NE(w0, -1);
+    wait_ok(w0);
+    const pid_t w2 = fork_worker(spec, base, {2, 3});
+    ASSERT_NE(w2, -1);
+    wait_ok(w2);
 
-  // Shard 1 owns trials {1, 4}: its worker checkpoints trial 1, then
-  // SIGKILLs itself entering trial 4 -- deterministic, no sleeps.
-  sim::ExperimentSpec dying = spec;
-  const auto base_customize = spec.customize;
-  dying.customize = [base_customize](const sim::TrialContext& ctx,
-                                     sim::ScenarioSpec& s,
-                                     sim::ControllerSpec& c,
-                                     sim::RunConfig& r) {
-    base_customize(ctx, s, c, r);
-    if (ctx.index == 4) (void)::raise(SIGKILL);
-  };
-  const pid_t w1 = fork_worker(dying, base, {1, 3});
-  ASSERT_NE(w1, -1);
-  int status = 0;
-  ASSERT_EQ(::waitpid(w1, &status, 0), w1);
-  ASSERT_TRUE(WIFSIGNALED(status));
-  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+    // Shard 1 owns trials {1, 4}: its worker checkpoints trial 1, then
+    // SIGKILLs itself entering trial 4 -- deterministic, no sleeps.
+    sim::ExperimentSpec dying = spec;
+    const auto base_customize = spec.customize;
+    dying.customize = [base_customize](const sim::TrialContext& ctx,
+                                       sim::ScenarioSpec& s,
+                                       sim::ControllerSpec& c,
+                                       sim::RunConfig& r) {
+      if (base_customize) base_customize(ctx, s, c, r);
+      if (ctx.index == 4) (void)::raise(SIGKILL);
+    };
+    const pid_t w1 = fork_worker(dying, base, {1, 3});
+    ASSERT_NE(w1, -1);
+    int status = 0;
+    ASSERT_EQ(::waitpid(w1, &status, 0), w1);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // The kill left a durable partial shard journal: trial 1 only.
-  const std::string shard1 =
-      base + "." + spec.name + ".shard-1-of-3.journal";
-  {
-    const sim::LoadedJournal partial = sim::read_journal_file(shard1);
-    ASSERT_EQ(partial.trials.size(), 1u);
-    EXPECT_EQ(partial.trials[0].index, 1u);
+    // The kill left a durable partial shard journal: trial 1 only.
+    const std::string shard1 =
+        base + "." + spec.name + ".shard-1-of-3.journal";
+    {
+      const sim::LoadedJournal partial = sim::read_journal_file(shard1);
+      ASSERT_EQ(partial.trials.size(), 1u);
+      EXPECT_EQ(partial.trials[0].index, 1u);
+      EXPECT_EQ(partial.trials[0].network.has_value(),
+                spec.network.has_value());
+    }
+
+    // Resume the shard (the healthy spec this time) and merge.
+    const pid_t w1b = fork_worker(spec, base, {1, 3});
+    ASSERT_NE(w1b, -1);
+    wait_ok(w1b);
+    {
+      const sim::LoadedJournal full = sim::read_journal_file(shard1);
+      ASSERT_EQ(full.trials.size(), 2u);
+    }
+    EXPECT_EQ(merge_json(spec, base, spec.name + ".kill.json"), reference)
+        << "kill + resume + merge must reproduce the 1-process bytes";
   }
-
-  // Resume the shard (the healthy spec this time) and merge.
-  const pid_t w1b = fork_worker(spec, base, {1, 3});
-  ASSERT_NE(w1b, -1);
-  wait_ok(w1b);
-  {
-    const sim::LoadedJournal full = sim::read_journal_file(shard1);
-    ASSERT_EQ(full.trials.size(), 2u);
-  }
-  EXPECT_EQ(merge_json(spec, base, "kill.json"), reference)
-      << "kill + resume + merge must reproduce the 1-process bytes";
 }
 
 TEST_F(DistributedCampaignTest, MergeRerunsTrialsACrashedShardNeverRan) {

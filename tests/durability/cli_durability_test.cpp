@@ -114,6 +114,15 @@ TEST(SweepCliDurabilityDeathTest, GarbageRetriesExits2) {
               "invalid value for --trial-retries");
 }
 
+// An unwritable --json-out exits when it is parsed: a bench may compute
+// and print before its first campaign (fig15's 15a/15b tables), and
+// none of that may happen for a run that cannot write its record.
+TEST(SweepCliDurabilityDeathTest, UnwritableJsonOutExits2WhenParsed) {
+  EXPECT_EXIT(run_cli({"prog", "--json-out", "/nonexistent_dir/x.json"}),
+              ::testing::ExitedWithCode(2),
+              "cannot open --json-out file: /nonexistent_dir/x.json");
+}
+
 TEST(SweepCliDurabilityDeathTest, EmptyResumeBaseExits2) {
   EXPECT_EXIT(run_cli({"prog", "--resume="}), ::testing::ExitedWithCode(2),
               "--resume needs a journal base path");

@@ -248,17 +248,18 @@ TEST(SweepCliDeathTest, MergeCombinedWithWorkerFlagsExits2) {
 
 // --- benches without a journaled trial campaign ------------------------
 
-// The first step of bench_network's ExtraFlagHandler.
-bool refuse_as_bench_network(int& i, int /*argc*/, char** argv) {
-  bench::refuse_campaign_flags(argv[i], argv[0], {"--shards"},
-                               "the network campaign keeps no journal");
+// The first step of bench_streaming's ExtraFlagHandler (its own --shards
+// sizes the session table and is not refused).
+bool refuse_as_bench_streaming(int& i, int /*argc*/, char** argv) {
+  bench::refuse_campaign_flags(argv[i], argv[0], {"--trials", "--faults"},
+                               "the streaming service runs live sessions");
   return false;
 }
 
 int run_refusing_cli(std::vector<std::string> args) {
   auto argv = argv_of(args);
   bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data(),
-                         refuse_as_bench_network, nullptr);
+                         refuse_as_bench_streaming, nullptr);
   return 0;
 }
 
@@ -268,9 +269,8 @@ TEST(SweepCliDeathTest, RefusedShardQueueLeavesEveryTicketInTodo) {
   const std::string root = tmpl;
   const std::string queue = root + "/queue";
   sim::ShardQueue::init(queue, 2);
-  EXPECT_EXIT(run_refusing_cli({"prog", "--trials", "1", "--shard-queue",
-                                queue, "--shards", "2", "--resume",
-                                root + "/b"}),
+  EXPECT_EXIT(run_refusing_cli({"prog", "--shard-queue", queue, "--shards",
+                                "2", "--resume", root + "/b"}),
               ::testing::ExitedWithCode(2), "--shard-queue is not supported");
   const sim::ShardQueue::Counts counts = sim::ShardQueue::counts(queue);
   EXPECT_EQ(counts.todo, 2u);
@@ -288,6 +288,8 @@ TEST(SweepCliDeathTest, RefusedJournalFlagsExit2) {
   EXPECT_EXIT(run_refusing_cli({"prog", "--trial-timeout-s", "5"}),
               ::testing::ExitedWithCode(2),
               "--trial-timeout-s is not supported");
+  EXPECT_EXIT(run_refusing_cli({"prog", "--faults", "light"}),
+              ::testing::ExitedWithCode(2), "--faults is not supported");
 }
 
 // --kernel-backend: scalar/portable are compiled on every target, so

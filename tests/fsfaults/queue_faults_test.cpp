@@ -1,22 +1,27 @@
 // The shard module's filesystem calls under injected faults: the queue's
-// directory creation, ticket and lease-age stats, pre-claim mtime refresh
-// and ticket renames, and the shard-journal listing, all go through the
-// fsio table, so transient errnos are retried and a permanent error
-// surfaces as a typed IoError naming the operation and path, with the
-// ticket left where it was.
+// directory creation, shard-count read, ticket and lease-age stats,
+// pre-claim mtime refresh and ticket renames, and the shard-journal
+// listing, all go through the fsio table, so transient errnos are retried
+// and a permanent error surfaces as a typed IoError naming the operation
+// and path, with the ticket left where it was.
 #include "sim/shard.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <ctime>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/stat.h>
 
+#include "common/fs_ops.h"
 #include "common/io_error.h"
 #include "tests/fsfaults/fault_ops.h"
 
@@ -115,6 +120,40 @@ TEST_F(QueueFaultTest, PermanentInitMkdirErrorThrowsIoErrorNamingTheDir) {
   }
   // A permanent errno is not retried.
   EXPECT_TRUE(fsfaults::script().slept.empty());
+}
+
+TEST_F(QueueFaultTest, UnreadableShardCountThrowsAndKeepsTheQueue) {
+  // A shard count that exists but cannot be read is not a missing one:
+  // re-stamping it would offer tickets for a second shard count.
+  ShardQueue::init(dir_, 2);
+  const std::string meta = dir_ + "/shard-count";
+  const auto read_all = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  };
+  const std::string count_before = read_all(meta);
+  std::vector<std::string> tickets_before = fsio::list_dir(dir_ + "/tickets");
+  std::sort(tickets_before.begin(), tickets_before.end());
+  {
+    fsfaults::ScopedFaults faults;
+    fsfaults::script().fail_open = 1;  // init's first open is the count
+    fsfaults::script().open_errno = EACCES;
+    try {
+      ShardQueue::init(dir_, 3);
+      FAIL() << "init re-initialized a queue whose count it could not read";
+    } catch (const IoError& e) {
+      EXPECT_EQ(e.op(), "open");
+      EXPECT_EQ(e.code(), EACCES);
+      EXPECT_EQ(e.path(), meta);
+    }
+  }
+  EXPECT_EQ(read_all(meta), count_before);
+  std::vector<std::string> tickets_after = fsio::list_dir(dir_ + "/tickets");
+  std::sort(tickets_after.begin(), tickets_after.end());
+  EXPECT_EQ(tickets_after, tickets_before);
+  EXPECT_EQ(ShardQueue::counts(dir_).todo, 2u);
 }
 
 TEST_F(QueueFaultTest, FailedClaimRefreshLeavesTheTicketInTodo) {

@@ -1,9 +1,8 @@
-// Determinism tier for the network layer:
+// Determinism tier for network campaigns, which run on sim::Engine:
 //   * jobs=8 replays jobs=1 BYTE-identically -- both the standard sweep
 //     record and the network-wide CDF record (frozen timing);
-//   * a 1-cell/1-UE network campaign emits the exact bytes of the
-//     engine's campaign for the same (name, scenario, controller, run,
-//     trials, jobs, seed) -- the collapse contract at the JSON level,
+//   * a spec with a 1-cell/1-UE `network` emits the exact bytes of the
+//     same spec without it -- the collapse contract at the JSON level,
 //     fault stream included;
 //   * repeated runs are byte-stable.
 // The whole binary is ALSO registered per SIMD backend
@@ -14,7 +13,6 @@
 #include <sstream>
 #include <string>
 
-#include "net/campaign.h"
 #include "net/network.h"
 #include "sim/engine.h"
 #include "sim/faults.h"
@@ -24,21 +22,22 @@ namespace {
 
 using namespace mmr;
 
-net::NetworkCampaignSpec crowd_campaign(std::size_t jobs) {
-  net::NetworkCampaignSpec spec;
+sim::ExperimentSpec crowd_campaign(std::size_t jobs) {
+  sim::ExperimentSpec spec;
   spec.name = "network_determinism";
   spec.trials = 4;
   spec.jobs = jobs;
   spec.seed = 33;
-  spec.freeze_timing = true;
-  spec.network.num_cells = 2;
-  spec.network.ues_per_cell = 2;
-  spec.network.cell_spacing_m = 12.0;
-  spec.network.link_scenario.name = "indoor_crowd";
-  spec.network.link_scenario.config.tx_power_dbm = 14.0;
-  spec.network.link_scenario.ue_velocity = {1.5, 0.0};
-  spec.network.controller.name = "terragraph";
-  spec.network.run.faults = sim::fault_preset("light");
+  spec.scenario.name = "indoor_crowd";
+  spec.scenario.config.tx_power_dbm = 14.0;
+  spec.scenario.ue_velocity = {1.5, 0.0};
+  spec.controller.name = "terragraph";
+  spec.run.faults = sim::fault_preset("light");
+  net::NetworkLayout layout;
+  layout.num_cells = 2;
+  layout.ues_per_cell = 2;
+  layout.cell_spacing_m = 12.0;
+  spec.network = layout;
   return spec;
 }
 
@@ -64,13 +63,19 @@ std::string canonicalize_jobs(std::string s) {
   return s;
 }
 
-CampaignBytes run_to_bytes(const net::NetworkCampaignSpec& spec) {
+sim::EngineResult run_frozen(const sim::ExperimentSpec& spec,
+                             sim::TelemetrySink* sink) {
+  sim::EngineOptions opts;
+  opts.freeze_timing = true;
+  return sim::Engine().run(spec, sink, opts);
+}
+
+CampaignBytes run_to_bytes(const sim::ExperimentSpec& spec) {
   std::ostringstream sweep_os;
   sim::JsonLinesSink sink(sweep_os);
-  const net::NetworkCampaignResult result =
-      net::run_network_campaign(spec, &sink);
+  const sim::EngineResult result = run_frozen(spec, &sink);
   std::ostringstream network_os;
-  net::write_network_json(network_os, spec, result);
+  sim::write_network_json(network_os, spec, result);
   return {sweep_os.str(), network_os.str()};
 }
 
@@ -93,69 +98,50 @@ TEST(NetworkDeterminism, RepeatedRunsAreByteStable) {
   EXPECT_EQ(first.network, second.network);
 }
 
-// The JSON-level collapse: a 1-cell/1-UE network campaign and the
-// engine's campaign produce the same bytes -- same per-trial stream
+// The JSON-level collapse: a spec with a 1-cell/1-UE network and the
+// same spec without one produce the same bytes -- same per-trial stream
 // seeds, same derived fault seeds, same summaries, same sweep record.
 TEST(NetworkDeterminism, SingleLinkCampaignMatchesEngineBytes) {
   net::register_net_builtins();
+  sim::ExperimentSpec link_spec;
+  link_spec.name = "network_vs_engine";
+  link_spec.scenario.name = "indoor_crowd";
+  link_spec.scenario.config.tx_power_dbm = 14.0;
+  link_spec.scenario.ue_velocity = {1.0, 0.0};
+  link_spec.run.faults = sim::fault_preset("moderate");
+  link_spec.trials = 3;
+  link_spec.jobs = 2;
+  link_spec.seed = 19;
+  std::ostringstream link_os;
+  sim::JsonLinesSink link_sink(link_os);
+  (void)run_frozen(link_spec, &link_sink);
 
-  sim::ScenarioSpec scenario;
-  scenario.name = "indoor_crowd";
-  scenario.config.tx_power_dbm = 14.0;
-  scenario.ue_velocity = {1.0, 0.0};
-  sim::ControllerSpec controller;  // mmreliable
-  sim::RunConfig run;
-  run.faults = sim::fault_preset("moderate");
+  sim::ExperimentSpec network_spec = link_spec;
+  network_spec.network = net::NetworkLayout{};  // 1 cell x 1 UE
+  std::ostringstream network_os;
+  sim::JsonLinesSink network_sink(network_os);
+  const sim::EngineResult result = run_frozen(network_spec, &network_sink);
 
-  sim::ExperimentSpec engine_spec;
-  engine_spec.name = "network_vs_engine";
-  engine_spec.scenario = scenario;
-  engine_spec.controller = controller;
-  engine_spec.run = run;
-  engine_spec.trials = 3;
-  engine_spec.jobs = 2;
-  engine_spec.seed = 19;
-  std::ostringstream engine_os;
-  sim::JsonLinesSink engine_sink(engine_os);
-  sim::Engine engine;
-  sim::EngineOptions engine_opts;
-  engine_opts.freeze_timing = true;
-  (void)engine.run(engine_spec, &engine_sink, engine_opts);
-
-  net::NetworkCampaignSpec campaign;
-  campaign.name = "network_vs_engine";
-  campaign.trials = 3;
-  campaign.jobs = 2;
-  campaign.seed = 19;
-  campaign.freeze_timing = true;
-  campaign.network.num_cells = 1;
-  campaign.network.ues_per_cell = 1;
-  campaign.network.link_scenario = scenario;
-  campaign.network.controller = controller;
-  campaign.network.run = run;
-  std::ostringstream campaign_os;
-  sim::JsonLinesSink campaign_sink(campaign_os);
-  (void)net::run_network_campaign(campaign, &campaign_sink);
-
-  ASSERT_FALSE(engine_os.str().empty());
-  EXPECT_EQ(campaign_os.str(), engine_os.str());
+  ASSERT_FALSE(link_os.str().empty());
+  EXPECT_NE(link_os.str().find("{\"fault\": "), std::string::npos);
+  EXPECT_EQ(network_os.str(), link_os.str());
+  ASSERT_EQ(result.networks.size(), 3u);
+  EXPECT_EQ(result.networks[0].links.size(), 1u);
 }
 
 // Different jobs counts must also leave the structured results (not just
 // the serialized record) identical: per-link ledgers, handovers, faults.
 TEST(NetworkDeterminism, StructuredResultsMatchAcrossJobs) {
   net::register_net_builtins();
-  const net::NetworkCampaignResult a =
-      net::run_network_campaign(crowd_campaign(1));
-  const net::NetworkCampaignResult b =
-      net::run_network_campaign(crowd_campaign(8));
-  ASSERT_EQ(a.details.size(), b.details.size());
-  for (std::size_t t = 0; t < a.details.size(); ++t) {
-    ASSERT_EQ(a.details[t].links.size(), b.details[t].links.size());
-    ASSERT_EQ(a.details[t].handovers.size(), b.details[t].handovers.size());
-    for (std::size_t l = 0; l < a.details[t].links.size(); ++l) {
-      const net::LinkReport& la = a.details[t].links[l];
-      const net::LinkReport& lb = b.details[t].links[l];
+  const sim::EngineResult a = sim::Engine().run(crowd_campaign(1));
+  const sim::EngineResult b = sim::Engine().run(crowd_campaign(8));
+  ASSERT_EQ(a.networks.size(), b.networks.size());
+  for (std::size_t t = 0; t < a.networks.size(); ++t) {
+    ASSERT_EQ(a.networks[t].links.size(), b.networks[t].links.size());
+    ASSERT_EQ(a.networks[t].handovers.size(), b.networks[t].handovers.size());
+    for (std::size_t l = 0; l < a.networks[t].links.size(); ++l) {
+      const net::LinkReport& la = a.networks[t].links[l];
+      const net::LinkReport& lb = b.networks[t].links[l];
       EXPECT_EQ(la.summary.reliability, lb.summary.reliability);
       EXPECT_EQ(la.summary.mean_throughput_bps,
                 lb.summary.mean_throughput_bps);

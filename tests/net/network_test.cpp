@@ -13,7 +13,6 @@
 #include "common/constants.h"
 #include "common/rng.h"
 #include "core/link_state.h"
-#include "net/campaign.h"
 #include "net/network.h"
 #include "net/terragraph.h"
 #include "sim/engine.h"
@@ -173,9 +172,8 @@ TEST(Network, RsrpHandoverFiresAndStreamsTelemetry) {
   spec.handover.min_interval_s = 200.0e-3;
   spec.ue_placement_jitter_m = 0.0;
 
-  sim::MemorySink sink;
   net::Network network(spec, 77);
-  const net::NetworkResult result = network.run(&sink);
+  const net::NetworkResult result = network.run();
 
   ASSERT_GE(result.handovers.size(), 1u);
   const core::HandoverEvent& first = result.handovers.front();
@@ -197,9 +195,18 @@ TEST(Network, RsrpHandoverFiresAndStreamsTelemetry) {
   EXPECT_EQ(result.links[0].handovers, result.handovers.size());
   EXPECT_EQ(result.links[0].serving_cell, 1u);
   EXPECT_EQ(result.links[1].handovers, 0u);
-  // The sink saw the same events.
+  // The engine replays a network trial's handovers to its sink: the same
+  // network as a one-trial campaign, its seed fixed at the stream seed.
+  sim::ExperimentSpec campaign;
+  campaign.scenario = spec.link_scenario;
+  campaign.scenario.config.seed = 77;
+  campaign.seed_policy = sim::SeedPolicy::kFixed;
+  campaign.network = static_cast<const net::NetworkLayout&>(spec);
+  sim::MemorySink sink;
+  (void)sim::Engine().run(campaign, &sink);
   ASSERT_EQ(sink.handovers().size(), 1u);
   ASSERT_EQ(sink.handovers()[0].size(), result.handovers.size());
+  EXPECT_EQ(sink.handovers()[0][0].t_s, first.t_s);
   EXPECT_EQ(sink.handovers()[0][0].to_cell, 1u);
   // The teardown shows in the state ledger: a handover is kLinkLost +
   // reacquisition, so the machine left kUp at least once.
