@@ -43,7 +43,9 @@ Trace trace_of(const std::vector<core::LinkSample>& samples) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = bench::parse_sweep_cli(argc, argv);
+  const auto opts =
+      bench::parse_sweep_cli(argc, argv, bench::refuse_controller_flag,
+                             nullptr);
   const std::size_t reps = opts.trials > 0 ? opts.trials : 1;
   const std::uint64_t seed = opts.seed > 0 ? opts.seed : 13;
 

@@ -70,6 +70,20 @@ void BM_SuperresSolve3Beam(benchmark::State& state) {
 }
 BENCHMARK(BM_SuperresSolve3Beam);
 
+// The monitoring tick's form: one workspace reused by every fit.
+void BM_SuperresSolve3BeamWorkspace(benchmark::State& state) {
+  Rng rng(5);
+  const RVec delays{0.0, 1.4e-9, 4.0e-9};
+  const CVec cir = make_cir(24, delays, rng);
+  core::SuperresWorkspace workspace;
+  for (auto _ : state) {
+    const auto& fit =
+        core::superres_per_beam(cir, delays, 2.5e-9, 400e6, {}, workspace);
+    benchmark::DoNotOptimize(fit.alphas);
+  }
+}
+BENCHMARK(BM_SuperresSolve3BeamWorkspace);
+
 void BM_MultibeamSynthesis(benchmark::State& state) {
   const array::Ula ula{static_cast<std::size_t>(state.range(0)), 0.5};
   const std::vector<core::BeamComponent> comps{

@@ -8,7 +8,11 @@
 //                      sweeps seeds (0 = keep the bench's default).
 //   --seed S           override the sweep's base seed (0 = bench default).
 //   --scenario NAME    override the campaign's registered scenario.
-//   --controller NAME  override the campaign's registered controller.
+//   --controller NAME  override the campaign's registered controller
+//                      (fig16, fig18 and fig19 pick each trial's
+//                      controller themselves and refuse the flag with
+//                      exit(2)). A name neither registry holds exits(2)
+//                      as it is parsed, listing the registered names.
 //   --faults NAME      apply a named fault preset ("none", "light",
 //                      "moderate", "heavy") to every run's probe/CSI path.
 //   --kernel-backend B force the dsp kernel backend ("scalar", "portable",
@@ -293,6 +297,20 @@ inline void print_registries() {
   }
 }
 
+/// Exit 2 unless `registry` holds `name`, listing its names the way
+/// --list prints them. `kind` is "scenario" or "controller".
+template <typename Registry>
+void require_registered(const Registry& registry, const char* kind,
+                        const std::string& name, const char* prog) {
+  if (registry.contains(name)) return;
+  std::fprintf(stderr, "%s: unknown %s '%s'; registered %ss:\n", prog, kind,
+               name.c_str(), kind);
+  for (const std::string& known : registry.names()) {
+    std::fprintf(stderr, "  %s\n", known.c_str());
+  }
+  std::exit(2);
+}
+
 inline void require_fault_preset(const std::string& name, const char* prog) {
   try {
     (void)sim::fault_preset(name);
@@ -470,29 +488,45 @@ inline std::vector<std::string> watch_shard_journals(
 /// (optional) is appended to the usage text.
 using ExtraFlagHandler = std::function<bool(int& i, int argc, char** argv)>;
 
-/// Exit 2 when `arg` names one of the shared grammar's trial-campaign
-/// flags (the journal flags --resume, --trial-retries, --trial-timeout-s
-/// and the distributed roles) or one of `also`, bare or `--flag=VALUE`:
-/// a bench with no journaled trial campaign would otherwise accept and
-/// ignore them. Call it first in that bench's ExtraFlagHandler, which
-/// sees each argument before the shared grammar does, so a refused
-/// --shard-queue exits before it claims a queue ticket.
-inline void refuse_campaign_flags(const char* arg, const char* prog,
-                                  std::initializer_list<const char*> also,
-                                  const char* why) {
-  static constexpr const char* kCampaignFlags[] = {
-      "--resume", "--trial-retries", "--trial-timeout-s", "--shard",
-      "--shard-queue", "--lease-ttl-s", "--merge", "--watch"};
-  const auto refuse = [&](const char* flag) {
+/// Exit 2 when `arg` is one of `flags`, bare or `--flag=VALUE`, saying
+/// `why` the bench does not take it. Call it first in the bench's
+/// ExtraFlagHandler, which sees each argument before the shared grammar
+/// does.
+inline void refuse_flags(const char* arg, const char* prog,
+                         std::initializer_list<const char*> flags,
+                         const char* why) {
+  for (const char* flag : flags) {
     const std::size_t len = std::strlen(flag);
     if (std::strncmp(arg, flag, len) == 0 &&
         (arg[len] == '\0' || arg[len] == '=')) {
       std::fprintf(stderr, "%s: %s is not supported: %s\n", prog, flag, why);
       std::exit(2);
     }
-  };
-  for (const char* flag : kCampaignFlags) refuse(flag);
-  for (const char* flag : also) refuse(flag);
+  }
+}
+
+/// refuse_flags for the shared grammar's trial-campaign flags (the
+/// journal flags --resume, --trial-retries, --trial-timeout-s and the
+/// distributed roles) and for `also`: a bench with no journaled trial
+/// campaign would otherwise accept and ignore them. A refused
+/// --shard-queue exits before it claims a queue ticket.
+inline void refuse_campaign_flags(const char* arg, const char* prog,
+                                  std::initializer_list<const char*> also,
+                                  const char* why) {
+  refuse_flags(arg, prog,
+               {"--resume", "--trial-retries", "--trial-timeout-s", "--shard",
+                "--shard-queue", "--lease-ttl-s", "--merge", "--watch"},
+               why);
+  refuse_flags(arg, prog, also, why);
+}
+
+/// ExtraFlagHandler of the benches whose customize hook names every
+/// trial's controller (fig16, fig18, fig19): they refuse --controller
+/// rather than accept a flag every trial would overwrite.
+inline bool refuse_controller_flag(int& i, int /*argc*/, char** argv) {
+  refuse_flags(argv[i], argv[0], {"--controller"},
+               "this bench names the controller of every trial itself");
+  return false;
 }
 
 inline SweepCliOptions parse_sweep_cli(int argc, char** argv,
@@ -522,8 +556,12 @@ inline SweepCliOptions parse_sweep_cli(int argc, char** argv,
       opts.seed = detail::require_u64("--seed", v3, argv[0]);
     } else if (const char* v4 = value_of(i, "--scenario")) {
       opts.scenario = v4;
+      detail::require_registered(sim::ScenarioRegistry::instance(),
+                                 "scenario", opts.scenario, argv[0]);
     } else if (const char* v5 = value_of(i, "--controller")) {
       opts.controller = v5;
+      detail::require_registered(sim::ControllerRegistry::instance(),
+                                 "controller", opts.controller, argv[0]);
     } else if (const char* v6 = value_of(i, "--faults")) {
       opts.faults = v6;
       // Validate eagerly so a typo fails before any sweep runs.

@@ -25,6 +25,9 @@ MmReliableController::MmReliableController(const array::Ula& ula,
                                            MaintenanceConfig config)
     : ula_(ula), codebook_(std::move(codebook)), config_(config) {
   MMR_EXPECTS(config_.max_beams >= 1);
+  // Training keeps this many directions, and every one of them is a
+  // column of the monitoring fit's dictionary.
+  MMR_EXPECTS(std::max<std::size_t>(config_.max_beams + 1, 3) <= kMaxBeams);
   MMR_EXPECTS(config_.cir_taps >= 4);
   MMR_EXPECTS(config_.probe_retry_limit >= 1);
   MMR_EXPECTS(config_.probe_backoff_initial_s > 0.0);
@@ -190,9 +193,7 @@ void MmReliableController::establish_multibeam(double t_s,
   CVec cir = link.cir(multibeam_.weights, config_.cir_taps);
   ++monitor_probes_;
   if (sanitize_report(t_s, cir)) {
-    const SuperresResult fit = superres_per_beam(
-        cir, nominal_delays_, sample_period(), bandwidth(), config_.superres);
-    last_powers_ = fit.powers();
+    fit_beams(cir);
     last_total_power_ = cir_power(cir);
   } else {
     // Priming probe failed: seed the trackers from the training-phase
@@ -229,6 +230,17 @@ void MmReliableController::resynthesize() {
       array::quantize(multibeam_.weights, config_.quantization);
 }
 
+const SuperresResult& MmReliableController::fit_beams(const CVec& cir) {
+  const SuperresResult& fit =
+      superres_per_beam(cir, nominal_delays_, sample_period(), bandwidth(),
+                        config_.superres, superres_workspace_);
+  last_powers_.resize(fit.alphas.size());
+  for (std::size_t k = 0; k < fit.alphas.size(); ++k) {
+    last_powers_[k] = std::norm(fit.alphas[k]);
+  }
+  return fit;
+}
+
 void MmReliableController::step(double t_s, const LinkProbeInterface& link) {
   MMR_EXPECTS(started_);
   if (pending_training_) {
@@ -262,9 +274,7 @@ void MmReliableController::monitor(double t_s,
   }
   last_total_power_ = cir_power(cir);
 
-  const SuperresResult fit = superres_per_beam(
-      cir, nominal_delays_, sample_period(), bandwidth(), config_.superres);
-  last_powers_ = fit.powers();
+  const SuperresResult& fit = fit_beams(cir);
   // Relative ToF drifts slowly with motion; adopt only the RELATIVE part
   // of the refined delays (the common shift is this probe's timing
   // jitter), and slowly, so one noisy fit cannot corrupt the prior.
@@ -478,10 +488,7 @@ void MmReliableController::refine(double t_s, const LinkProbeInterface& link) {
     CVec cir = link.cir(multibeam_.weights, config_.cir_taps);
     ++monitor_probes_;
     if (sanitize_report(t_s, cir)) {
-      const SuperresResult fit = superres_per_beam(
-          cir, nominal_delays_, sample_period(), bandwidth(),
-          config_.superres);
-      last_powers_ = fit.powers();
+      fit_beams(cir);
       last_total_power_ = cir_power(cir);
       for (std::size_t k = 0; k < angles_.size(); ++k) {
         if (!blocked_[k] && k < last_powers_.size()) {

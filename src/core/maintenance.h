@@ -147,6 +147,9 @@ class MmReliableController final : public BeamController {
   void monitor(double t_s, const LinkProbeInterface& link);
   void refine(double t_s, const LinkProbeInterface& link);
   void resynthesize();
+  /// Super-resolution fit of a sanitized monitoring CIR in the
+  /// controller's workspace; stores the per-beam powers in last_powers_.
+  const SuperresResult& fit_beams(const CVec& cir);
   void emit(double t_s, FaultEventKind kind, std::size_t beam = kNoBeam,
             double value = 0.0);
   /// Zero non-finite taps in place (reporting kSanitizedReport); false if
@@ -181,6 +184,8 @@ class MmReliableController final : public BeamController {
   bool pending_training_ = false;
   double outage_since_ = -1.0;
   double last_refine_ = 0.0;
+  /// The monitoring fit's scratch and result, reused by every tick.
+  SuperresWorkspace superres_workspace_;
   RVec last_powers_;
   double last_total_power_ = 0.0;
   bool started_ = false;

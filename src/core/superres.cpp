@@ -4,29 +4,40 @@
 #include <array>
 #include <cmath>
 #include <memory_resource>
+#include <stdexcept>
 #include <utility>
 
 #include "common/error.h"
-#include "dsp/linalg.h"
 #include "dsp/sinc.h"
 
 namespace mmr::core {
 namespace {
 
-// One candidate fit for K delays: the sampled-sinc dictionary S (taps x K),
-// the lower triangle of its Gram matrix S^T S, the right-hand sides
-// S^T Re h and S^T Im h, and the ridge solution with its residual.
-struct Fit {
-  Fit(std::size_t taps, std::size_t k)
-      : delays(k), dict(taps * k), gram(k * k), rhs_re(k), rhs_im(k),
-        alpha_re(k), alpha_im(k) {}
+static_assert(kMaxBeams <= 8, "the K loops below unroll at most 8 times");
 
-  RVec delays;
-  RVec dict;  ///< column-major: column c holds taps [c * taps, (c+1) * taps)
-  RVec gram;  ///< row-major K x K, lower triangle, ridge not yet added
-  RVec rhs_re, rhs_im;
-  RVec alpha_re, alpha_im;
+// One fit problem: the CIR taps (non-finite ones zeroed) as real and
+// imaginary parts, the pulse shape and the ridge weight.
+struct Problem {
+  const double* re;
+  const double* im;
+  std::size_t taps;
+  double ts;
+  double bandwidth_hz;
+  double lambda;
+};
+
+// One candidate fit for K delays: the lower triangle of the Gram matrix
+// S^T S of its sampled-sinc dictionary S (taps x K, column-major, in the
+// workspace), the right-hand sides S^T Re h and S^T Im h, and the ridge
+// solution with its residual.
+template <std::size_t K>
+struct Fit {
+  std::array<double, K> delays{};
+  std::array<double, K * K> gram{};  ///< row-major, ridge not yet added
+  std::array<double, K> rhs_re{}, rhs_im{};
+  std::array<double, K> alpha_re{}, alpha_im{};
   double residual = 0.0;
+  double* dict = nullptr;
 };
 
 // Ridge fits of one CIR (Eq. 23). The dictionary is real, so the complex
@@ -34,145 +45,206 @@ struct Fit {
 // system with two right-hand sides. Every product of the complex solve
 // has one operand with a zero imaginary part, and it only divides by
 // real pivots, so the same real sums taken in the same order reproduce
-// its alphas and residual bit for bit. All buffers are sized once per
-// superres_per_beam call; no solve allocates.
-class DelayFitter {
- public:
-  DelayFitter(const CVec& h, double ts, double bandwidth_hz, double lambda,
-              std::size_t k)
-      : h_(h), ts_(ts), bandwidth_hz_(bandwidth_hz), lambda_(lambda), k_(k),
-        chol_(k * k) {}
+// its alphas and residual bit for bit. K is a compile-time constant:
+// every loop over the columns unrolls and each tap loop keeps its
+// per-column accumulators in registers. Every sum keeps its terms and
+// their order: dot products in tap order from 0.0, the loops of
+// dsp::ridge_factor and dsp::cholesky_solve, the residual per tap with
+// the model summed in column order (tests/core/superres_reference.cpp
+// is the runtime-K form these reproduce).
 
-  /// Builds every column from fit.delays and solves.
-  void fit_all(Fit& fit) {
-    for (std::size_t c = 0; c < k_; ++c) set_column(fit, c);
-    for (std::size_t i = 0; i < k_; ++i) {
-      for (std::size_t j = 0; j <= i; ++j) set_gram(fit, i, j);
-    }
-    solve(fit);
-  }
-
-  /// Re-solves after only column c's delay moved: the other columns,
-  /// their Gram entries and right-hand sides are reused as they are.
-  void refit_column(Fit& fit, std::size_t c) {
-    set_column(fit, c);
-    for (std::size_t j = 0; j < k_; ++j) {
-      set_gram(fit, std::max(c, j), std::min(c, j));
-    }
-    solve(fit);
-  }
-
- private:
-  const double* column(const Fit& fit, std::size_t c) const {
-    return fit.dict.data() + c * h_.size();
-  }
-
-  void set_column(Fit& fit, std::size_t c) const {
-    double* col = fit.dict.data() + c * h_.size();
-    dsp::sinc_pulse(ts_, bandwidth_hz_, fit.delays[c], {col, h_.size()});
-    double re = 0.0;
-    double im = 0.0;
-    for (std::size_t n = 0; n < h_.size(); ++n) {
-      re += col[n] * h_[n].real();
-      im += col[n] * h_[n].imag();
-    }
-    fit.rhs_re[c] = re;
-    fit.rhs_im[c] = im;
-  }
-
-  void set_gram(Fit& fit, std::size_t i, std::size_t j) const {
-    const double* ci = column(fit, i);
-    const double* cj = column(fit, j);
-    double acc = 0.0;
-    for (std::size_t n = 0; n < h_.size(); ++n) acc += ci[n] * cj[n];
-    fit.gram[i * k_ + j] = acc;
-  }
-
-  void solve(Fit& fit) {
-    std::copy(fit.gram.begin(), fit.gram.end(), chol_.begin());
-    dsp::ridge_factor(chol_, k_, lambda_);
-    fit.alpha_re = fit.rhs_re;
-    fit.alpha_im = fit.rhs_im;
-    dsp::cholesky_solve(chol_, k_, fit.alpha_re);
-    dsp::cholesky_solve(chol_, k_, fit.alpha_im);
-    // ||h - S alpha||: per tap, the model summed in column order.
-    double acc = 0.0;
-    for (std::size_t n = 0; n < h_.size(); ++n) {
-      double model_re = 0.0;
-      double model_im = 0.0;
-      for (std::size_t c = 0; c < k_; ++c) {
-        const double s = column(fit, c)[n];
-        model_re += s * fit.alpha_re[c];
-        model_im += s * fit.alpha_im[c];
+// Adds lambda to the diagonal of the lower triangle in l, factors it as
+// L L^T in place (dsp::cholesky_factor's loops) and solves L L^T x = b
+// for both right-hand sides (dsp::cholesky_solve's).
+template <std::size_t K>
+void ridge_solve(std::array<double, K * K>& l, double lambda,
+                 std::array<double, K>& re, std::array<double, K>& im) {
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) l[i * K + i] += lambda;
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) {
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j <= i; ++j) {
+      double sum = l[i * K + j];
+#pragma GCC unroll 8
+      for (std::size_t k = 0; k < j; ++k) sum -= l[i * K + k] * l[j * K + k];
+      if (i == j) {
+        if (sum <= 0.0) {
+          throw std::runtime_error(
+              "cholesky_factor: matrix is not positive definite");
+        }
+        l[i * K + i] = std::sqrt(sum);
+      } else {
+        l[i * K + j] = sum / l[j * K + j];
       }
-      const double dr = h_[n].real() - model_re;
-      const double di = h_[n].imag() - model_im;
-      acc += dr * dr + di * di;
     }
-    fit.residual = std::sqrt(acc);
   }
-
-  const CVec& h_;
-  double ts_;
-  double bandwidth_hz_;
-  double lambda_;
-  std::size_t k_;
-  RVec chol_;  ///< ridge Cholesky factor scratch
-};
-
-}  // namespace
-
-RVec SuperresResult::powers() const {
-  RVec p(alphas.size());
-  for (std::size_t k = 0; k < alphas.size(); ++k) p[k] = std::norm(alphas[k]);
-  return p;
+  // Forward substitution L y = b.
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < K; ++i) {
+    double sr = re[i];
+    double si = im[i];
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < i; ++k) {
+      sr -= l[i * K + k] * re[k];
+      si -= l[i * K + k] * im[k];
+    }
+    re[i] = sr / l[i * K + i];
+    im[i] = si / l[i * K + i];
+  }
+  // Back substitution L^T x = y, rows K-1 down to 0.
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < K; ++r) {
+    const std::size_t i = K - 1 - r;
+    double sr = re[i];
+    double si = im[i];
+#pragma GCC unroll 8
+    for (std::size_t k = i + 1; k < K; ++k) {
+      sr -= l[k * K + i] * re[k];
+      si -= l[k * K + i] * im[k];
+    }
+    re[i] = sr / l[i * K + i];
+    im[i] = si / l[i * K + i];
+  }
 }
 
-SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
-                                 double ts, double bandwidth_hz,
-                                 const SuperresConfig& config) {
-  MMR_EXPECTS(!cir.empty());
-  MMR_EXPECTS(!nominal_delays_s.empty());
-  MMR_EXPECTS(cir.size() >= nominal_delays_s.size());
-  MMR_EXPECTS(config.lambda > 0.0);
-  MMR_EXPECTS(config.common_shift_steps >= 1);
-  MMR_EXPECTS(config.relative_steps >= 1);
-
-  // Corrupted feedback words (NaN/Inf taps) would poison the normal
-  // equations and surface as non-finite per-beam amplitudes; zero them so
-  // the fit runs on the surviving taps. A clean CIR takes the fast path
-  // untouched.
-  CVec sanitized;
-  const CVec* taps = &cir;
-  for (std::size_t n = 0; n < cir.size(); ++n) {
-    if (std::isfinite(cir[n].real()) && std::isfinite(cir[n].imag())) continue;
-    if (sanitized.empty()) sanitized = cir;
-    sanitized[n] = cplx{};
-    taps = &sanitized;
+// ||h - S alpha||: per tap, the model summed in column order.
+template <std::size_t K>
+double residual(const Problem& p, const std::array<const double*, K>& cols,
+                const std::array<double, K>& alpha_re,
+                const std::array<double, K>& alpha_im) {
+  double acc = 0.0;
+  for (std::size_t n = 0; n < p.taps; ++n) {
+    double model_re = 0.0;
+    double model_im = 0.0;
+#pragma GCC unroll 8
+    for (std::size_t c = 0; c < K; ++c) {
+      const double s = cols[c][n];
+      model_re += s * alpha_re[c];
+      model_im += s * alpha_im[c];
+    }
+    const double dr = p.re[n] - model_re;
+    const double di = p.im[n] - model_im;
+    acc += dr * dr + di * di;
   }
-  const CVec& h = *taps;
+  return std::sqrt(acc);
+}
 
-  auto grid_offset = [](std::size_t idx, std::size_t steps, double span) {
-    if (steps == 1) return 0.0;
-    return (static_cast<double>(idx) / static_cast<double>(steps - 1) - 0.5) *
-           2.0 * span;
-  };
+template <std::size_t K>
+std::array<const double*, K> columns(const double* dict, std::size_t taps) {
+  std::array<const double*, K> cols{};
+#pragma GCC unroll 8
+  for (std::size_t c = 0; c < K; ++c) cols[c] = dict + c * taps;
+  return cols;
+}
 
+// Builds every column from fit.delays, then takes the right-hand sides
+// and the lower triangle of the Gram matrix in one pass over the taps,
+// and solves.
+template <std::size_t K>
+void fit_all(const Problem& p, Fit<K>& fit) {
+#pragma GCC unroll 8
+  for (std::size_t c = 0; c < K; ++c) {
+    dsp::sinc_pulse(p.ts, p.bandwidth_hz, fit.delays[c],
+                    {fit.dict + c * p.taps, p.taps});
+  }
+  const std::array<const double*, K> cols = columns<K>(fit.dict, p.taps);
+  std::array<double, K> re{};
+  std::array<double, K> im{};
+  std::array<double, K * K> gram{};
+  for (std::size_t n = 0; n < p.taps; ++n) {
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < K; ++i) {
+      const double v = cols[i][n];
+      re[i] += v * p.re[n];
+      im[i] += v * p.im[n];
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j <= i; ++j) gram[i * K + j] += v * cols[j][n];
+    }
+  }
+  fit.gram = gram;
+  fit.rhs_re = re;
+  fit.rhs_im = im;
+  fit.alpha_re = re;
+  fit.alpha_im = im;
+  ridge_solve<K>(gram, p.lambda, fit.alpha_re, fit.alpha_im);
+  fit.residual = residual<K>(p, cols, fit.alpha_re, fit.alpha_im);
+}
+
+// Moves column c of `best` to `delay` in `column` (taps scratch): builds
+// that column, its right-hand sides and its Gram row against best's other
+// columns, and solves. Only when the residual beats best's does it write
+// what the move changed into best: the column, its delay, Gram row and
+// right-hand sides, the alphas and the residual.
+template <std::size_t K>
+void try_column(const Problem& p, Fit<K>& best, std::size_t c, double delay,
+                double* column) {
+  dsp::sinc_pulse(p.ts, p.bandwidth_hz, delay, {column, p.taps});
+  std::array<const double*, K> cols = columns<K>(best.dict, p.taps);
+  cols[c] = column;
+  double re = 0.0;
+  double im = 0.0;
+  std::array<double, K> gram{};
+  for (std::size_t n = 0; n < p.taps; ++n) {
+    const double v = column[n];
+    re += v * p.re[n];
+    im += v * p.im[n];
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < K; ++j) gram[j] += v * cols[j][n];
+  }
+  std::array<double, K * K> l = best.gram;
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < K; ++j) {
+    l[std::max(c, j) * K + std::min(c, j)] = gram[j];
+  }
+  std::array<double, K> alpha_re = best.rhs_re;
+  std::array<double, K> alpha_im = best.rhs_im;
+  alpha_re[c] = re;
+  alpha_im[c] = im;
+  ridge_solve<K>(l, p.lambda, alpha_re, alpha_im);
+  const double res = residual<K>(p, cols, alpha_re, alpha_im);
+  if (!(res < best.residual)) return;
+  std::copy(column, column + p.taps, best.dict + c * p.taps);
+  best.delays[c] = delay;
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < K; ++j) {
+    best.gram[std::max(c, j) * K + std::min(c, j)] = gram[j];
+  }
+  best.rhs_re[c] = re;
+  best.rhs_im[c] = im;
+  best.alpha_re = alpha_re;
+  best.alpha_im = alpha_im;
+  best.residual = res;
+}
+
+double grid_offset(std::size_t idx, std::size_t steps, double span) {
+  if (steps == 1) return 0.0;
+  return (static_cast<double>(idx) / static_cast<double>(steps - 1) - 0.5) *
+         2.0 * span;
+}
+
+template <std::size_t K>
+void fit_k(const Problem& p, const RVec& nominal_delays_s,
+           const SuperresConfig& config, SuperresWorkspace& ws) {
   // Stage 1: common shift, relative structure fixed. Coarse grid over the
-  // full span, then a fine grid around the best coarse shift.
-  const std::size_t k = nominal_delays_s.size();
-  DelayFitter fitter(h, ts, bandwidth_hz, config.lambda, k);
-  Fit best(h.size(), k);
-  Fit trial(h.size(), k);
-  best.delays = nominal_delays_s;
-  fitter.fit_all(best);
+  // full span, then a fine grid around the best coarse shift. A trial
+  // that wins swaps places with the best fit, dictionary included.
+  Fit<K> fits[2];
+  Fit<K>* best = &fits[0];
+  Fit<K>* trial = &fits[1];
+  best->dict = ws.best_dict.data();
+  trial->dict = ws.trial_dict.data();
+#pragma GCC unroll 8
+  for (std::size_t c = 0; c < K; ++c) best->delays[c] = nominal_delays_s[c];
+  fit_all<K>(p, *best);
   double best_shift = 0.0;
   auto try_shift = [&](double shift) {
-    for (std::size_t c = 0; c < k; ++c) {
-      trial.delays[c] = nominal_delays_s[c] + shift;
+#pragma GCC unroll 8
+    for (std::size_t c = 0; c < K; ++c) {
+      trial->delays[c] = nominal_delays_s[c] + shift;
     }
-    fitter.fit_all(trial);
-    if (trial.residual < best.residual) {
+    fit_all<K>(p, *trial);
+    if (trial->residual < best->residual) {
       std::swap(best, trial);
       best_shift = shift;
     }
@@ -197,41 +269,105 @@ SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
     }
   }
 
-  // Stage 2: small per-path refinement (relative-ToF drift). Each trial
-  // moves one column of the current best fit.
+  // Stage 2: small per-path refinement (relative-ToF drift). Each
+  // candidate moves one column of the current best fit.
   if (config.relative_steps > 1 && config.relative_span_s > 0.0) {
     for (std::size_t round = 0; round < config.refinement_rounds; ++round) {
-      for (std::size_t c = 0; c < k; ++c) {
-        const double center = best.delays[c];
+      for (std::size_t c = 0; c < K; ++c) {
+        const double center = best->delays[c];
         for (std::size_t si = 0; si < config.relative_steps; ++si) {
           const double off =
               grid_offset(si, config.relative_steps, config.relative_span_s);
           if (off == 0.0) continue;
-          trial = best;
-          trial.delays[c] = center + off;
-          fitter.refit_column(trial, c);
-          if (trial.residual < best.residual) std::swap(best, trial);
+          try_column<K>(p, *best, c, center + off, ws.column.data());
         }
       }
     }
   }
 
-  SuperresResult result;
-  result.alphas.resize(k);
-  for (std::size_t c = 0; c < k; ++c) {
-    result.alphas[c] = cplx{best.alpha_re[c], best.alpha_im[c]};
+  SuperresResult& result = ws.result;
+  result.alphas.resize(K);
+  result.delays_s.resize(K);
+  for (std::size_t c = 0; c < K; ++c) {
+    result.alphas[c] = cplx{best->alpha_re[c], best->alpha_im[c]};
+    result.delays_s[c] = best->delays[c];
   }
-  result.delays_s = std::move(best.delays);
-  result.residual = best.residual;
+  result.residual = best->residual;
+}
+
+using FitFn = void (*)(const Problem&, const RVec&, const SuperresConfig&,
+                       SuperresWorkspace&);
+
+template <std::size_t... I>
+constexpr std::array<FitFn, sizeof...(I)> make_fits(
+    std::index_sequence<I...>) {
+  return {&fit_k<I + 1>...};
+}
+
+// kFits[K - 1] fits K beams.
+constexpr std::array<FitFn, kMaxBeams> kFits =
+    make_fits(std::make_index_sequence<kMaxBeams>{});
+
+}  // namespace
+
+RVec SuperresResult::powers() const {
+  RVec p(alphas.size());
+  for (std::size_t k = 0; k < alphas.size(); ++k) p[k] = std::norm(alphas[k]);
+  return p;
+}
+
+const SuperresResult& superres_per_beam(const CVec& cir,
+                                        const RVec& nominal_delays_s,
+                                        double ts, double bandwidth_hz,
+                                        const SuperresConfig& config,
+                                        SuperresWorkspace& workspace) {
+  MMR_EXPECTS(!cir.empty());
+  MMR_EXPECTS(!nominal_delays_s.empty());
+  MMR_EXPECTS(nominal_delays_s.size() <= kMaxBeams);
+  MMR_EXPECTS(cir.size() >= nominal_delays_s.size());
+  MMR_EXPECTS(config.lambda > 0.0);
+  MMR_EXPECTS(config.common_shift_steps >= 1);
+  MMR_EXPECTS(config.relative_steps >= 1);
+
+  // Corrupted feedback words (NaN/Inf taps) would poison the normal
+  // equations and surface as non-finite per-beam amplitudes; zero them so
+  // the fit runs on the surviving taps.
+  const std::size_t taps = cir.size();
+  const std::size_t k = nominal_delays_s.size();
+  workspace.taps_re.resize(taps);
+  workspace.taps_im.resize(taps);
+  for (std::size_t n = 0; n < taps; ++n) {
+    const bool finite =
+        std::isfinite(cir[n].real()) && std::isfinite(cir[n].imag());
+    workspace.taps_re[n] = finite ? cir[n].real() : 0.0;
+    workspace.taps_im[n] = finite ? cir[n].imag() : 0.0;
+  }
+  workspace.best_dict.resize(taps * k);
+  workspace.trial_dict.resize(taps * k);
+  workspace.column.resize(taps);
+  const Problem problem{workspace.taps_re.data(), workspace.taps_im.data(),
+                        taps, ts, bandwidth_hz, config.lambda};
+  kFits[k - 1](problem, nominal_delays_s, config, workspace);
+
   // Last line of defense: a degenerate dictionary can still leak NaN out
   // of the solver; a non-finite "amplitude" is a claim of no energy, not
   // infinite energy, so clamp to zero rather than letting callers track
   // garbage powers.
+  SuperresResult& result = workspace.result;
   for (cplx& a : result.alphas) {
     if (!std::isfinite(a.real()) || !std::isfinite(a.imag())) a = cplx{};
   }
   if (!std::isfinite(result.residual)) result.residual = 0.0;
   return result;
+}
+
+SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
+                                 double ts, double bandwidth_hz,
+                                 const SuperresConfig& config) {
+  SuperresWorkspace workspace;
+  superres_per_beam(cir, nominal_delays_s, ts, bandwidth_hz, config,
+                    workspace);
+  return std::move(workspace.result);
 }
 
 CVec reconstruct_cir(const SuperresResult& fit, std::size_t num_taps,

@@ -47,14 +47,42 @@ struct SuperresResult {
   RVec powers() const;  ///< |alpha_k|^2
 };
 
+/// Largest beam count K (dictionary columns) a fit takes. The fit is
+/// compiled once for each K in 1..kMaxBeams, so that its per-tap loops run
+/// over K with their accumulators in registers; a larger K throws
+/// std::logic_error.
+inline constexpr std::size_t kMaxBeams = 8;
+
+/// Caller-owned scratch of superres_per_beam and the fit it last made.
+/// The buffers grow to the largest fit seen and keep their capacity, so
+/// a warm workspace fits without allocating.
+struct SuperresWorkspace {
+  /// The last fit; overwritten by the next call with this workspace.
+  SuperresResult result;
+  /// Scratch: the CIR with non-finite taps zeroed, as real and imaginary
+  /// parts; the dictionaries of the best and of a stage-1 trial fit
+  /// (taps x K, column-major); a stage-2 candidate column.
+  RVec taps_re, taps_im, best_dict, trial_dict, column;
+};
+
 /// Fit per-beam amplitudes to a measured CIR. `nominal_delays_s` come from
 /// training (relative to the earliest path, which the receiver's timing
-/// lock pins to tap 0). `ts` is the CIR sample period, `bandwidth_hz` the
-/// sinc bandwidth B; ts must be 1/B (dsp::sinc_pulse's precondition).
+/// lock pins to tap 0), one per beam, at most kMaxBeams. `ts` is the CIR
+/// sample period, `bandwidth_hz` the sinc bandwidth B; ts must be 1/B
+/// (dsp::sinc_pulse's precondition).
 ///
 /// Non-finite CIR taps (corrupted feedback) are zeroed before the fit and
 /// any non-finite fitted amplitude is clamped to zero, so the returned
 /// powers are always finite.
+///
+/// Returns workspace.result.
+const SuperresResult& superres_per_beam(const CVec& cir,
+                                        const RVec& nominal_delays_s,
+                                        double ts, double bandwidth_hz,
+                                        const SuperresConfig& config,
+                                        SuperresWorkspace& workspace);
+
+/// The same fit in a workspace of its own.
 SuperresResult superres_per_beam(const CVec& cir, const RVec& nominal_delays_s,
                                  double ts, double bandwidth_hz,
                                  const SuperresConfig& config = {});

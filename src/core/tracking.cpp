@@ -1,6 +1,7 @@
 #include "core/tracking.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "array/pattern.h"
@@ -42,7 +43,8 @@ PerBeamTracker::PerBeamTracker(const TrackerConfig& config,
                                std::size_t num_elements,
                                double spacing_wavelengths)
     : config_(config), num_elements_(num_elements),
-      spacing_(spacing_wavelengths) {
+      spacing_(spacing_wavelengths), history_(config.fit_history),
+      fit_x_(config.fit_history), fit_y_(config.fit_history) {
   MMR_EXPECTS(num_elements >= 2);
   MMR_EXPECTS(config.fit_history >= 3);
 }
@@ -52,24 +54,24 @@ void PerBeamTracker::reset_reference(double power_db) {
   has_reference_ = true;
   ewma_db_ = power_db;
   ewma_primed_ = true;
-  history_.clear();
+  history_head_ = 0;
+  history_size_ = 0;
   state_ = BeamState::kTracking;
 }
 
-double PerBeamTracker::smoothed_power_db(double t_s) const {
+double PerBeamTracker::smoothed_power_db(double t_s) {
   // Quadratic fit over the recent history (Section 6.1), evaluated at the
   // window CENTER: endpoint extrapolation would amplify noise ~3x, and
   // half a window of lag is harmless at the realignment cadence.
-  if (history_.size() < config_.fit_history) return ewma_db_;
-  RVec xs, ys;
-  xs.reserve(history_.size());
-  ys.reserve(history_.size());
-  const double t0 = history_.front().t_s;
-  for (const Sample& s : history_) {
-    xs.push_back(s.t_s - t0);
-    ys.push_back(s.power_db);
+  if (history_size_ < config_.fit_history) return ewma_db_;
+  const double t0 = sample(0).t_s;
+  for (std::size_t i = 0; i < history_size_; ++i) {
+    fit_x_[i] = sample(i).t_s - t0;
+    fit_y_[i] = sample(i).power_db;
   }
-  const RVec coeffs = dsp::polyfit(xs, ys, 2);
+  std::array<double, 3> coeffs{};
+  std::array<double, 3 * 4> scratch{};
+  dsp::polyfit(fit_x_, fit_y_, coeffs, scratch);
   return dsp::polyval(coeffs, 0.5 * (t_s - t0));
 }
 
@@ -89,14 +91,22 @@ PerBeamTracker::Update PerBeamTracker::update(double t_s, double power_db) {
                        (1.0 - config_.forgetting_factor) * power_db
                  : power_db;
   ewma_primed_ = true;
-  history_.push_back({t_s, power_db});
-  while (history_.size() > config_.fit_history) history_.pop_front();
+  // Keep the last fit_history samples: a full ring overwrites its oldest.
+  if (history_size_ < history_.size()) {
+    history_[(history_head_ + history_size_) % history_.size()] = {t_s,
+                                                                  power_db};
+    ++history_size_;
+  } else {
+    history_[history_head_] = {t_s, power_db};
+    history_head_ = (history_head_ + 1) % history_.size();
+  }
 
   Update up;
 
   // Blockage: raw drop of blockage_drop_db or more within the window.
   double recent_max = power_db;
-  for (const Sample& s : history_) {
+  for (std::size_t i = 0; i < history_size_; ++i) {
+    const Sample& s = sample(i);
     if (t_s - s.t_s <= config_.blockage_window_s) {
       recent_max = std::max(recent_max, s.power_db);
     }

@@ -10,7 +10,7 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <vector>
 
 #include "common/types.h"
 
@@ -82,7 +82,16 @@ class PerBeamTracker {
   bool has_reference() const { return has_reference_; }
 
  private:
-  double smoothed_power_db(double t_s) const;
+  struct Sample {
+    double t_s;
+    double power_db;
+  };
+
+  double smoothed_power_db(double t_s);
+  /// i-th retained sample, oldest first (i < history_size_).
+  const Sample& sample(std::size_t i) const {
+    return history_[(history_head_ + i) % history_.size()];
+  }
 
   TrackerConfig config_;
   std::size_t num_elements_;
@@ -92,11 +101,13 @@ class PerBeamTracker {
   double ewma_db_ = 0.0;
   bool ewma_primed_ = false;
   BeamState state_ = BeamState::kTracking;
-  struct Sample {
-    double t_s;
-    double power_db;
-  };
-  std::deque<Sample> history_;
+  /// The last fit_history samples: a ring of fit_history slots whose
+  /// oldest sample is at history_head_.
+  std::vector<Sample> history_;
+  std::size_t history_head_ = 0;
+  std::size_t history_size_ = 0;
+  /// The smoother's abscissae and ordinates, fit_history each.
+  RVec fit_x_, fit_y_;
   std::size_t consecutive_drops_ = 0;
 };
 

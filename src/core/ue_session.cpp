@@ -33,6 +33,8 @@ CVec ue_wide_weights(const array::Ula& ue_ula) {
 DirectionalUeSession::DirectionalUeSession(UeSessionConfig config)
     : config_(config) {
   MMR_EXPECTS(config_.max_beams >= 1);
+  // Every trained beam is a column of the per-beam power fit.
+  MMR_EXPECTS(config_.max_beams <= kMaxBeams);
 }
 
 void DirectionalUeSession::resynthesize() {

@@ -170,6 +170,7 @@ KernelTolerances tolerances(Backend backend) {
       /*delay_phasors=*/{512, 1e-9},
       /*log=*/{0, 0.0},
       /*sincos=*/{0, 0.0},
+      /*sinc_taps=*/{0, 0.0},
   };
   switch (backend) {
     case Backend::kScalar:

@@ -84,6 +84,14 @@ struct KernelTable {
   void (*log)(const double* x, double* y, std::size_t n) = nullptr;
   void (*sincos)(const double* x, double* s, double* c,
                  std::size_t n) = nullptr;
+  // The per-tap quotient of dsp::sinc_pulse: for i < n, with
+  // x_i = bandwidth * (i * ts - tau), out[i] = 1 where |x_i| < 1e-12 and
+  // otherwise s_i / (pi * x_i), where s_i is sin_m when i and m share
+  // parity and -sin_m when they do not. Every backend performs the scalar
+  // loop's operations in its order, without contraction, so every
+  // backend returns the scalar entry's bits.
+  void (*sinc_taps)(double ts, double bandwidth, double tau, std::size_t m,
+                    double sin_m, double* out, std::size_t n) = nullptr;
 };
 
 /// Relative/absolute error bound of one kernel vs the scalar reference: a
@@ -106,6 +114,7 @@ struct KernelTolerances {
   Tolerance delay_phasors;   ///< delay_phasors + accumulate_phasors
   Tolerance log;             ///< per element, ULPs only (no absolute arm)
   Tolerance sincos;          ///< sin and cos per element (scale 1)
+  Tolerance sinc_taps;       ///< 0 on every backend: the scalar bits
 };
 
 /// Backends compiled into this binary, in dispatch-priority order

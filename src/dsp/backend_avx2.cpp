@@ -525,6 +525,7 @@ const KernelTable* avx2_table() {
     t.dot_phasors = &avx2_dot_phasors;
     t.log = &avx2_log;
     t.sincos = &avx2_sincos;
+    t.sinc_taps = &avx2_sinc_taps;
     return t;
   }();
   return &table;

@@ -8,8 +8,10 @@
 // kernels they do not accelerate.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
+#include "common/angles.h"
 #include "common/types.h"
 
 namespace mmr::dsp::detail {
@@ -25,6 +27,18 @@ void scalar_delay_phasors(const double* freqs, bool affine, double df,
 void scalar_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
                                cplx* dst, std::size_t n);
 cplx scalar_dot_phasors(const cplx* ph, const cplx* w, std::size_t n);
+void scalar_sinc_taps(double ts, double bandwidth, double tau, std::size_t m,
+                      double sin_m, double* out, std::size_t n);
+
+/// Tap i of scalar_sinc_taps (every caller compiles with contraction
+/// off): x_i = B (i ts - tau); 1 where |x_i| < 1e-12, else
+/// (-1)^(i-m) sin_m / (pi x_i), as i - m and i ^ m share parity.
+inline double sinc_tap(double ts, double bandwidth, double tau,
+                       std::size_t m, double sin_m, std::size_t i) {
+  const double x = bandwidth * (static_cast<double>(i) * ts - tau);
+  if (std::abs(x) < 1e-12) return 1.0;
+  return (((i ^ m) & 1) != 0 ? -sin_m : sin_m) / (kPi * x);
+}
 
 // ---------------------------------------------------------------------------
 // Portable FMA-restructured kernels (backend_portable.cpp): plain C++,
@@ -39,6 +53,14 @@ void portable_delay_phasors(const double* freqs, bool affine, double df,
 void portable_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
                                  cplx* dst, std::size_t n);
 cplx portable_dot_phasors(const cplx* ph, const cplx* w, std::size_t n);
+
+// ---------------------------------------------------------------------------
+// AVX2 sampled-sinc taps (backend_avx2_sinc.cpp, x86-64 only): compiled
+// apart from backend_avx2.cpp, without FMA and with contraction off, so
+// its four-lane quotients are the scalar entry's bits.
+// ---------------------------------------------------------------------------
+void avx2_sinc_taps(double ts, double bandwidth, double tau, std::size_t m,
+                    double sin_m, double* out, std::size_t n);
 
 // ---------------------------------------------------------------------------
 // Shared building blocks.

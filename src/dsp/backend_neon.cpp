@@ -47,6 +47,7 @@ const KernelTable* neon_table() {
     // No NEON log/sincos kernels yet: the scalar reference (libm).
     t.log = &libm_log;
     t.sincos = &libm_sincos;
+    t.sinc_taps = &scalar_sinc_taps;
     return t;
   }();
   return &table;

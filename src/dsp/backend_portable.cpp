@@ -197,6 +197,7 @@ const KernelTable* portable_table() {
     // No portable log/sincos kernels: the scalar reference (libm).
     t.log = &libm_log;
     t.sincos = &libm_sincos;
+    t.sinc_taps = &scalar_sinc_taps;
     return t;
   }();
   return &table;

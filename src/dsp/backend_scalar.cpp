@@ -75,6 +75,13 @@ void scalar_accumulate_phasors(cplx alpha, bool /*affine*/, const cplx* ph,
   scalar_axpy(alpha, ph, dst, n);
 }
 
+void scalar_sinc_taps(double ts, double bandwidth, double tau, std::size_t m,
+                      double sin_m, double* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = sinc_tap(ts, bandwidth, tau, m, sin_m, i);
+  }
+}
+
 RampDeltas compute_ramp_deltas(double step) {
   RampDeltas d;
   for (std::size_t k = 0; k < kRampBlock; ++k) {
@@ -120,6 +127,7 @@ const KernelTable* scalar_table() {
     t.dot_phasors = &scalar_dot_phasors;
     t.log = &libm_log;
     t.sincos = &libm_sincos;
+    t.sinc_taps = &scalar_sinc_taps;
     return t;
   }();
   return &table;

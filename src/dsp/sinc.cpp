@@ -6,6 +6,7 @@
 
 #include "common/angles.h"
 #include "common/error.h"
+#include "dsp/backend.h"
 
 namespace mmr::dsp {
 
@@ -24,15 +25,10 @@ void sinc_pulse(double ts, double bandwidth, double tau,
       centre > 0.0 ? static_cast<std::size_t>(std::min(centre, last)) : 0;
   const double sin_m =
       std::sin(kPi * (bandwidth * (static_cast<double>(m) * ts - tau)));
-  for (std::size_t n = 0; n < out.size(); ++n) {
-    const double x = bandwidth * (static_cast<double>(n) * ts - tau);
-    if (std::abs(x) < 1e-12) {
-      out[n] = 1.0;
-      continue;
-    }
-    // sin(pi x_n) = (-1)^(n-m) sin(pi x_m); n - m and n ^ m share parity.
-    out[n] = (((n ^ m) & 1) != 0 ? -sin_m : sin_m) / (kPi * x);
-  }
+  // Each tap's own quotient, through the kernel table (the same bits on
+  // every backend).
+  active_table().sinc_taps(ts, bandwidth, tau, m, sin_m, out.data(),
+                           out.size());
 }
 
 cplx sinc_interpolate(const CVec& taps, double ts, double bandwidth,

@@ -19,7 +19,9 @@ namespace mmr::dsp {
 /// sample apart, so sin(pi x_n) = (-1)^(n-m) sin(pi x_m). The anchor m is
 /// the tap nearest the pulse centre B tau, clamped to the window, so
 /// the sin is taken where the pulse is largest and keeps the peak's
-/// relative accuracy; every tap divides by its own pi x_n. Declared
+/// relative accuracy; every tap divides by its own pi x_n, in the kernel
+/// table's sinc_taps entry, whose bits are the same on every backend.
+/// Declared
 /// bound: for windows of up to 64 taps and delays within 3 samples of
 /// the window, each tap is within 2e-14 absolute of the per-tap libm form
 /// sin(pi x_n) / (pi x_n) (tests/dsp/sinc_test.cpp); the anchor tap is

@@ -138,6 +138,19 @@ TEST(Superres, RejectsBadInputs) {
                std::logic_error);
 }
 
+// The fit is compiled once for each K in 1..kMaxBeams, and no runtime-K
+// fit stands beside it.
+TEST(Superres, MoreBeamsThanKMaxBeamsThrow) {
+  const CVec cir(32, cplx{1.0, 0.0});
+  const RVec delays(kMaxBeams + 1, 0.0);
+  SuperresWorkspace workspace;
+  EXPECT_THROW(superres_per_beam(cir, delays, kTs, kBw), std::logic_error);
+  EXPECT_THROW(superres_per_beam(cir, delays, kTs, kBw, {}, workspace),
+               std::logic_error);
+  const RVec most(kMaxBeams, 0.0);
+  EXPECT_EQ(superres_per_beam(cir, most, kTs, kBw).alphas.size(), kMaxBeams);
+}
+
 TEST(Superres, NonFiniteTapsAreGatedNotPropagated) {
   const cplx amp{0.7, -0.4};
   CVec cir = synth_cir(24, {amp}, {3.2e-9});

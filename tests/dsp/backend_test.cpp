@@ -6,7 +6,8 @@
 //   * edges: n == 0 is a no-op / zero reduction, n == 1 is exact libm,
 //     log/sincos lanes outside the vector domain (+-0, subnormals,
 //     negatives, NaN/Inf, |x| beyond 2^20) are exact libm,
-//   * aliasing: axpy with x == y (full overlap) is well-defined.
+//   * aliasing: axpy with x == y (full overlap) is well-defined,
+//   * sinc_taps: every backend returns the scalar entry's bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "common/types.h"
 #include "dsp/backend.h"
 #include "dsp/kernels.h"
+#include "dsp/sinc.h"
 #include "tests/common/diff_harness.h"
 
 namespace mmr {
@@ -251,6 +253,58 @@ TEST_P(KernelEdges, AxpyAllowsFullyAliasedInputOutput) {
     }
   }
   audit.finish(200);
+}
+
+// dsp::sinc_pulse's per-tap quotients go through the kernel table, whose
+// every entry performs the scalar loop's operations in its order: the
+// declared row is 0 on every backend, and the taps memcmp-equal the scalar
+// entry's over random pulses of 1-64 taps, with delays inside the window,
+// on an integer tap, up to 3 samples outside it, and NaN.
+TEST_P(KernelEdges, SincTapsAreTheScalarEntryBits) {
+  const dsp::Tolerance declared = dsp::tolerances(GetParam()).sinc_taps;
+  EXPECT_EQ(declared.max_ulp, 0u);
+  EXPECT_EQ(declared.abs_tol, 0.0);
+  const Rng base(0x51AC7A95ull);
+  constexpr std::size_t kPulses = 100'000;
+  std::size_t kinds[4] = {};
+  double got[64];
+  double want[64];
+  for (std::size_t i = 0; i < kPulses; ++i) {
+    Rng rng = base.fork(i);
+    const std::size_t n = 1 + rng.uniform_index(64);
+    const double bandwidth = rng.uniform(1e8, 2e9);
+    const double ts = 1.0 / bandwidth;
+    const double taps = static_cast<double>(n);
+    double tau = 0.0;
+    const std::size_t kind = rng.uniform_index(4);
+    ++kinds[kind];
+    switch (kind) {
+      case 0:  // inside the window
+        tau = rng.uniform(0.0, taps - 1.0) * ts;
+        break;
+      case 1:  // on an integer tap
+        tau = static_cast<double>(rng.uniform_index(n)) * ts;
+        break;
+      case 2:  // up to 3 samples before or after the window
+        tau = (rng.uniform() < 0.5 ? rng.uniform(-3.0, 0.0)
+                                   : rng.uniform(taps - 1.0, taps + 2.0)) *
+              ts;
+        break;
+      default:
+        tau = std::numeric_limits<double>::quiet_NaN();
+        break;
+    }
+    dsp::sinc_pulse(ts, bandwidth, tau, {got, n});
+    {
+      dsp::ScopedBackend scalar(dsp::Backend::kScalar);
+      ASSERT_TRUE(scalar.ok());
+      dsp::sinc_pulse(ts, bandwidth, tau, {want, n});
+    }
+    ASSERT_EQ(std::memcmp(got, want, n * sizeof(double)), 0)
+        << "pulse " << i << ": " << n << " taps, tau = " << tau / ts
+        << " samples";
+  }
+  for (const std::size_t count : kinds) EXPECT_GT(count, kPulses / 5);
 }
 
 INSTANTIATE_TEST_SUITE_P(

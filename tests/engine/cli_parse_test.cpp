@@ -14,6 +14,7 @@
 
 #include "common/parse.h"
 #include "dsp/backend.h"
+#include "net/network.h"
 #include "sweep_cli.h"
 
 namespace mmr {
@@ -247,6 +248,74 @@ TEST(SweepCliDeathTest, MergeCombinedWithWorkerFlagsExits2) {
 }
 
 // --- benches without a journaled trial campaign ------------------------
+
+// An unknown registry name exits 2 as it is parsed, listing the
+// registered names the way --list prints them, instead of reaching the
+// engine, whose std::invalid_argument would abort the bench and lose its
+// buffered stdout.
+TEST(SweepCliDeathTest, UnknownControllerExits2ListingTheRegistry) {
+  EXPECT_EXIT(run_cli({"prog", "--trials", "1", "--controller", "bogus"}),
+              ::testing::ExitedWithCode(2),
+              "unknown controller 'bogus'; registered controllers:");
+  EXPECT_EXIT(run_cli({"prog", "--controller=bogus"}),
+              ::testing::ExitedWithCode(2), "\n  mmreliable\n");
+}
+
+TEST(SweepCliDeathTest, UnknownScenarioExits2ListingTheRegistry) {
+  EXPECT_EXIT(run_cli({"prog", "--trials", "1", "--scenario", "bogus"}),
+              ::testing::ExitedWithCode(2),
+              "unknown scenario 'bogus'; registered scenarios:");
+  EXPECT_EXIT(run_cli({"prog", "--scenario=bogus"}),
+              ::testing::ExitedWithCode(2), "\n  indoor_sparse\n");
+}
+
+// bench_network's parse: the shared grammar after its own flags, with the
+// network builtins (indoor_crowd, terragraph) registered first.
+bool network_flags(int& i, int argc, char** argv) {
+  return bench::detail::flag_value(i, argc, argv, "--cells") != nullptr;
+}
+
+int run_network_cli(std::vector<std::string> args) {
+  net::register_net_builtins();
+  auto argv = argv_of(args);
+  bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data(),
+                         network_flags, nullptr);
+  return 0;
+}
+
+TEST(SweepCli, NetworkParseAcceptsTheNetworkBuiltins) {
+  EXPECT_EQ(run_network_cli({"prog", "--cells", "2", "--scenario",
+                             "indoor_crowd", "--controller", "terragraph"}),
+            0);
+}
+
+TEST(SweepCliDeathTest, NetworkParseExits2OnUnknownNames) {
+  EXPECT_EXIT(run_network_cli({"prog", "--trials", "1", "--controller",
+                               "bogus"}),
+              ::testing::ExitedWithCode(2),
+              "unknown controller 'bogus'; registered controllers:");
+  EXPECT_EXIT(run_network_cli({"prog", "--controller", "bogus"}),
+              ::testing::ExitedWithCode(2), "\n  terragraph\n");
+  EXPECT_EXIT(run_network_cli({"prog", "--scenario", "bogus"}),
+              ::testing::ExitedWithCode(2), "\n  indoor_crowd\n");
+}
+
+// fig16, fig18 and fig19 name every trial's controller in their customize
+// hooks, so they refuse --controller instead of ignoring it.
+int run_fixed_controller_cli(std::vector<std::string> args) {
+  auto argv = argv_of(args);
+  bench::parse_sweep_cli(static_cast<int>(argv.size()), argv.data(),
+                         bench::refuse_controller_flag, nullptr);
+  return 0;
+}
+
+TEST(SweepCliDeathTest, RefusedControllerFlagExits2) {
+  EXPECT_EXIT(run_fixed_controller_cli({"prog", "--controller", "reactive"}),
+              ::testing::ExitedWithCode(2), "--controller is not supported");
+  EXPECT_EXIT(run_fixed_controller_cli({"prog", "--controller=reactive"}),
+              ::testing::ExitedWithCode(2), "--controller is not supported");
+  EXPECT_EQ(run_fixed_controller_cli({"prog", "--scenario", "outdoor"}), 0);
+}
 
 // The first step of bench_streaming's ExtraFlagHandler (its own --shards
 // sizes the session table and is not refused).

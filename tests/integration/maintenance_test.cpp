@@ -26,6 +26,15 @@ TEST(Maintenance, EstablishesMultibeamOnStart) {
   EXPECT_TRUE(ctrl->link_available(0.1));
 }
 
+// Training keeps max(max_beams + 1, 3) directions, and each is a column
+// of the monitoring fit, which takes at most kMaxBeams.
+TEST(Maintenance, TrainedDirectionsMustFitTheSuperresFit) {
+  const sim::LinkWorld world = sim::make_indoor_world(cfg(3));
+  EXPECT_NO_THROW(sim::make_mmreliable(world, cfg(3), kMaxBeams - 1));
+  EXPECT_THROW(sim::make_mmreliable(world, cfg(3), kMaxBeams),
+               std::logic_error);
+}
+
 TEST(Maintenance, StaticLinkStableForOneSecond) {
   sim::LinkWorld world = sim::make_indoor_world(cfg(5));
   auto ctrl = sim::make_mmreliable(world, cfg(5), 2);
