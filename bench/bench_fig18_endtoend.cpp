@@ -12,6 +12,7 @@
 // serial-equivalent speedup.
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "common/stats.h"
 #include "common/table.h"
@@ -87,19 +88,40 @@ int main(int argc, char** argv) {
     } else {
       Table t({"scheme", "0 blockers (Mbps)", "1 blocker (Mbps)",
                "2 blockers (Mbps)", "drop w/ 2 (%)"});
+      RVec drop;  // per scheme, schemes() order: mmReliable first
       for (std::size_t s = 0; s < all.size(); ++s) {
         RVec tput;
         for (int nb = 0; nb <= 2; ++nb) {
           tput.push_back(res.trials[s * 3 + nb].value.mean_throughput_bps /
                          1e6);
         }
+        drop.push_back(100.0 * (1.0 - tput[2] / tput[0]));
         t.add_row({all[s].name, Table::num(tput[0], 0),
                    Table::num(tput[1], 0), Table::num(tput[2], 0),
-                   Table::num(100.0 * (1.0 - tput[2] / tput[0]), 1)});
+                   Table::num(drop.back(), 1)});
       }
       t.print(std::cout);
-      std::printf("paper shape: mmReliable loses only a few %% with two "
-                  "blockers; single-beam baselines lose far more.\n");
+      // The paper's claim: mmReliable loses only a few % with two
+      // blockers (here: at most 5%), single-beam baselines far more (here:
+      // more than twice mmReliable's drop). Stated only when the table
+      // above bears it out.
+      bool holds = drop[0] <= 5.0;
+      std::string drops = std::string(all[0].name) + " " +
+                          Table::num(drop[0], 1) + "%";
+      for (std::size_t s = 1; s < all.size(); ++s) {
+        holds = holds && drop[s] > 2.0 * drop[0];
+        drops += std::string(", ") + all[s].name + " " +
+                 Table::num(drop[s], 1) + "%";
+      }
+      std::printf("throughput drop with 2 blockers: %s\n", drops.c_str());
+      if (holds) {
+        std::printf("paper shape: mmReliable loses only a few %% with two "
+                    "blockers; single-beam baselines lose far more.\n");
+      } else {
+        std::printf("paper shape (mmReliable loses only a few %% with two "
+                    "blockers, single-beam baselines far more): not "
+                    "reproduced; see EXPERIMENTS.md note 4.\n");
+      }
     }
     bench::emit_json(spec.name, res);
   }

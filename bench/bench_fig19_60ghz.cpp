@@ -130,13 +130,15 @@ int main(int argc, char** argv) {
   {
     // The tables above are single-shot link budgets; this runs the
     // registered outdoor scenario end-to-end with the multi-beam and
-    // reactive controllers for a dynamics-aware comparison.
+    // reactive controllers, a pedestrian crossing the LOS mid-run (as a
+    // Fig. 18 blocker does), for a dynamics-aware comparison.
     const std::vector<std::string> ctrls = {"mmreliable", "reactive"};
     sim::ExperimentSpec spec;
     spec.name = "fig19_outdoor_check";
     spec.scenario.name = "outdoor";
     spec.scenario.config.seed = 19;
-    spec.run.duration_s = 0.25;
+    spec.scenario.blockers.push_back({0.5, 1.5, 30.0});
+    spec.run.duration_s = 1.0;
     spec.trials = ctrls.size();
     spec.seed = 19;
     spec.seed_policy = sim::SeedPolicy::kFixed;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
 #include "array/codebook.h"
 #include "array/pattern.h"
@@ -247,7 +248,9 @@ BENCHMARK(BM_PatternCut_Fused);
 // "before": it is the bit-exact PR-2 reference the goldens run on).
 // Each kernel runs at two sizes: 64 (the production CSI row / ULA weight
 // length, where per-call dispatch overhead is part of the honest cost)
-// and 512 (wideband grids, where the loop dominates).
+// and 512 (wideband grids, where the loop dominates). The two steering
+// ramp kernels also run at 8, the registry scenarios' ULA size, a short
+// ramp on every backend.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kKernelReps = 64;  // amortize the dispatch load
@@ -370,25 +373,26 @@ void BM_KernelSincos(benchmark::State& state, dsp::Backend backend) {
 /// get no row).
 void register_backend_benchmarks() {
   using BenchFn = void (*)(benchmark::State&, dsp::Backend);
-  static constexpr struct {
+  static const struct {
     const char* name;
     BenchFn fn;
+    std::vector<std::int64_t> sizes;
   } kKernelBenches[] = {
-      {"BM_KernelPhasorRamp", &BM_KernelPhasorRamp},
-      {"BM_KernelDotPhasorRamp", &BM_KernelDotPhasorRamp},
-      {"BM_KernelAxpy", &BM_KernelAxpy},
-      {"BM_KernelDelayPhasors", &BM_KernelDelayPhasors},
-      {"BM_KernelLog", &BM_KernelLog},
-      {"BM_KernelSincos", &BM_KernelSincos},
+      {"BM_KernelPhasorRamp", &BM_KernelPhasorRamp, {8, 64, 512}},
+      {"BM_KernelDotPhasorRamp", &BM_KernelDotPhasorRamp, {8, 64, 512}},
+      {"BM_KernelAxpy", &BM_KernelAxpy, {64, 512}},
+      {"BM_KernelDelayPhasors", &BM_KernelDelayPhasors, {64, 512}},
+      {"BM_KernelLog", &BM_KernelLog, {64, 512}},
+      {"BM_KernelSincos", &BM_KernelSincos, {64, 512}},
   };
   for (const auto& bench : kKernelBenches) {
     for (dsp::Backend b : dsp::compiled_backends()) {
       if (!dsp::backend_supported(b)) continue;
       const std::string name = std::string(bench.name) + "/" +
                                std::string(dsp::backend_name(b));
-      benchmark::RegisterBenchmark(name.c_str(), bench.fn, b)
-          ->Arg(64)
-          ->Arg(512);
+      auto* registered =
+          benchmark::RegisterBenchmark(name.c_str(), bench.fn, b);
+      for (const std::int64_t n : bench.sizes) registered->Arg(n);
     }
   }
 }

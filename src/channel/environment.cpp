@@ -58,12 +58,23 @@ bool Environment::occluded(Vec2 p, Vec2 q, int ignore_wall) const {
 std::vector<Path> Environment::trace(const Pose& tx, const Pose& rx,
                                      double min_rel_power_db) const {
   std::vector<Path> paths;
-  trace_into(paths, tx, rx, min_rel_power_db);
+  trace_into(paths, tx, tx_images(tx), rx, min_rel_power_db);
   return paths;
 }
 
+std::vector<Vec2> Environment::tx_images(const Pose& tx) const {
+  std::vector<Vec2> images;
+  images.reserve(walls_.size());
+  for (const Wall& wall : walls_) {
+    images.push_back(mirror_across(wall.segment, tx.position));
+  }
+  return images;
+}
+
 void Environment::trace_into(std::vector<Path>& paths, const Pose& tx,
-                             const Pose& rx, double min_rel_power_db) const {
+                             std::span<const Vec2> images, const Pose& rx,
+                             double min_rel_power_db) const {
+  MMR_EXPECTS(images.size() == walls_.size());
   paths.clear();
 
   // LOS.
@@ -87,8 +98,7 @@ void Environment::trace_into(std::vector<Path>& paths, const Pose& tx,
   // Single bounce off each wall (image method).
   for (std::size_t i = 0; i < walls_.size(); ++i) {
     const Wall& wall = walls_[i];
-    const Vec2 image = mirror_across(wall.segment, tx.position);
-    const auto hit = intersect(wall.segment, image, rx.position);
+    const auto hit = intersect(wall.segment, images[i], rx.position);
     if (!hit) continue;
     const Vec2 refl = *hit;
     // Degenerate geometry: reflection point coincides with a terminal.

@@ -8,6 +8,7 @@
 // tracing reproduces the relevant structure).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "channel/geometry2d.h"
@@ -45,12 +46,20 @@ class Environment {
   std::vector<Path> trace(const Pose& tx, const Pose& rx,
                           double min_rel_power_db = 40.0) const;
 
+  /// The image-method sources of `tx`: its mirror image across each
+  /// wall, in wall order. They depend only on the TX position and the
+  /// walls, so a caller whose TX never moves computes them once.
+  std::vector<Vec2> tx_images(const Pose& tx) const;
+
   /// Allocation-reusing form of trace(): clears `out` and fills it with
-  /// exactly the paths (same values, same order) trace() would return,
-  /// reusing `out`'s capacity. The per-tick re-trace in LinkWorld uses
-  /// this so the trial hot path stops allocating once the path count has
-  /// plateaued. trace() is a thin wrapper around this.
-  void trace_into(std::vector<Path>& out, const Pose& tx, const Pose& rx,
+  /// exactly the paths (same values, same order) trace(tx, rx) would
+  /// return, reusing `out`'s capacity. `images` must be tx_images(tx).
+  /// The per-tick re-trace in LinkWorld uses this with the images it
+  /// computed once, so the trial hot path neither re-mirrors the gNB nor
+  /// allocates once the path count has plateaued. trace() is a thin
+  /// wrapper around this.
+  void trace_into(std::vector<Path>& out, const Pose& tx,
+                  std::span<const Vec2> images, const Pose& rx,
                   double min_rel_power_db = 40.0) const;
 
   /// Canonical scenarios from the paper's evaluation (Section 6).

@@ -14,7 +14,8 @@
 //                  accumulators, anchor+delta phasor evaluation). Compiles
 //                  and runs on every target.
 //   * kAvx2     -- AVX2+FMA intrinsics (x86-64), including in-house
-//                  vector log and sincos. Always COMPILED on x86
+//                  vector log and sincos; that sincos also forms every
+//                  phasor the backend generates. Always COMPILED on x86
 //                  via function-level target attributes -- no -mavx2
 //                  build flag needed -- and only EXECUTED when CPUID
 //                  reports avx2+fma, so -DMMR_NATIVE=OFF binaries run

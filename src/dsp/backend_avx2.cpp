@@ -11,12 +11,18 @@
 // classic addsub idiom:
 //   fmaddsub(p, dup_even(q), swap_pairs(p) * dup_odd(q))
 //     even lane: pr*qr - pi*qi, odd lane: pi*qr + pr*qi.
+//
+// Every phasor this backend generates -- the elements of a short ramp,
+// and the deltas, rotation, anchors and tail of an anchor+delta family --
+// comes from the in-house vector sincos (sincos4, below), a batch of
+// angles at a time; only the lanes outside sincos4's domain take libm.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 
 #include "common/angles.h"
@@ -54,19 +60,12 @@ MMR_AVX2 inline cplx hsum_cplx(__m256d v) {
   return cplx(buf[0], buf[1]);
 }
 
-inline void exact_phasor(double step, std::size_t i, double* re, double* im) {
-  const double ang = -step * static_cast<double>(i);
-  *re = std::cos(ang);
-  *im = std::sin(ang);
-}
-
-// (a_re + j a_im) *= (rot_re + j rot_im). Used to derive every second
-// anchor of the ramp kernels from the previous libm anchor: the sincos
-// call is the block loop's bottleneck, and the derived anchor is only one
-// rounded complex multiply away from exact, so the per-element error
-// stays O(1) ulp regardless of n (each block's anchor is at most one
-// multiply from a libm value -- the error does NOT accumulate across
-// blocks).
+// (a_re + j a_im) *= (rot_re + j rot_im). Derives the second block of
+// each anchor pair from the anchor: the derived anchor is only one
+// rounded complex multiply away from a sincos value, so the per-element
+// error stays O(1) ulp regardless of n (each block's anchor is at most
+// one multiply from a sincos value -- the error does NOT accumulate
+// across blocks).
 inline void rotate_anchor(double rot_re, double rot_im, double* a_re,
                           double* a_im) {
   const double re = *a_re * rot_re - *a_im * rot_im;
@@ -80,265 +79,12 @@ struct InterleavedDeltas {
   __m256d v[kB / 2];
 };
 
-MMR_AVX2 inline InterleavedDeltas interleave_deltas(const RampDeltas& d) {
-  InterleavedDeltas out;
-  for (std::size_t k = 0; k < kB / 2; ++k) {
-    out.v[k] = _mm256_set_pd(d.im[2 * k + 1], d.re[2 * k + 1], d.im[2 * k],
-                             d.re[2 * k]);
-  }
-  return out;
-}
-
-}  // namespace
-
-MMR_AVX2 void avx2_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
-  const double* xp = reinterpret_cast<const double*>(x);
-  double* yp = reinterpret_cast<double*>(y);
-  const __m256d ar = _mm256_set1_pd(alpha.real());
-  const __m256d ai = _mm256_set1_pd(alpha.imag());
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x0 = _mm256_loadu_pd(xp + 2 * i);
-    const __m256d x1 = _mm256_loadu_pd(xp + 2 * i + 4);
-    const __m256d y0 = _mm256_loadu_pd(yp + 2 * i);
-    const __m256d y1 = _mm256_loadu_pd(yp + 2 * i + 4);
-    _mm256_storeu_pd(yp + 2 * i, _mm256_add_pd(y0, cmul_const(x0, ar, ai)));
-    _mm256_storeu_pd(yp + 2 * i + 4,
-                     _mm256_add_pd(y1, cmul_const(x1, ar, ai)));
-  }
-  const double sar = alpha.real();
-  const double sai = alpha.imag();
-  for (; i < n; ++i) {
-    const double xr = xp[2 * i];
-    const double xi = xp[2 * i + 1];
-    yp[2 * i] += sar * xr - sai * xi;
-    yp[2 * i + 1] += sar * xi + sai * xr;
-  }
-}
-
-MMR_AVX2 void avx2_phasor_ramp(double step, std::size_t n, cplx* dst) {
-  if (n < 2 * kB) {
-    scalar_phasor_ramp(step, n, dst);
-    return;
-  }
-  const RampDeltas d = compute_ramp_deltas(step);
-  const InterleavedDeltas dv = interleave_deltas(d);
-  double rot_re;
-  double rot_im;
-  exact_phasor(step, kB, &rot_re, &rot_im);
-  double* out = reinterpret_cast<double*>(dst);
-  const auto emit_block = [&](std::size_t base, double a_re, double a_im)
-                              MMR_AVX2 {
-    const __m256d are = _mm256_set1_pd(a_re);
-    const __m256d aim = _mm256_set1_pd(a_im);
-    for (std::size_t k = 0; k < kB / 2; ++k) {
-      _mm256_storeu_pd(out + 2 * base + 4 * k, cmul_const(dv.v[k], are, aim));
-    }
-  };
-  std::size_t i = 0;
-  for (; i + 2 * kB <= n; i += 2 * kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    emit_block(i, a_re, a_im);
-    rotate_anchor(rot_re, rot_im, &a_re, &a_im);
-    emit_block(i + kB, a_re, a_im);
-  }
-  for (; i + kB <= n; i += kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    emit_block(i, a_re, a_im);
-  }
-  for (; i < n; ++i) {
-    exact_phasor(step, i, &out[2 * i], &out[2 * i + 1]);
-  }
-}
-
-MMR_AVX2 cplx avx2_dot_phasor_ramp(double step, const cplx* w, std::size_t n) {
-  if (n < 2 * kB) return scalar_dot_phasor_ramp(step, w, n);
-  const RampDeltas d = compute_ramp_deltas(step);
-  const InterleavedDeltas dv = interleave_deltas(d);
-  double rot_re;
-  double rot_im;
-  exact_phasor(step, kB, &rot_re, &rot_im);
-  const double* wp = reinterpret_cast<const double*>(w);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  const auto add_block = [&](std::size_t base, double a_re, double a_im)
-                             MMR_AVX2 {
-    const __m256d are = _mm256_set1_pd(a_re);
-    const __m256d aim = _mm256_set1_pd(a_im);
-    acc0 = _mm256_add_pd(
-        acc0, cmul2(cmul_const(dv.v[0], are, aim),
-                    _mm256_loadu_pd(wp + 2 * base)));
-    acc1 = _mm256_add_pd(
-        acc1, cmul2(cmul_const(dv.v[1], are, aim),
-                    _mm256_loadu_pd(wp + 2 * base + 4)));
-    acc2 = _mm256_add_pd(
-        acc2, cmul2(cmul_const(dv.v[2], are, aim),
-                    _mm256_loadu_pd(wp + 2 * base + 8)));
-    acc3 = _mm256_add_pd(
-        acc3, cmul2(cmul_const(dv.v[3], are, aim),
-                    _mm256_loadu_pd(wp + 2 * base + 12)));
-  };
-  std::size_t i = 0;
-  for (; i + 2 * kB <= n; i += 2 * kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    add_block(i, a_re, a_im);
-    rotate_anchor(rot_re, rot_im, &a_re, &a_im);
-    add_block(i + kB, a_re, a_im);
-  }
-  for (; i + kB <= n; i += kB) {
-    double a_re;
-    double a_im;
-    exact_phasor(step, i, &a_re, &a_im);
-    add_block(i, a_re, a_im);
-  }
-  const __m256d sum = _mm256_add_pd(_mm256_add_pd(acc0, acc1),
-                                    _mm256_add_pd(acc2, acc3));
-  cplx acc = hsum_cplx(sum);
-  double re = acc.real();
-  double im = acc.imag();
-  for (; i < n; ++i) {
-    double pre;
-    double pim;
-    exact_phasor(step, i, &pre, &pim);
-    const double wr = wp[2 * i];
-    const double wi = wp[2 * i + 1];
-    re += pre * wr - pim * wi;
-    im += pre * wi + pim * wr;
-  }
-  return cplx(re, im);
-}
-
-MMR_AVX2 cplx avx2_dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
-  // avx2_dot_phasor_ramp's accumulation over stored phasors: block b's
-  // four vectors go to acc0..acc3, the same lanes the fused kernel feeds.
-  if (n < 2 * kB) return scalar_dot_phasors(ph, w, n);
-  const double* pp = reinterpret_cast<const double*>(ph);
-  const double* wp = reinterpret_cast<const double*>(w);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + kB <= n; i += kB) {
-    acc0 = _mm256_add_pd(acc0, cmul2(_mm256_loadu_pd(pp + 2 * i),
-                                     _mm256_loadu_pd(wp + 2 * i)));
-    acc1 = _mm256_add_pd(acc1, cmul2(_mm256_loadu_pd(pp + 2 * i + 4),
-                                     _mm256_loadu_pd(wp + 2 * i + 4)));
-    acc2 = _mm256_add_pd(acc2, cmul2(_mm256_loadu_pd(pp + 2 * i + 8),
-                                     _mm256_loadu_pd(wp + 2 * i + 8)));
-    acc3 = _mm256_add_pd(acc3, cmul2(_mm256_loadu_pd(pp + 2 * i + 12),
-                                     _mm256_loadu_pd(wp + 2 * i + 12)));
-  }
-  const __m256d sum = _mm256_add_pd(_mm256_add_pd(acc0, acc1),
-                                    _mm256_add_pd(acc2, acc3));
-  cplx acc = hsum_cplx(sum);
-  double re = acc.real();
-  double im = acc.imag();
-  for (; i < n; ++i) {
-    const double pre = pp[2 * i];
-    const double pim = pp[2 * i + 1];
-    const double wr = wp[2 * i];
-    const double wi = wp[2 * i + 1];
-    re += pre * wr - pim * wi;
-    im += pre * wi + pim * wr;
-  }
-  return cplx(re, im);
-}
-
-MMR_AVX2 void avx2_delay_phasors(const double* freqs, bool affine, double df,
-                                 double delay_s, cplx* dst, std::size_t n) {
-  if (n < 2 * kB || !affine) {
-    scalar_delay_phasors(freqs, affine, df, delay_s, dst, n);
-    return;
-  }
-  RampDeltas d;
-  for (std::size_t k = 0; k < kB; ++k) {
-    const double ang = -2.0 * kPi * (df * static_cast<double>(k)) * delay_s;
-    d.re[k] = std::cos(ang);
-    d.im[k] = std::sin(ang);
-  }
-  const InterleavedDeltas dv = interleave_deltas(d);
-  // Block-to-block rotation for the affine grid (kB*df per block); one
-  // complex multiply derives every second anchor (see rotate_anchor).
-  const double rot_ang = -2.0 * kPi * (df * static_cast<double>(kB)) * delay_s;
-  const double rot_re = std::cos(rot_ang);
-  const double rot_im = std::sin(rot_ang);
-  double* out = reinterpret_cast<double*>(dst);
-  const auto emit_block = [&](std::size_t base, double a_re, double a_im)
-                              MMR_AVX2 {
-    const __m256d are = _mm256_set1_pd(a_re);
-    const __m256d aim = _mm256_set1_pd(a_im);
-    for (std::size_t k = 0; k < kB / 2; ++k) {
-      _mm256_storeu_pd(out + 2 * base + 4 * k, cmul_const(dv.v[k], are, aim));
-    }
-  };
-  std::size_t i = 0;
-  for (; i + 2 * kB <= n; i += 2 * kB) {
-    const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    double a_re = std::cos(ang);
-    double a_im = std::sin(ang);
-    emit_block(i, a_re, a_im);
-    rotate_anchor(rot_re, rot_im, &a_re, &a_im);
-    emit_block(i + kB, a_re, a_im);
-  }
-  for (; i + kB <= n; i += kB) {
-    const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    emit_block(i, std::cos(ang), std::sin(ang));
-  }
-  for (; i < n; ++i) {
-    const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    out[2 * i] = std::cos(ang);
-    out[2 * i + 1] = std::sin(ang);
-  }
-}
-
-MMR_AVX2 void avx2_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
-                                      cplx* dst, std::size_t n) {
-  // Short or non-affine grids were formed by the scalar loop, whose MAC
-  // is std::complex's; otherwise whole blocks take the vector MAC and the
-  // tail the scalar formula, as the fused kernel did.
-  if (n < 2 * kB || !affine) {
-    scalar_accumulate_phasors(alpha, affine, ph, dst, n);
-    return;
-  }
-  const __m256d alr = _mm256_set1_pd(alpha.real());
-  const __m256d ali = _mm256_set1_pd(alpha.imag());
-  const double* pp = reinterpret_cast<const double*>(ph);
-  double* dp = reinterpret_cast<double*>(dst);
-  const std::size_t blocks_end = n / kB * kB;
-  std::size_t i = 0;
-  for (; i < blocks_end; i += 2) {
-    const __m256d yv = _mm256_loadu_pd(dp + 2 * i);
-    _mm256_storeu_pd(dp + 2 * i,
-                     _mm256_add_pd(yv, cmul_const(_mm256_loadu_pd(pp + 2 * i),
-                                                  alr, ali)));
-  }
-  const double sar = alpha.real();
-  const double sai = alpha.imag();
-  for (; i < n; ++i) {
-    const double pre = pp[2 * i];
-    const double pim = pp[2 * i + 1];
-    dp[2 * i] += sar * pre - sai * pim;
-    dp[2 * i + 1] += sar * pim + sai * pre;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Vector log and sincos. Four lanes per step, each lane independent of
 // its neighbours; a lane outside the kernel's domain is recomputed with
-// libm after the vector store, and the n % 4 tail is libm too (so n == 1
-// is exact libm). Coefficients are fdlibm's (e_log.c, k_sin.c, k_cos.c).
+// libm after the vector store. Coefficients are fdlibm's (e_log.c,
+// k_sin.c, k_cos.c).
 // ---------------------------------------------------------------------------
-
-namespace {
 
 constexpr double kMinNormal = std::numeric_limits<double>::min();
 constexpr double kMaxFinite = std::numeric_limits<double>::max();
@@ -391,6 +137,13 @@ MMR_AVX2 inline int lanes_within(__m256d v, double lo, double hi) {
   const __m256d ok = _mm256_and_pd(_mm256_cmp_pd(a, splat(lo), _CMP_GE_OQ),
                                    _mm256_cmp_pd(a, splat(hi), _CMP_LE_OQ));
   return _mm256_movemask_pd(ok);
+}
+
+// Bit mask of the lanes sincos4 evaluates: normal finite lanes within the
+// reduction's range. Zeros (whose sign sin must keep), subnormals,
+// |x| > 2^20, Inf and NaN take libm.
+MMR_AVX2 inline int sincos_lanes_ok(__m256d v) {
+  return lanes_within(v, kMinNormal, kSincosMaxArg);
 }
 
 MMR_AVX2 inline __m256d log4(__m256d x) {
@@ -465,8 +218,305 @@ MMR_AVX2 inline void sincos4(__m256d x, __m256d* sin_out, __m256d* cos_out) {
   *cos_out = _mm256_xor_pd(_mm256_blendv_pd(cos_r, sin_r, swap), cos_sign);
 }
 
+// ---------------------------------------------------------------------------
+// Phasor generation. Each phasor is exp(j angle) with the scalar loop's
+// angle expression; the angles are gathered into a batch, padded to
+// whole vectors and run through the sincos entry (sincos4 four at a time,
+// libm for any lane outside its domain). sincos4 works lane by lane, so a
+// phasor's bits depend on its angle alone, not on its place in a batch.
+// ---------------------------------------------------------------------------
+
+// Angles per generation batch. The first batch holds the kB deltas, the
+// rotation, the tail (fewer than kB) and the first anchors, so any family
+// of up to 32 kB phasors is one batch; longer ones take further batches
+// of anchors.
+constexpr std::size_t kBatch = 4 * kB;
+
+// out[2i] = cos(ang[i]), out[2i + 1] = sin(ang[i]) for i < n, from the
+// sincos entry's whole vectors, interleaved into the complex layout so a
+// batch lands in a cplx array as is. ang and out have room for n rounded
+// up to whole vectors (at most kBatch angles): the last vector is padded
+// with an angle inside sincos4's domain.
+MMR_AVX2 void phasors_from_angles(double* ang, std::size_t n, double* out) {
+  for (; n % 4 != 0; ++n) ang[n] = 1.0;
+  double s[kBatch];
+  double c[kBatch];
+  avx2_sincos(ang, s, c, n);
+  for (std::size_t i = 0; i < n; i += 4) {
+    const __m256d sv = _mm256_loadu_pd(s + i);
+    const __m256d cv = _mm256_loadu_pd(c + i);
+    const __m256d lo = _mm256_unpacklo_pd(cv, sv);  // c0 s0 c2 s2
+    const __m256d hi = _mm256_unpackhi_pd(cv, sv);  // c1 s1 c3 s3
+    _mm256_storeu_pd(out + 2 * i, _mm256_permute2f128_pd(lo, hi, 0x20));
+    _mm256_storeu_pd(out + 2 * i + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
+  }
+}
+
+// An anchor+delta family of n >= 2 kB phasors exp(j exact_angle(i)).
+// Anchors sit at i = 0, 2 kB, 4 kB, ... while a block of kB fits. A block
+// is its anchor times the deltas exp(j delta_angle(k)), k < kB, and the
+// block after an anchor, when it fits too, starts from the anchor rotated
+// once by exp(j delta_angle(kB)). block(base, deltas, a_re, a_im)
+// consumes the blocks in order; the n % kB tail phasors, exact like the
+// anchors, go to tail_out.
+template <typename DeltaAngle, typename ExactAngle, typename Block>
+MMR_AVX2 inline void anchor_delta_family(std::size_t n,
+                                         const DeltaAngle& delta_angle,
+                                         const ExactAngle& exact_angle,
+                                         const Block& block,
+                                         double* tail_out) {
+  double ang[kBatch];
+  double ph[2 * kBatch];
+  std::size_t next = 0;  // position of the next anchor to gather
+  const auto gather_anchors = [&](std::size_t used) {
+    for (; next + kB <= n && used < kBatch; next += 2 * kB) {
+      ang[used++] = exact_angle(next);
+    }
+    return used;
+  };
+  for (std::size_t k = 0; k <= kB; ++k) ang[k] = delta_angle(k);
+  const std::size_t tail_begin = n / kB * kB;
+  const std::size_t tail = n - tail_begin;
+  for (std::size_t t = 0; t < tail; ++t) {
+    ang[kB + 1 + t] = exact_angle(tail_begin + t);
+  }
+  phasors_from_angles(ang, gather_anchors(kB + 1 + tail), ph);
+  InterleavedDeltas dv;
+  for (std::size_t k = 0; k < kB / 2; ++k) {
+    dv.v[k] = _mm256_loadu_pd(ph + 4 * k);
+  }
+  const double rot_re = ph[2 * kB];
+  const double rot_im = ph[2 * kB + 1];
+  if (tail != 0) {
+    std::memcpy(tail_out, ph + 2 * (kB + 1), 2 * tail * sizeof(double));
+  }
+  const double* anchor = ph + 2 * (kB + 1 + tail);
+  std::size_t base = 0;
+  for (;;) {
+    for (; base < next; base += 2 * kB, anchor += 2) {
+      double a_re = anchor[0];
+      double a_im = anchor[1];
+      block(base, dv, a_re, a_im);
+      if (base + 2 * kB <= n) {
+        rotate_anchor(rot_re, rot_im, &a_re, &a_im);
+        block(base + kB, dv, a_re, a_im);
+      }
+    }
+    if (next + kB > n) return;
+    phasors_from_angles(ang, gather_anchors(0), ph);
+    anchor = ph;
+  }
+}
+
+// The family's blocks stored to out (interleaved complex).
+struct StoreBlocks {
+  double* out;
+  MMR_AVX2 void operator()(std::size_t base, const InterleavedDeltas& dv,
+                           double a_re, double a_im) const {
+    const __m256d are = _mm256_set1_pd(a_re);
+    const __m256d aim = _mm256_set1_pd(a_im);
+    for (std::size_t k = 0; k < kB / 2; ++k) {
+      _mm256_storeu_pd(out + 2 * base + 4 * k, cmul_const(dv.v[k], are, aim));
+    }
+  }
+};
+
+// The ramp's angle -step i, the scalar loop's.
+struct RampAngle {
+  double step;
+  double operator()(std::size_t i) const {
+    return -step * static_cast<double>(i);
+  }
+};
+
+// A short ramp (n < 2 kB) into ph, which has room for 2 kB phasors.
+// Element 0's angle is ±0 (or NaN), outside sincos4's domain, so a ramp
+// of one element is libm's, as on every backend.
+MMR_AVX2 inline void short_ramp(double step, std::size_t n, double* ph) {
+  const RampAngle angle{step};
+  double ang[2 * kB];
+  for (std::size_t i = 0; i < n; ++i) ang[i] = angle(i);
+  phasors_from_angles(ang, n, ph);
+}
+
 }  // namespace
 
+MMR_AVX2 void avx2_axpy(cplx alpha, const cplx* x, cplx* y, std::size_t n) {
+  const double* xp = reinterpret_cast<const double*>(x);
+  double* yp = reinterpret_cast<double*>(y);
+  const __m256d ar = _mm256_set1_pd(alpha.real());
+  const __m256d ai = _mm256_set1_pd(alpha.imag());
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d x0 = _mm256_loadu_pd(xp + 2 * i);
+    const __m256d x1 = _mm256_loadu_pd(xp + 2 * i + 4);
+    const __m256d y0 = _mm256_loadu_pd(yp + 2 * i);
+    const __m256d y1 = _mm256_loadu_pd(yp + 2 * i + 4);
+    _mm256_storeu_pd(yp + 2 * i, _mm256_add_pd(y0, cmul_const(x0, ar, ai)));
+    _mm256_storeu_pd(yp + 2 * i + 4,
+                     _mm256_add_pd(y1, cmul_const(x1, ar, ai)));
+  }
+  const double sar = alpha.real();
+  const double sai = alpha.imag();
+  for (; i < n; ++i) {
+    const double xr = xp[2 * i];
+    const double xi = xp[2 * i + 1];
+    yp[2 * i] += sar * xr - sai * xi;
+    yp[2 * i + 1] += sar * xi + sai * xr;
+  }
+}
+
+MMR_AVX2 void avx2_phasor_ramp(double step, std::size_t n, cplx* dst) {
+  if (n < 2 * kB) {
+    double ph[4 * kB];
+    short_ramp(step, n, ph);
+    std::memcpy(dst, ph, n * sizeof(cplx));
+    return;
+  }
+  const RampAngle angle{step};
+  double* out = reinterpret_cast<double*>(dst);
+  anchor_delta_family(n, angle, angle, StoreBlocks{out},
+                      out + 2 * (n / kB * kB));
+}
+
+MMR_AVX2 cplx avx2_dot_phasor_ramp(double step, const cplx* w, std::size_t n) {
+  if (n < 2 * kB) {
+    // The ramp, then avx2_dot_phasors' short sum: dot_phasors over
+    // phasor_ramp's output is this value bit for bit.
+    cplx ph[2 * kB];
+    short_ramp(step, n, reinterpret_cast<double*>(ph));
+    return scalar_dot_phasors(ph, w, n);
+  }
+  const double* wp = reinterpret_cast<const double*>(w);
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  const auto add_block = [&](std::size_t base, const InterleavedDeltas& dv,
+                             double a_re, double a_im) MMR_AVX2 {
+    const __m256d are = _mm256_set1_pd(a_re);
+    const __m256d aim = _mm256_set1_pd(a_im);
+    acc0 = _mm256_add_pd(
+        acc0, cmul2(cmul_const(dv.v[0], are, aim),
+                    _mm256_loadu_pd(wp + 2 * base)));
+    acc1 = _mm256_add_pd(
+        acc1, cmul2(cmul_const(dv.v[1], are, aim),
+                    _mm256_loadu_pd(wp + 2 * base + 4)));
+    acc2 = _mm256_add_pd(
+        acc2, cmul2(cmul_const(dv.v[2], are, aim),
+                    _mm256_loadu_pd(wp + 2 * base + 8)));
+    acc3 = _mm256_add_pd(
+        acc3, cmul2(cmul_const(dv.v[3], are, aim),
+                    _mm256_loadu_pd(wp + 2 * base + 12)));
+  };
+  double tail[2 * kB];
+  const RampAngle angle{step};
+  anchor_delta_family(n, angle, angle, add_block, tail);
+  const __m256d sum = _mm256_add_pd(_mm256_add_pd(acc0, acc1),
+                                    _mm256_add_pd(acc2, acc3));
+  cplx acc = hsum_cplx(sum);
+  double re = acc.real();
+  double im = acc.imag();
+  for (std::size_t i = n / kB * kB, t = 0; i < n; ++i, ++t) {
+    const double pre = tail[2 * t];
+    const double pim = tail[2 * t + 1];
+    const double wr = wp[2 * i];
+    const double wi = wp[2 * i + 1];
+    re += pre * wr - pim * wi;
+    im += pre * wi + pim * wr;
+  }
+  return cplx(re, im);
+}
+
+MMR_AVX2 cplx avx2_dot_phasors(const cplx* ph, const cplx* w, std::size_t n) {
+  // avx2_dot_phasor_ramp's accumulation over stored phasors: block b's
+  // four vectors go to acc0..acc3, the same lanes the fused kernel feeds.
+  if (n < 2 * kB) return scalar_dot_phasors(ph, w, n);
+  const double* pp = reinterpret_cast<const double*>(ph);
+  const double* wp = reinterpret_cast<const double*>(w);
+  __m256d acc0 = _mm256_setzero_pd();
+  __m256d acc1 = _mm256_setzero_pd();
+  __m256d acc2 = _mm256_setzero_pd();
+  __m256d acc3 = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + kB <= n; i += kB) {
+    acc0 = _mm256_add_pd(acc0, cmul2(_mm256_loadu_pd(pp + 2 * i),
+                                     _mm256_loadu_pd(wp + 2 * i)));
+    acc1 = _mm256_add_pd(acc1, cmul2(_mm256_loadu_pd(pp + 2 * i + 4),
+                                     _mm256_loadu_pd(wp + 2 * i + 4)));
+    acc2 = _mm256_add_pd(acc2, cmul2(_mm256_loadu_pd(pp + 2 * i + 8),
+                                     _mm256_loadu_pd(wp + 2 * i + 8)));
+    acc3 = _mm256_add_pd(acc3, cmul2(_mm256_loadu_pd(pp + 2 * i + 12),
+                                     _mm256_loadu_pd(wp + 2 * i + 12)));
+  }
+  const __m256d sum = _mm256_add_pd(_mm256_add_pd(acc0, acc1),
+                                    _mm256_add_pd(acc2, acc3));
+  cplx acc = hsum_cplx(sum);
+  double re = acc.real();
+  double im = acc.imag();
+  for (; i < n; ++i) {
+    const double pre = pp[2 * i];
+    const double pim = pp[2 * i + 1];
+    const double wr = wp[2 * i];
+    const double wi = wp[2 * i + 1];
+    re += pre * wr - pim * wi;
+    im += pre * wi + pim * wr;
+  }
+  return cplx(re, im);
+}
+
+MMR_AVX2 void avx2_delay_phasors(const double* freqs, bool affine, double df,
+                                 double delay_s, cplx* dst, std::size_t n) {
+  if (n < 2 * kB || !affine) {
+    scalar_delay_phasors(freqs, affine, df, delay_s, dst, n);
+    return;
+  }
+  // The deltas and the block rotation step the affine grid by df; each
+  // anchor and tail element takes its own freqs[i].
+  const auto delta_angle = [df, delay_s](std::size_t k) {
+    return -2.0 * kPi * (df * static_cast<double>(k)) * delay_s;
+  };
+  const auto exact_angle = [freqs, delay_s](std::size_t i) {
+    return -2.0 * kPi * freqs[i] * delay_s;
+  };
+  double* out = reinterpret_cast<double*>(dst);
+  anchor_delta_family(n, delta_angle, exact_angle, StoreBlocks{out},
+                      out + 2 * (n / kB * kB));
+}
+
+MMR_AVX2 void avx2_accumulate_phasors(cplx alpha, bool affine, const cplx* ph,
+                                      cplx* dst, std::size_t n) {
+  // Short or non-affine grids were formed by the scalar loop, whose MAC
+  // is std::complex's; otherwise whole blocks take the vector MAC and the
+  // tail the scalar formula, as the fused kernel did.
+  if (n < 2 * kB || !affine) {
+    scalar_accumulate_phasors(alpha, affine, ph, dst, n);
+    return;
+  }
+  const __m256d alr = _mm256_set1_pd(alpha.real());
+  const __m256d ali = _mm256_set1_pd(alpha.imag());
+  const double* pp = reinterpret_cast<const double*>(ph);
+  double* dp = reinterpret_cast<double*>(dst);
+  const std::size_t blocks_end = n / kB * kB;
+  std::size_t i = 0;
+  for (; i < blocks_end; i += 2) {
+    const __m256d yv = _mm256_loadu_pd(dp + 2 * i);
+    _mm256_storeu_pd(dp + 2 * i,
+                     _mm256_add_pd(yv, cmul_const(_mm256_loadu_pd(pp + 2 * i),
+                                                  alr, ali)));
+  }
+  const double sar = alpha.real();
+  const double sai = alpha.imag();
+  for (; i < n; ++i) {
+    const double pre = pp[2 * i];
+    const double pim = pp[2 * i + 1];
+    dp[2 * i] += sar * pre - sai * pim;
+    dp[2 * i + 1] += sar * pim + sai * pre;
+  }
+}
+
+// The element-wise entries keep libm for the n % 4 tail (so n == 1 is
+// exact libm) as well as for the lanes outside the vector domains.
 MMR_AVX2 void avx2_log(const double* x, double* y, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -495,10 +545,7 @@ MMR_AVX2 void avx2_sincos(const double* x, double* s, double* c,
     sincos4(v, &sv, &cv);
     _mm256_storeu_pd(s + i, sv);
     _mm256_storeu_pd(c + i, cv);
-    // Normal finite lanes within the reduction's range only: zeros
-    // (whose sign sin must keep), subnormals, |x| > 2^20, Inf and NaN
-    // take libm.
-    const int ok = lanes_within(v, kMinNormal, kSincosMaxArg);
+    const int ok = sincos_lanes_ok(v);
     if (ok != 0xF) {
       for (std::size_t l = 0; l < 4; ++l) {
         if (!(ok & (1 << l))) {

@@ -62,18 +62,27 @@ cplx portable_dot_phasors(const cplx* ph, const cplx* w, std::size_t n);
 void avx2_sinc_taps(double ts, double bandwidth, double tau, std::size_t m,
                     double sin_m, double* out, std::size_t n);
 
+/// The AVX2 sincos entry (backend_avx2.cpp, x86-64 only; callable only
+/// where the CPU has avx2 and fma): sincos4 on every lane of a whole
+/// vector that lies in its domain, libm on the other lanes and on the
+/// n % 4 tail. The backend's phasor generation runs its padded batches
+/// through this entry, so the AVX2 references in tests/dsp reproduce a
+/// generated phasor through it too.
+void avx2_sincos(const double* x, double* s, double* c, std::size_t n);
+
 // ---------------------------------------------------------------------------
 // Shared building blocks.
 // ---------------------------------------------------------------------------
 
 /// Anchor block length of the anchor+delta phasor evaluation: phasors are
-/// taken exact (libm sincos) every kRampBlock elements and filled in
+/// taken exact (a sincos: libm on the portable and NEON backends, the
+/// in-house sincos4 on AVX2) every kRampBlock elements and filled in
 /// between by one complex rotation each, bounding the per-element error
 /// to ~2 rounding steps regardless of n.
 inline constexpr std::size_t kRampBlock = 8;
 
-/// exp(-j step k) for k in [0, kRampBlock), evaluated with libm (exact
-/// reference values; delta[0] == (1, 0) exactly).
+/// exp(-j step k) for k in [0, kRampBlock), evaluated with libm (the
+/// portable backend's deltas; delta[0] == (1, 0) exactly).
 struct RampDeltas {
   double re[kRampBlock];
   double im[kRampBlock];

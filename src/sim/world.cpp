@@ -31,6 +31,7 @@ LinkWorld::LinkWorld(channel::Environment env, channel::Pose tx_pose,
                      std::shared_ptr<const channel::Trajectory> ue_trajectory,
                      WorldConfig config, Rng rng)
     : env_(std::move(env)), tx_pose_(tx_pose),
+      tx_images_(env_.tx_images(tx_pose_)),
       ue_trajectory_(std::move(ue_trajectory)), config_(config), rng_(rng),
       estimator_(make_estimator_config(config), rng_.fork()) {
   MMR_EXPECTS(ue_trajectory_ != nullptr);
@@ -51,7 +52,7 @@ void LinkWorld::set_time(double t_s) {
   t_s_ = t_s;
   tick_ = g_next_tick.fetch_add(1, std::memory_order_relaxed);
   const channel::Pose ue = ue_trajectory_->at(t_s);
-  env_.trace_into(paths_, tx_pose_, ue);
+  env_.trace_into(paths_, tx_pose_, tx_images_, ue);
   for (const auto& panel : irs_panels_) {
     channel::Path p = channel::irs_path(panel, tx_pose_, ue,
                                         env_.carrier_hz());

@@ -108,6 +108,9 @@ class LinkWorld {
 
   channel::Environment env_;
   channel::Pose tx_pose_;
+  /// env_.tx_images(tx_pose_): neither the walls nor the gNB move, so
+  /// every set_time traces from these.
+  std::vector<channel::Vec2> tx_images_;
   std::shared_ptr<const channel::Trajectory> ue_trajectory_;
   WorldConfig config_;
   Rng rng_;

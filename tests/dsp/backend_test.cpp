@@ -229,6 +229,64 @@ TEST_P(KernelEdges, LogAndSincosLanesOutsideTheDomainAreLibm) {
   audit.finish(std::size(specials) * kN * (kN - 1) * 3);
 }
 
+// Ramps of 2-15 elements, the 8-element ULA's among them: on AVX2 every
+// element is a lane of the in-house sincos, elsewhere the scalar loop.
+// An element whose angle -step i lies outside the vector domain -- zero
+// for step 0 of either sign (sin keeps the zero's sign), past 2^20, NaN
+// or Inf -- is exactly libm's, like a lone element; every other element
+// stays within the declared phasor_ramp tolerance. dot_phasor_ramp at
+// the same step is dot_phasors over that ramp, NaN lanes included.
+TEST_P(KernelEdges, ShortRampLanesOutsideTheDomainAreLibm) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double steps[] = {0.0,
+                          -0.0,
+                          0.37,
+                          -2.9,
+                          0x1p17,     // element 9 on is past 2^20
+                          -0x1.8p17,  // element 6 on is past 2^20
+                          std::numeric_limits<double>::quiet_NaN(),
+                          kInf,
+                          -kInf};
+  const dsp::Tolerance tol = dsp::tolerances(GetParam()).phasor_ramp;
+  mmr::testing::UlpAudit audit(std::string("short ramps on ") +
+                               std::string(dsp::backend_name(GetParam())));
+  std::size_t libm_lanes = 0;
+  for (std::size_t n = 2; n <= 15; ++n) {
+    for (const double step : steps) {
+      CVec ramp(n);
+      dsp::phasor_ramp(step, n, ramp.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const double ang = -step * static_cast<double>(i);
+        const cplx want(std::cos(ang), std::sin(ang));
+        if (sincos_lane_is_libm(ang)) {
+          EXPECT_TRUE(same_bits_or_both_nan(ramp[i].real(), want.real()) &&
+                      same_bits_or_both_nan(ramp[i].imag(), want.imag()))
+              << "n " << n << " step " << step << " element " << i << ": "
+              << ramp[i] << " vs libm " << want;
+          ++libm_lanes;
+        } else {
+          audit.compare_tol(ramp[i], want, tol, 1.0);
+        }
+      }
+      CVec w(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        w[i] = cplx(0.5 + 0.25 * static_cast<double>(i), -0.75);
+      }
+      const cplx fused = dsp::dot_phasor_ramp(step, w.data(), n);
+      const cplx split = dsp::dot_phasors(ramp.data(), w.data(), n);
+      EXPECT_TRUE(same_bits_or_both_nan(fused.real(), split.real()) &&
+                  same_bits_or_both_nan(fused.imag(), split.imag()))
+          << "n " << n << " step " << step << ": " << fused << " vs "
+          << split;
+    }
+  }
+  // The 14 ramps hold 119 elements per step: every one at the five steps
+  // whose angles are all zero, NaN or Inf; element 0 at the two ordinary
+  // steps; element 0 and those past 2^20 at the two large ones (35, 59).
+  EXPECT_EQ(libm_lanes, 5u * 119u + 2u * 14u + 35u + 59u);
+  audit.finish(9u * 119u - libm_lanes);
+}
+
 TEST_P(KernelEdges, AxpyAllowsFullyAliasedInputOutput) {
   // Contract: x == y is allowed (y[i] += alpha*y[i]); verify against the
   // unaliased computation within the backend's declared axpy tolerance.

@@ -1,16 +1,19 @@
 // The AVX2 fused delay-phasor and steering-accumulate kernels as they
-// stood before the split, kept verbatim as the references of
-// tests/dsp/phasor_split_test.cpp. Like
-// src/dsp/backend_avx2.cpp this source is compiled with floating-point
-// contraction on (tests/CMakeLists.txt), so GCC fuses the same scalar
-// multiply/add pairs here as it does in the backend.
+// stood before the split, the references of
+// tests/dsp/phasor_split_test.cpp. Their consumption loops are kept
+// verbatim; each sincos they take -- deltas, rotation, anchors, tail, and
+// every element of a short ramp -- is evaluated as the backend now
+// generates its phasors (generated_phasor below), where it used libm.
+// Short and non-affine delay families are still the scalar loop, libm
+// included, as in the backend. Like src/dsp/backend_avx2.cpp this source
+// is compiled with floating-point contraction on (tests/CMakeLists.txt),
+// so GCC fuses the same scalar multiply/add pairs here as it does in the
+// backend.
 #include "tests/dsp/fused_reference.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
-
-#include <cmath>
 
 #include "common/angles.h"
 #include "dsp/backend_kernels.h"
@@ -28,11 +31,24 @@ MMR_TEST_AVX2 inline __m256d ref_cmul_const(__m256d p, __m256d cr,
   return _mm256_fmaddsub_pd(p, cr, _mm256_mul_pd(pswap, ci));
 }
 
+// exp(j ang) as the backend generates a phasor: the AVX2 sincos entry
+// over one whole vector of four copies of ang, so ang is not in the
+// entry's libm tail. That is sincos4's lane where ang lies in its domain
+// and libm elsewhere; sincos4 works lane by lane, so these are the bits
+// the backend's batched generation gives the same angle.
+void generated_phasor(double ang, double* re, double* im) {
+  const double x[4] = {ang, ang, ang, ang};
+  double s[4];
+  double c[4];
+  dsp::detail::avx2_sincos(x, s, c, 4);
+  *re = c[0];
+  *im = s[0];
+}
+
 inline void ref_exact_phasor(double step, std::size_t i, double* re,
                              double* im) {
   const double ang = -step * static_cast<double>(i);
-  *re = std::cos(ang);
-  *im = std::sin(ang);
+  generated_phasor(ang, re, im);
 }
 
 inline void ref_rotate_anchor(double rot_re, double rot_im, double* a_re,
@@ -57,8 +73,7 @@ MMR_TEST_AVX2 void fused_avx2(cplx alpha, const double* freqs, double delay_s,
   dsp::detail::RampDeltas d;
   for (std::size_t k = 0; k < kB; ++k) {
     const double ang = -2.0 * kPi * (df * static_cast<double>(k)) * delay_s;
-    d.re[k] = std::cos(ang);
-    d.im[k] = std::sin(ang);
+    generated_phasor(ang, &d.re[k], &d.im[k]);
   }
   __m256d dv[kB / 2];
   for (std::size_t k = 0; k < kB / 2; ++k) {
@@ -66,8 +81,9 @@ MMR_TEST_AVX2 void fused_avx2(cplx alpha, const double* freqs, double delay_s,
                           d.re[2 * k]);
   }
   const double rot_ang = -2.0 * kPi * (df * static_cast<double>(kB)) * delay_s;
-  const double rot_re = std::cos(rot_ang);
-  const double rot_im = std::sin(rot_ang);
+  double rot_re;
+  double rot_im;
+  generated_phasor(rot_ang, &rot_re, &rot_im);
   const __m256d alr = _mm256_set1_pd(alpha.real());
   const __m256d ali = _mm256_set1_pd(alpha.imag());
   double* dp = reinterpret_cast<double*>(dst);
@@ -85,22 +101,27 @@ MMR_TEST_AVX2 void fused_avx2(cplx alpha, const double* freqs, double delay_s,
   std::size_t i = 0;
   for (; i + 2 * kB <= n; i += 2 * kB) {
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    double a_re = std::cos(ang);
-    double a_im = std::sin(ang);
+    double a_re;
+    double a_im;
+    generated_phasor(ang, &a_re, &a_im);
     add_block(i, a_re, a_im);
     ref_rotate_anchor(rot_re, rot_im, &a_re, &a_im);
     add_block(i + kB, a_re, a_im);
   }
   for (; i + kB <= n; i += kB) {
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    add_block(i, std::cos(ang), std::sin(ang));
+    double a_re;
+    double a_im;
+    generated_phasor(ang, &a_re, &a_im);
+    add_block(i, a_re, a_im);
   }
   const double sar = alpha.real();
   const double sai = alpha.imag();
   for (; i < n; ++i) {
     const double ang = -2.0 * kPi * freqs[i] * delay_s;
-    const double pre = std::cos(ang);
-    const double pim = std::sin(ang);
+    double pre;
+    double pim;
+    generated_phasor(ang, &pre, &pim);
     dp[2 * i] += sar * pre - sai * pim;
     dp[2 * i + 1] += sar * pim + sai * pre;
   }
@@ -110,10 +131,13 @@ MMR_TEST_AVX2 void fused_ramp_avx2(cplx alpha, double step, cplx* y,
                                    std::size_t n) {
   constexpr std::size_t kB = kRampBlock;
   if (n < 2 * kB) {
-    fused_ramp_scalar(alpha, step, y, n);
+    fused_ramp_scalar_with(&generated_phasor, alpha, step, y, n);
     return;
   }
-  const dsp::detail::RampDeltas d = dsp::detail::compute_ramp_deltas(step);
+  dsp::detail::RampDeltas d;
+  for (std::size_t k = 0; k < kB; ++k) {
+    ref_exact_phasor(step, k, &d.re[k], &d.im[k]);
+  }
   __m256d dv[kB / 2];
   for (std::size_t k = 0; k < kB / 2; ++k) {
     dv[k] = _mm256_set_pd(d.im[2 * k + 1], d.re[2 * k + 1], d.im[2 * k],

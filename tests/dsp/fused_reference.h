@@ -12,14 +12,22 @@
 
 namespace mmr {
 
-/// The scalar backend's loops (phasor_split_test.cpp).
+/// exp(j ang) as re + j im: how a backend evaluates one phasor.
+using PhasorFn = void (*)(double ang, double* re, double* im);
+
+/// The scalar backend's loops (phasor_split_test.cpp). fused_ramp_scalar
+/// evaluates its phasors with libm; fused_ramp_scalar_with is the same
+/// loop over the phasors `phasor` evaluates.
 void fused_scalar(cplx alpha, const double* freqs, double delay_s, cplx* dst,
                   std::size_t n);
 void fused_ramp_scalar(cplx alpha, double step, cplx* y, std::size_t n);
+void fused_ramp_scalar_with(PhasorFn phasor, cplx alpha, double step, cplx* y,
+                            std::size_t n);
 
 #if defined(__x86_64__) || defined(_M_X64)
 /// The AVX2 backend's kernels (fused_avx2_reference.cpp, compiled with
-/// floating-point contraction on, as src/dsp/backend_avx2.cpp is).
+/// floating-point contraction on, as src/dsp/backend_avx2.cpp is), with
+/// every phasor the backend generates evaluated as it evaluates it.
 void fused_avx2(cplx alpha, const double* freqs, double delay_s, cplx* dst,
                 std::size_t n);
 void fused_ramp_avx2(cplx alpha, double step, cplx* y, std::size_t n);

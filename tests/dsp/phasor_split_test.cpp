@@ -16,9 +16,10 @@
 // dot_phasor_ramp is still a library kernel, so it is its own reference.
 // The fused delay-phasor and steering-accumulate kernels were deleted;
 // their per-backend loops are kept verbatim as the references, below and,
-// for AVX2, in fused_avx2_reference.cpp. Both sources are compiled with
-// the library's contraction rules, so the comparison is bytewise in every
-// build.
+// for AVX2, in fused_avx2_reference.cpp, whose phasors come from the
+// backend's in-house sincos as the library's now do (its consumption
+// loops are unchanged). Both sources are compiled with the library's
+// contraction rules, so the comparison is bytewise in every build.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -55,6 +56,17 @@ void fused_ramp_scalar(cplx alpha, double step, cplx* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double ang = -step * static_cast<double>(i);
     y[i] += alpha * cplx(std::cos(ang), std::sin(ang));
+  }
+}
+
+void fused_ramp_scalar_with(PhasorFn phasor, cplx alpha, double step, cplx* y,
+                            std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ang = -step * static_cast<double>(i);
+    double re;
+    double im;
+    phasor(ang, &re, &im);
+    y[i] += alpha * cplx(re, im);
   }
 }
 
@@ -217,7 +229,9 @@ TEST_P(PhasorSplit, DelayPhasorsThenAccumulateEqualTheFusedKernel) {
   const Rng base(0x5B117ull);
   std::size_t compared = 0;
   std::uint64_t stream = 0;
-  for (std::size_t n : {1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128}) {
+  // 777: an AVX2 family long enough to take its anchors in more than
+  // one batch.
+  for (std::size_t n : {1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 777}) {
     for (int shape = 0; shape < 3; ++shape) {
       Rng rng = base.fork(stream++);
       RVec freqs(n);
@@ -274,6 +288,7 @@ TEST_P(PhasorSplit, DotPhasorsOverARampEqualDotPhasorRamp) {
   std::vector<std::size_t> sizes;
   for (std::size_t n = 1; n <= 33; ++n) sizes.push_back(n);
   sizes.push_back(64);
+  sizes.push_back(777);
   std::uint64_t stream = 0;
   for (std::size_t n : sizes) {
     for (int c = 0; c < 40; ++c) {
@@ -301,7 +316,10 @@ TEST_P(PhasorSplit, AccumulateOverARampEqualsTheFusedSteeringAccumulate) {
   ASSERT_NE(fused, nullptr);
   const Rng base(0x57EEACCull);
   std::size_t compared = 0;
-  for (std::size_t n = 0; n <= 80; ++n) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 80; ++n) sizes.push_back(n);
+  sizes.push_back(777);
+  for (std::size_t n : sizes) {
     Rng rng = base.fork(n);
     std::vector<cplx> alphas = edge_alphas();
     for (int r = 0; r < 8; ++r) alphas.push_back(rng.complex_normal());
