@@ -4,6 +4,7 @@
 // single-beam baseline by ~1.18x throughput at BOTH carriers, and 28 GHz
 // carries ~4.7x more throughput than 60 GHz at the same bandwidth because
 // of the extra path loss and oxygen absorption.
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 
@@ -94,37 +95,68 @@ int main(int argc, char** argv) {
   std::printf("(10 m link, side reflector, 10%% LOS blockage)\n\n");
   Table t({"carrier", "reflector", "single-beam (Mbps)", "multi-beam (Mbps)",
            "multi/single gain"});
-  double r28_multi = 0.0, r60_multi = 0.0;
   struct Case {
     const char* name;
     channel::Material material;
     double offset;
   };
-  for (const Case c : {Case{"concrete @ ~60 deg",
-                            channel::Material::concrete(), 4.2},
-                       Case{"glass @ ~35 deg", channel::Material::glass(),
-                            3.5}}) {
-    const CarrierResult r28 = evaluate(kCarrier28GHz, c.material, c.offset);
-    const CarrierResult r60 = evaluate(kCarrier60GHz, c.material, c.offset);
-    if (std::string(c.name).find("glass") != std::string::npos) {
-      r28_multi = r28.tput_multi;
-      r60_multi = r60.tput_multi;
+  // Case c (concrete, glass) at carrier k (28, 60 GHz).
+  double gain[2][2] = {}, multi[2][2] = {};
+  const Case cases[] = {
+      {"concrete @ ~60 deg", channel::Material::concrete(), 4.2},
+      {"glass @ ~35 deg", channel::Material::glass(), 3.5}};
+  for (std::size_t c = 0; c < 2; ++c) {
+    const CarrierResult r[2] = {
+        evaluate(kCarrier28GHz, cases[c].material, cases[c].offset),
+        evaluate(kCarrier60GHz, cases[c].material, cases[c].offset)};
+    for (std::size_t k = 0; k < 2; ++k) {
+      gain[c][k] = r[k].tput_multi / r[k].tput_single;
+      multi[c][k] = r[k].tput_multi;
+      t.add_row({k == 0 ? "28 GHz" : "60 GHz", cases[c].name,
+                 Table::num(r[k].tput_single / 1e6, 0),
+                 Table::num(r[k].tput_multi / 1e6, 0),
+                 Table::num(gain[c][k], 2) + "x"});
     }
-    t.add_row({"28 GHz", c.name, Table::num(r28.tput_single / 1e6, 0),
-               Table::num(r28.tput_multi / 1e6, 0),
-               Table::num(r28.tput_multi / r28.tput_single, 2) + "x"});
-    t.add_row({"60 GHz", c.name, Table::num(r60.tput_single / 1e6, 0),
-               Table::num(r60.tput_multi / 1e6, 0),
-               Table::num(r60.tput_multi / r60.tput_single, 2) + "x"});
   }
   t.print(std::cout);
+  const double ratio = multi[1][0] / multi[1][1];
 
   std::printf("\n28 GHz / 60 GHz multi-beam throughput ratio (glass case): "
-              "%.2fx (paper: ~4.7x at equal bandwidth)\n",
-              r28_multi / r60_multi);
-  std::printf("paper shape: multi-beam gains ~1.18x at both carriers; the\n"
-              "28 GHz link carries several times more throughput. The gain\n"
-              "multiple tracks reflector strength (Eq. 9's 1 + delta^2).\n");
+              "%.2fx (paper: ~4.7x at equal bandwidth)\n", ratio);
+  // The paper's shape, part by part, each stated only when the table
+  // above bears it out: a multi-beam gain of ~1.18x (here: within 0.05)
+  // in every row at both carriers, and a 28 GHz link carrying several
+  // times (here: at least 3x) the 60 GHz throughput. The bench's own
+  // reading, a gain that tracks reflector strength (Eq. 9's 1 + delta^2),
+  // needs the stronger glass reflector's gain above concrete's at both.
+  bool near_paper_gain = true, tracks_reflector = true;
+  for (std::size_t k = 0; k < 2; ++k) {
+    for (std::size_t c = 0; c < 2; ++c) {
+      near_paper_gain = near_paper_gain && std::abs(gain[c][k] - 1.18) <= 0.05;
+    }
+    tracks_reflector = tracks_reflector && gain[1][k] > gain[0][k];
+  }
+  std::printf("multi-beam gain: 28 GHz %.2fx (concrete) / %.2fx (glass), "
+              "60 GHz %.2fx / %.2fx\n",
+              gain[0][0], gain[1][0], gain[0][1], gain[1][1]);
+  const auto verdict = [](bool holds, const char* shape) {
+    if (holds) {
+      std::printf("paper shape: %s.\n", shape);
+    } else {
+      std::printf("paper shape (%s): not reproduced; see EXPERIMENTS.md "
+                  "note 6.\n", shape);
+    }
+  };
+  verdict(near_paper_gain, "multi-beam gains ~1.18x at both carriers");
+  verdict(ratio >= 3.0,
+          "the 28 GHz link carries several times more throughput");
+  if (tracks_reflector) {
+    std::printf("the gain tracks reflector strength (Eq. 9's 1 + delta^2): "
+                "glass above concrete at both carriers.\n");
+  } else {
+    std::printf("the gain does not track reflector strength here: glass is "
+                "not above concrete at both carriers.\n");
+  }
 
   std::printf("\n=== closed-loop check on the outdoor street (engine) ===\n");
   {

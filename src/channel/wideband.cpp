@@ -109,9 +109,7 @@ void PathResponse::csi(const CVec& tx_weights, const RxFrontend& rx,
 double PathResponse::received_power(const CVec& tx_weights,
                                     const RxFrontend& rx, cplx* csi) const {
   this->csi(tx_weights, rx, csi);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < grid_.size; ++i) acc += std::norm(csi[i]);
-  return acc / static_cast<double>(grid_.size);
+  return mean_power(csi, grid_.size);
 }
 
 void PathResponse::cir(const CVec& tx_weights, const RxFrontend& rx,
@@ -191,9 +189,13 @@ double received_power(const std::vector<Path>& paths,
                       const array::Ula& tx_ula, const CVec& tx_weights,
                       const WidebandSpec& spec, const RxFrontend& rx) {
   const CVec csi = effective_csi(paths, tx_ula, tx_weights, spec, rx);
+  return mean_power(csi.data(), csi.size());
+}
+
+double mean_power(const cplx* csi, std::size_t n) {
   double acc = 0.0;
-  for (const cplx& h : csi) acc += std::norm(h);
-  return acc / static_cast<double>(csi.size());
+  for (std::size_t i = 0; i < n; ++i) acc += std::norm(csi[i]);
+  return acc / static_cast<double>(n);
 }
 
 CVec per_antenna_channel(const std::vector<Path>& paths,

@@ -84,6 +84,12 @@ double received_power(const std::vector<Path>& paths,
                       const array::Ula& tx_ula, const CVec& tx_weights,
                       const WidebandSpec& spec, const RxFrontend& rx);
 
+/// Mean |csi[k]|^2 over k in [0, n), n >= 1, summed in k order: the one
+/// power rule of received_power, PathResponse::received_power and the CSI
+/// probe's record in sim::LinkWorld, so all three give the same bits for
+/// the same CSI.
+double mean_power(const cplx* csi, std::size_t n);
+
 /// The beam-independent half of the channel synthesis above: per traced
 /// path its effective gain (blockage applied), AoA, excess delay over the
 /// earliest path, TX steering phasors and per-subcarrier delay phasors.

@@ -16,6 +16,10 @@ struct LinkSample {
   /// False while the link is consumed by (re)training and cannot carry
   /// data -- which counts against reliability (Section 3.1).
   bool available = true;
+  /// False when the true received power is zero (no traced path reaches
+  /// the UE): snr_db then holds the -300 dB "no signal" value, which an
+  /// SNR statistic must not fold.
+  bool has_signal = true;
 };
 
 struct LinkSummary {

@@ -57,8 +57,9 @@ core::LinkSample LinkStepper::score(double t_s, double inr_linear,
                                     double protocol_overhead) const {
   core::LinkSample sample;
   sample.t_s = t_s;
-  sample.snr_db =
-      sinr_db(world_.true_snr_db(controller_.tx_weights()), inr_linear);
+  const double power = world_.true_power(controller_.tx_weights());
+  sample.has_signal = power > 0.0;
+  sample.snr_db = sinr_db(world_.snr_db_for_power(power), inr_linear);
   sample.available = controller_.link_available(t_s);
   sample.throughput_bps =
       sample.available

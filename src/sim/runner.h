@@ -73,7 +73,9 @@ class LinkStepper {
   /// Score tick t against the TRUE channel under the controller's
   /// current weights, with `inr_linear` folded into the SNR (0 for an
   /// isolated link). Calls tx_weights, then link_available; the
-  /// throughput is 0 while the link is unavailable.
+  /// throughput is 0 while the link is unavailable. The sample has a
+  /// signal when the true power is positive, and its SNR comes from that
+  /// same power (LinkWorld::snr_db_for_power).
   core::LinkSample score(double t_s, double inr_linear,
                          double protocol_overhead) const;
 

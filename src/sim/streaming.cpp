@@ -181,10 +181,14 @@ void StreamingService::accumulate(Shard& sh, double /*t_s*/) {
   for (std::size_t slot = 0; slot < sh.network->slot_count(); ++slot) {
     if (!sh.network->slot_live(slot)) continue;
     const core::LinkSample& sample = samples[slot];
-    sh.snr.add(sample.snr_db);
-    sh.snr_p50.add(sample.snr_db);
-    sh.snr_p99.add(sample.snr_db);
-    sh.snr_p999.add(sample.snr_db);
+    // A tick without signal carries the -300 dB sentinel, not an SNR: it
+    // counts in availability and throughput, never in the SNR statistics.
+    if (sample.has_signal) {
+      sh.snr.add(sample.snr_db);
+      sh.snr_p50.add(sample.snr_db);
+      sh.snr_p99.add(sample.snr_db);
+      sh.snr_p999.add(sample.snr_db);
+    }
     sh.tput.add(sample.throughput_bps);
     sh.tput_p50.add(sample.throughput_bps);
     sh.tput_p99.add(sample.throughput_bps);
@@ -265,6 +269,8 @@ void StreamingService::emit_snapshot(double t_s) {
     s.snr_p50_db = snr_p50.quantile();
     s.snr_p99_db = snr_p99.quantile();
     s.snr_p999_db = snr_p999.quantile();
+  }
+  if (tput.count() > 0) {
     s.tput_mean_bps = tput.mean();
     s.tput_stddev_bps = tput.stddev();
     s.tput_p50_bps = tput_p50.quantile();

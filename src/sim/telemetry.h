@@ -51,7 +51,8 @@ struct StreamSnapshot {
   double window_availability = 0.0;
   double availability = 0.0;
   std::uint64_t outage_ticks = 0;
-  /// Cumulative SINR moments and P² quantile estimates [dB].
+  /// Cumulative SINR moments and P² quantile estimates [dB] over the
+  /// session-ticks with signal (LinkSample::has_signal); 0 until one.
   double snr_mean_db = 0.0;
   double snr_stddev_db = 0.0;
   double snr_p50_db = 0.0;

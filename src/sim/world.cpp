@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "dsp/kernels.h"
@@ -15,6 +16,14 @@ namespace {
 /// process-wide, so no two ticks of any worlds share one -- not even a
 /// world rebuilt at a recycled address. 0 is never issued.
 std::atomic<std::uint64_t> g_next_tick{1};
+
+/// Bitwise equality of two weight vectors: a -0.0 lane or another NaN
+/// payload makes them differ.
+bool same_bits(const CVec& a, const CVec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0);
+}
 
 phy::EstimatorConfig make_estimator_config(const WorldConfig& config) {
   phy::EstimatorConfig est;
@@ -35,6 +44,7 @@ LinkWorld::LinkWorld(channel::Environment env, channel::Pose tx_pose,
       ue_trajectory_(std::move(ue_trajectory)), config_(config), rng_(rng),
       estimator_(make_estimator_config(config), rng_.fork()) {
   MMR_EXPECTS(ue_trajectory_ != nullptr);
+  probe_.weights.reserve(config_.tx_ula.num_elements);
   set_time(0.0);
 }
 
@@ -78,6 +88,9 @@ core::LinkProbeInterface LinkWorld::probe_interface() {
     std::optional<TrialWorkspace> local;
     CVec csi(config_.spec.num_subcarriers);
     response(scratch(local), true).csi(weights, config_.rx, csi.data());
+    probe_.tick = tick_;
+    probe_.weights.assign(weights.begin(), weights.end());
+    probe_.power = channel::mean_power(csi.data(), csi.size());
     return estimator_.estimate(std::move(csi));
   };
   link.cir = [this](const CVec& weights, std::size_t num_taps) -> CVec {
@@ -147,6 +160,9 @@ const channel::PathResponse& LinkWorld::response(TrialWorkspace& ws,
 
 double LinkWorld::true_power(const CVec& tx_weights) const {
   if (paths_.empty()) return 0.0;
+  if (probe_.tick == tick_ && same_bits(probe_.weights, tx_weights)) {
+    return probe_.power;
+  }
   std::optional<TrialWorkspace> local;
   TrialWorkspace& ws = scratch(local);
   ws.csi.resize(config_.spec.num_subcarriers);
@@ -155,7 +171,10 @@ double LinkWorld::true_power(const CVec& tx_weights) const {
 }
 
 double LinkWorld::true_snr_db(const CVec& tx_weights) const {
-  const double power = true_power(tx_weights);
+  return snr_db_for_power(true_power(tx_weights));
+}
+
+double LinkWorld::snr_db_for_power(double power) const {
   if (power <= 0.0) return -300.0;
   return config_.budget.snr_db(power);
 }

@@ -79,10 +79,16 @@ class LinkWorld {
   /// reference this world; keep it alive while they are used.
   core::LinkProbeInterface probe_interface();
 
-  /// True mean channel power gain for given TX weights (linear).
+  /// True mean channel power gain for given TX weights (linear). On the
+  /// tick of a CSI probe with bitwise these weights it is that probe's
+  /// recorded noiseless power (see ProbeRecord), else it is computed from
+  /// the tick's path-response table: the same bits either way.
   double true_power(const CVec& tx_weights) const;
-  /// True SNR [dB] through the link budget.
+  /// True SNR [dB] through the link budget: snr_db_for_power(true_power).
   double true_snr_db(const CVec& tx_weights) const;
+  /// SNR [dB] of a true channel power gain through the link budget;
+  /// -300 for a link with no signal (power <= 0).
+  double snr_db_for_power(double power) const;
   /// True per-antenna channel (oracle access).
   CVec true_per_antenna_channel() const;
   /// Channel power gain corresponding to a target SNR (outage thresholds).
@@ -106,6 +112,19 @@ class LinkWorld {
   /// log/sincos (Rng::complex_normals).
   void impair_cir(CVec& cir);
 
+  /// The mean |CSI|^2 (channel::mean_power) of the noiseless CSI that this
+  /// world's last CSI probe synthesized, taken before the estimator adds
+  /// noise. A controller's probes and its score share a tick and usually
+  /// its weights, while a network's sessions overwrite one shared table
+  /// between them; true_power returns the record instead of refilling
+  /// that table when the tick matches and the weights match bitwise (a
+  /// -0.0 lane or another NaN payload is a miss).
+  struct ProbeRecord {
+    std::uint64_t tick = 0;  ///< tick_ of the probe; 0 is never issued
+    CVec weights;            ///< reserved at construction: no allocation
+    double power = 0.0;
+  };
+
   channel::Environment env_;
   channel::Pose tx_pose_;
   /// env_.tx_images(tx_pose_): neither the walls nor the gNB move, so
@@ -121,6 +140,7 @@ class LinkWorld {
   TrialWorkspace* ws_ = nullptr;  ///< not owned; see bind_workspace
   double t_s_ = 0.0;
   std::uint64_t tick_ = 0;  ///< id of the current set_time; keys the table
+  ProbeRecord probe_;
 };
 
 }  // namespace mmr::sim

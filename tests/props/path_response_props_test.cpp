@@ -5,10 +5,14 @@
 // across set_time calls, with worlds sharing one workspace, and with a
 // world rebuilt at the address of a destroyed one. The table is keyed by
 // a process-wide tick id, never by the world's address. This binary also
-// runs once per kernel backend (props_forced_<backend>).
+// runs once per kernel backend (props_forced_<backend>). The true power
+// a world returns from its last CSI probe's record is pinned the same way,
+// against channel::received_power on a fresh table.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <ios>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -16,9 +20,12 @@
 #include "array/geometry.h"
 #include "channel/environment.h"
 #include "channel/mobility.h"
+#include "channel/wideband.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "core/link_interface.h"
 #include "sim/engine.h"
+#include "sim/faults.h"
 #include "sim/scenario.h"
 #include "sim/workspace.h"
 #include "sim/world.h"
@@ -176,6 +183,149 @@ TEST(PathResponseProps, WorldRebuiltInPlaceNeverHitsAStaleTable) {
       expect_same_evaluation(rng, *slot, twin,
                              "rebuilt case " + std::to_string(i));
     }
+  }
+}
+
+// --- The CSI probe's power record -----------------------------------------
+//
+// A world records the noiseless power of its last CSI probe and
+// true_power(w) returns it on the same tick for bitwise the same weights.
+// Whatever the probe history, every true_power must be the bits of
+// channel::received_power on a fresh table.
+
+/// true_power(w) as a fresh table computes it (0 for a world with no path).
+double fresh_power(const sim::LinkWorld& world, const CVec& w) {
+  if (world.paths().empty()) return 0.0;
+  return channel::received_power(world.paths(), world.config().tx_ula, w,
+                                 world.config().spec, world.config().rx);
+}
+
+/// A quiet NaN carrying `payload` in its low mantissa bits.
+double nan_with_payload(std::uint64_t payload) {
+  std::uint64_t bits = 0x7FF8000000000000ull | payload;
+  double d = 0.0;
+  std::memcpy(&d, &bits, sizeof d);
+  return d;
+}
+
+::testing::AssertionResult scores_fresh(const sim::LinkWorld& world,
+                                        const CVec& w) {
+  const double got = world.true_power(w);
+  const double want = fresh_power(world, w);
+  if (same_bits(got, want)) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << std::hexfloat << "true_power " << got << ", fresh table " << want;
+}
+
+/// One tick's probe-then-score sequences on `world` through `link` (the
+/// world's own probes, or a FaultInjector's around them). `last` holds
+/// the weights of the previous tick's probe, whose record the tick's
+/// set_time must have retired.
+void expect_record_cases(Rng& rng, sim::LinkWorld& world,
+                         const core::LinkProbeInterface& link, CVec& last,
+                         const std::string& where) {
+  const std::size_t n = world.config().tx_ula.num_elements;
+  if (!last.empty()) {
+    EXPECT_TRUE(scores_fresh(world, last)) << where << " next tick";
+  }
+
+  // The probe's own weights: the record's hit.
+  CVec w = random_weights(rng, n);
+  (void)link.csi(w);
+  EXPECT_TRUE(scores_fresh(world, w)) << where << " same weights";
+
+  // Weights that differ from the probe's in one lane's bits only: a -0.0
+  // for a +0.0, another NaN payload.
+  const std::size_t j = rng.uniform_index(n);
+  w[j] = cplx{0.0, w[j].imag()};
+  CVec other = w;
+  other[j] = cplx{-0.0, w[j].imag()};
+  (void)link.csi(other);
+  EXPECT_TRUE(scores_fresh(world, w)) << where << " -0.0 lane";
+  EXPECT_TRUE(scores_fresh(world, other)) << where << " -0.0 probe";
+  w[j] = cplx{nan_with_payload(1), w[j].imag()};
+  other[j] = cplx{nan_with_payload(2), w[j].imag()};
+  (void)link.csi(other);
+  EXPECT_TRUE(scores_fresh(world, w)) << where << " NaN payload";
+  EXPECT_TRUE(scores_fresh(world, other)) << where << " NaN probe";
+
+  // Unrelated weights after a probe, then a CIR probe between the CSI
+  // probe and its score.
+  EXPECT_TRUE(scores_fresh(world, random_weights(rng, n)))
+      << where << " other weights";
+  last = random_weights(rng, n);
+  (void)link.csi(last);
+  (void)link.cir(random_weights(rng, n), 1 + rng.uniform_index(32));
+  EXPECT_TRUE(scores_fresh(world, last)) << where << " after a CIR";
+}
+
+TEST(PathResponseProps, ProbeRecordScoresLikeAFreshTable) {
+  const Rng base(kBaseSeed + 3);
+  for (std::size_t i = 0; i < 30; ++i) {
+    Rng rng = base.fork(i);
+    // A bound world, an unbound one, and two alternating on one
+    // workspace, each with its own record.
+    const sim::ScenarioSpec spec = random_scenario(rng);
+    sim::LinkWorld bound = sim::ScenarioRegistry::instance().make(spec);
+    sim::LinkWorld unbound = sim::ScenarioRegistry::instance().make(spec);
+    sim::LinkWorld a =
+        sim::ScenarioRegistry::instance().make(random_scenario(rng));
+    sim::LinkWorld b =
+        sim::ScenarioRegistry::instance().make(random_scenario(rng));
+    sim::TrialWorkspace own, shared;
+    bound.bind_workspace(&own);
+    a.bind_workspace(&shared);
+    b.bind_workspace(&shared);
+    sim::LinkWorld* worlds[] = {&bound, &unbound, &a, &b};
+    const char* names[] = {"bound", "unbound", "a", "b"};
+    std::vector<core::LinkProbeInterface> links;
+    for (sim::LinkWorld* w : worlds) links.push_back(w->probe_interface());
+    std::vector<CVec> last(4);
+    for (std::size_t tick = 0; tick < 8; ++tick) {
+      const double t = 0.1 * static_cast<double>(tick);
+      // Advance every world, then run the sequences: a network's advance
+      // and scoring passes, in which the shared table changes hands.
+      for (sim::LinkWorld* w : worlds) w->set_time(t);
+      for (std::size_t k = 0; k < 4; ++k) {
+        expect_record_cases(rng, *worlds[k], links[k], last[k],
+                            spec.name + " case " + std::to_string(i) + " " +
+                                names[k] + " tick " + std::to_string(tick));
+      }
+    }
+  }
+}
+
+// Under a live FaultPlan the controller's reports are dropped, replayed
+// from a stale epoch or quantized, but the record is the world's own
+// noiseless truth: a stale epoch probes no world, so the tick's score
+// falls back to the table.
+TEST(PathResponseProps, ProbeRecordScoresLikeAFreshTableUnderFaults) {
+  const Rng base(kBaseSeed + 4);
+  for (std::size_t i = 0; i < 30; ++i) {
+    Rng rng = base.fork(i);
+    sim::LinkWorld world =
+        sim::ScenarioRegistry::instance().make(random_scenario(rng));
+    sim::TrialWorkspace ws;
+    if (i % 2 == 0) world.bind_workspace(&ws);
+    sim::FaultPlan plan;
+    plan.probe_drop_prob = 0.3;
+    plan.stale_epoch_prob = 0.3;
+    plan.stale_epoch_ticks = 2;
+    plan.csi_quant_bits = 6;
+    plan.seed = 1 + i;
+    sim::FaultInjector injector(plan, world.probe_interface());
+    const core::LinkProbeInterface link = injector.interface();
+    CVec last;
+    for (std::size_t tick = 0; tick < 12; ++tick) {
+      const double t = 0.05 * static_cast<double>(tick);
+      world.set_time(t);
+      injector.on_tick(t);
+      expect_record_cases(rng, world, link, last,
+                          "faults case " + std::to_string(i) + " tick " +
+                              std::to_string(tick));
+    }
+    EXPECT_GT(injector.probes_dropped() + injector.stale_replays(), 0u)
+        << "case " << i;
   }
 }
 

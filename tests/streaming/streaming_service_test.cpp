@@ -6,12 +6,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/controller_base.h"
 #include "net/network.h"
 #include "sim/engine.h"
 #include "sim/runner.h"
@@ -78,12 +81,15 @@ TEST(StreamingService, SingleSessionCollapsesToEngineTrial) {
   // Welford vs naive-sum mean: equal to reassociation accuracy.
   EXPECT_NEAR(snap.tput_mean_bps, direct.summary.mean_throughput_bps,
               1e-12 * (1.0 + direct.summary.mean_throughput_bps));
+  // The SNR statistics cover the ticks with signal only.
   std::vector<double> snr;
   double snr_sum = 0.0;
   for (const core::LinkSample& s : direct.samples) {
+    if (!s.has_signal) continue;
     snr.push_back(s.snr_db);
     snr_sum += s.snr_db;
   }
+  ASSERT_FALSE(snr.empty());
   EXPECT_NEAR(snap.snr_mean_db, snr_sum / static_cast<double>(snr.size()),
               1e-9);
   // The P² median lands inside a rank band of the exact per-tick SNRs.
@@ -97,6 +103,114 @@ TEST(StreamingService, SingleSessionCollapsesToEngineTrial) {
   ASSERT_EQ(sink.snapshots().size(), 1u);
   EXPECT_EQ(sink.snapshots()[0].total_ticks, snap.total_ticks);
   EXPECT_EQ(sink.snapshots()[0].availability, snap.availability);
+}
+
+/// The SNR of every scoring pass of a "recording_reactive" session, in
+/// call order (null: record nothing). The wrapper evaluates the world's
+/// true SNR whenever the scoring pass reads its weights; with
+/// interference off the scored SINR is that SNR bit for bit.
+std::vector<double>* g_scored_snr = nullptr;
+
+class RecordingController final : public core::BeamController {
+ public:
+  RecordingController(const sim::LinkWorld& world,
+                      std::unique_ptr<core::BeamController> inner)
+      : world_(world), inner_(std::move(inner)) {}
+
+  void start(double t_s, const core::LinkProbeInterface& link) override {
+    inner_->start(t_s, link);
+  }
+  void step(double t_s, const core::LinkProbeInterface& link) override {
+    inner_->step(t_s, link);
+  }
+  const CVec& tx_weights() const override {
+    const CVec& w = inner_->tx_weights();
+    if (g_scored_snr != nullptr) g_scored_snr->push_back(world_.true_snr_db(w));
+    return w;
+  }
+  bool link_available(double t_s) const override {
+    return inner_->link_available(t_s);
+  }
+  const char* name() const override { return inner_->name(); }
+  core::LinkState link_state(double t_s) const override {
+    return inner_->link_state(t_s);
+  }
+  void set_fault_listener(core::FaultListener listener) override {
+    inner_->set_fault_listener(std::move(listener));
+  }
+
+ private:
+  const sim::LinkWorld& world_;
+  std::unique_ptr<core::BeamController> inner_;
+};
+
+void register_recording_reactive() {
+  sim::ControllerRegistry::instance().add(
+      "recording_reactive",
+      [](const sim::LinkWorld& world, const sim::ScenarioConfig& config,
+         const sim::ControllerSpec& spec)
+          -> std::unique_ptr<core::BeamController> {
+        sim::ControllerSpec inner = spec;
+        inner.name = "reactive";
+        return std::make_unique<RecordingController>(
+            world,
+            sim::ControllerRegistry::instance().make(world, config, inner));
+      });
+}
+
+// A tick without signal scores the -300 dB sentinel; folding it would
+// drag the mean hundreds of dB below every real SNR. Over a churned
+// multi-shard run with such ticks, every SNR field of every snapshot
+// lies within the [min, max] of the scored SNRs that had signal.
+TEST(StreamingService, SnrStatisticsFoldOnlyTheTicksWithSignal) {
+  net::register_net_builtins();
+  register_recording_reactive();
+  sim::StreamingSpec spec = base_spec();
+  spec.network.controller.name = "recording_reactive";
+  spec.network.link_scenario.config.codebook_size = 16;
+  spec.network.interference.enabled = false;
+  spec.sessions = 24;
+  spec.shards = 3;
+  spec.duration_s = 0.5;
+  spec.network.run.duration_s = 0.5;
+  spec.snapshot_every_s = 0.1;
+  spec.churn.arrival_rate_per_s = 200.0;
+  spec.churn.mean_lifetime_s = 0.1;
+  spec.freeze_timing = true;
+
+  std::vector<double> scored;
+  g_scored_snr = &scored;
+  sim::MemorySink sink;
+  sim::StreamingService service(spec, &sink);
+  const sim::StreamingResult result = service.run();
+  g_scored_snr = nullptr;
+
+  EXPECT_GT(result.total_left, 0u);
+  ASSERT_EQ(scored.size(), result.final_snapshot.total_ticks);
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  std::size_t no_signal = 0;
+  for (double snr : scored) {
+    if (snr == -300.0) {
+      ++no_signal;
+      continue;
+    }
+    lo = std::min(lo, snr);
+    hi = std::max(hi, snr);
+  }
+  // Both kinds of tick occur, or the property says nothing.
+  ASSERT_GT(no_signal, 0u);
+  ASSERT_LT(no_signal, scored.size());
+  ASSERT_FALSE(sink.snapshots().empty());
+  for (const sim::StreamSnapshot& s : sink.snapshots()) {
+    for (double f : {s.snr_mean_db, s.snr_p50_db, s.snr_p99_db,
+                     s.snr_p999_db}) {
+      EXPECT_NE(f, -300.0) << "snapshot " << s.index;
+      EXPECT_GE(f, lo) << "snapshot " << s.index;
+      EXPECT_LE(f, hi) << "snapshot " << s.index;
+    }
+    EXPECT_LE(s.snr_stddev_db, hi - lo) << "snapshot " << s.index;
+  }
 }
 
 std::string snapshot_bytes(std::size_t jobs) {
